@@ -28,7 +28,6 @@ from .econometrics import (
 from .graph import (
     AdjacencyView,
     CollectorArtistNetwork,
-    EdgeData,
     RoleFlags,
     Weighting,
     active_users,
@@ -84,7 +83,6 @@ __all__ = [
     "DIMENSION_PURCHASES",
     "DIMENSION_SALES",
     "DegreeMetrics",
-    "EdgeData",
     "EventLog",
     "HitsConfig",
     "HitsScores",

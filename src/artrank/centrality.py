@@ -25,6 +25,7 @@ import numpy as np
 from scipy import sparse
 
 from .graph import AdjacencyView, CollectorArtistNetwork
+from .ingest import sum_by
 
 DEFAULT_TOLERANCE = 1e-10
 DEFAULT_MAX_ITERATIONS = 1000
@@ -141,19 +142,14 @@ def degree_metrics(net: CollectorArtistNetwork) -> DegreeMetrics:
     n = net.node_count
     in_degree = np.zeros(n, dtype=np.int64)
     out_degree = np.zeros(n, dtype=np.int64)
-    in_strength = [Decimal(0)] * n
-    out_strength = [Decimal(0)] * n
-    for (collector, artist), data in net.edges.items():
-        out_degree[collector] += data.sale_count
-        in_degree[artist] += data.sale_count
-        out_strength[collector] += data.total_usd
-        in_strength[artist] += data.total_usd
+    np.add.at(in_degree, net.artist, net.sale_count)
+    np.add.at(out_degree, net.collector, net.sale_count)
     return DegreeMetrics(
         users=net.users,
         in_degree=in_degree,
         out_degree=out_degree,
-        in_strength=tuple(in_strength),
-        out_strength=tuple(out_strength),
+        in_strength=tuple(sum_by(net.total_usd, net.artist, n).tolist()),
+        out_strength=tuple(sum_by(net.total_usd, net.collector, n).tolist()),
     )
 
 

@@ -46,6 +46,7 @@ import logging
 import os
 import sys
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -57,7 +58,9 @@ from .ingest import (
     RateTable,
     RejectReport,
     convert_currency,
+    exact_sum,
     parse_events,
+    write_csv_rows,
     write_events_csv,
 )
 from .profiling import METRIC_NAMES, MetricsTable
@@ -265,9 +268,7 @@ class ArtifactWriter:
     def csv(self, name: str, header, rows) -> None:
         path = self._register(name)
         with path.open("w", encoding="utf-8", newline="") as handle:
-            writer = csv.writer(handle, lineterminator="\n")
-            writer.writerow(header)
-            writer.writerows(rows)
+            write_csv_rows(handle, chain([header], rows))
 
     def json(self, name: str, payload) -> None:
         path = self._register(name)
@@ -374,6 +375,17 @@ def _rank_stage(
     hits_cfg = cfg.hits_config()
     unweighted = centrality.hits(adjacency(net, cfg.unweighted_scheme()), hits_cfg)
     weighted = centrality.hits(adjacency(net, Weighting.WEIGHTED_USD), hits_cfg)
+    for weighting, scores in (
+        (cfg.unweighted_scheme(), unweighted),
+        (Weighting.WEIGHTED_USD, weighted),
+    ):
+        if not scores.converged:
+            logger.warning(
+                "HITS (%s) did not converge: %d iterations, residual %.3g",
+                weighting.value,
+                scores.iterations_used,
+                scores.residual,
+            )
     degrees = centrality.degree_metrics(net)
     table = profiling.build_metrics_table(net, degrees, unweighted, weighted)
     trader = centrality.trader_score(unweighted)
@@ -410,11 +422,19 @@ def _rankings_rows(table: MetricsTable, trader: np.ndarray, sort_by: str) -> lis
     return out
 
 
-def _edge_rows(net: CollectorArtistNetwork) -> list[list[str]]:
-    rows = []
-    for (collector, artist), (usd, count) in sorted(net.edges_by_id().items()):
-        rows.append([collector, artist, str(usd), str(count)])
-    return rows
+def _edge_rows(net: CollectorArtistNetwork):
+    """``collector,artist,total_usd,sale_count`` rows sorted by (collector, artist) id."""
+    by_id = np.array(sorted(range(net.node_count), key=net.users.__getitem__), dtype=np.int64)
+    id_rank = np.empty_like(by_id)
+    id_rank[by_id] = np.arange(len(by_id))
+    order = np.lexsort((id_rank[net.artist], id_rank[net.collector]))
+    users = np.array(net.users, dtype=object)
+    return zip(
+        users[net.collector[order]].tolist(),
+        users[net.artist[order]].tolist(),
+        map(str, net.total_usd[order].tolist()),
+        map(str, net.sale_count[order].tolist()),
+    )
 
 
 def load_rankings_csv(path: Path) -> tuple[MetricsTable, np.ndarray]:
@@ -450,7 +470,7 @@ def _write_lorenz(writer: ArtifactWriter, stem: str, volumes: dict) -> None:
         {
             "gini": curve.gini,
             "n": len(volumes),
-            "total": float(sum(volumes.values())),
+            "total": float(exact_sum(volumes.values())),
         },
     )
 
@@ -493,7 +513,7 @@ def _write_report_artifacts(
     log: EventLog,
     net: CollectorArtistNetwork,
     table: MetricsTable,
-    cfg: RunConfig,
+    profiles: list[profiling.UserProfile],
 ) -> None:
     summary = report.summarize(log, net)
     writer.json(SUMMARY_JSON, summary.to_dict())
@@ -504,7 +524,6 @@ def _write_report_artifacts(
     ):
         edges, counts = report.histogram_data(table, dimension)
         writer.csv(name, ("bin_low", "bin_high", "count"), _histogram_rows(edges, counts))
-    profiles = profiling.build_profiles(table, cfg.role_percentile, cfg.tie_rank)
     rows = [
         [user] + [str(v) for v in values]
         for user, values in sorted(report.figure5_data(profiles))
@@ -598,8 +617,9 @@ def _cmd_report(args: argparse.Namespace) -> int:
     log = _load_events_csv(Path(args.events))
     table, _ = load_rankings_csv(Path(args.rankings))
     net = build_network(log)
+    profiles = profiling.build_profiles(table, cfg.role_percentile, cfg.tie_rank)
     writer = ArtifactWriter(cfg.out_dir)
-    _write_report_artifacts(writer, log, net, table, cfg)
+    _write_report_artifacts(writer, log, net, table, profiles)
     print((cfg.out_dir / SUMMARY_TXT).read_text(), end="")
     return 0
 
@@ -609,6 +629,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
     cfg.validate()
     with _OutputLock(cfg.out_dir):
         writer = ArtifactWriter(cfg.out_dir)
+        # a manifest exists only once it matches every artifact beside it
+        (cfg.out_dir / MANIFEST_JSON).unlink(missing_ok=True)
 
         log, rejects = _ingest_stage(cfg)
         writer.events(EVENTS_CSV, log)
@@ -629,7 +651,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         profiles = profiling.build_profiles(table, cfg.role_percentile, cfg.tie_rank)
         writer.jsonl(PROFILES_JSONL, _profile_records(profiles))
 
-        _write_report_artifacts(writer, log, net, table, cfg)
+        _write_report_artifacts(writer, log, net, table, profiles)
 
         manifest = writer.manifest()
     print(

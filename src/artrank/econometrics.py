@@ -153,7 +153,9 @@ def correlation_matrix(table: MetricsTable) -> CorrelationMatrix:
     k = len(columns)
     values = np.full((k, k), np.nan)
     for i in range(k):
-        for j in range(i, k):
+        if not constant[i]:
+            values[i, i] = 1.0  # what kendall_tau(x, x) returns
+        for j in range(i + 1, k):
             if constant[i] or constant[j]:
                 continue
             tau = kendall_tau(columns[i], columns[j])

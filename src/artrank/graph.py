@@ -18,7 +18,7 @@ from typing import Mapping
 import numpy as np
 from scipy import sparse
 
-from .ingest import EventLog
+from .ingest import EventLog, exact_sum, sum_by
 
 logger = logging.getLogger(__name__)
 
@@ -41,27 +41,25 @@ class RoleFlags:
     bought: bool = False
 
 
-@dataclass
-class EdgeData:
-    """Aggregated collector-to-artist endorsement: total USD and sale count."""
-
-    total_usd: Decimal = Decimal(0)
-    sale_count: int = 0
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CollectorArtistNetwork:
     """Directed endorsement network over the active users of a marketplace.
 
     Nodes are every user that minted, sold, or bought at least once; indices
-    follow first appearance in the event log. Exported results always key by
-    the opaque user id, never by index.
+    follow first appearance in the event log. Edge ``k`` runs from node
+    ``collector[k]`` to node ``artist[k]`` and aggregates ``sale_count[k]``
+    sales worth exactly ``total_usd[k]`` (a ``Decimal``); edges are sorted by
+    (collector, artist) index. Exported results always key by the opaque
+    user id, never by index.
     """
 
     users: tuple[str, ...]
     index: Mapping[str, int]
     roles: Mapping[str, RoleFlags]
-    edges: Mapping[tuple[int, int], EdgeData]
+    collector: np.ndarray
+    artist: np.ndarray
+    total_usd: np.ndarray
+    sale_count: np.ndarray
     dropped_buybacks: int = 0
     dropped_usd: Decimal = Decimal(0)
 
@@ -71,21 +69,27 @@ class CollectorArtistNetwork:
 
     @property
     def edge_count(self) -> int:
-        return len(self.edges)
+        return len(self.collector)
 
     @property
     def total_volume_usd(self) -> Decimal:
-        return sum((e.total_usd for e in self.edges.values()), Decimal(0))
+        return exact_sum(self.total_usd.tolist())
 
     @property
     def total_sale_count(self) -> int:
-        return sum(e.sale_count for e in self.edges.values())
+        return int(self.sale_count.sum())
 
     def edges_by_id(self) -> dict[tuple[str, str], tuple[Decimal, int]]:
         """Edge data keyed by (collector id, artist id), for comparisons and export."""
+        users = self.users
         return {
-            (self.users[c], self.users[a]): (data.total_usd, data.sale_count)
-            for (c, a), data in self.edges.items()
+            (users[c], users[a]): (total, count)
+            for c, a, total, count in zip(
+                self.collector.tolist(),
+                self.artist.tolist(),
+                self.total_usd.tolist(),
+                self.sale_count.tolist(),
+            )
         }
 
 
@@ -107,19 +111,13 @@ def active_users(log: EventLog) -> dict[str, RoleFlags]:
     Ordered by first appearance in the log (seller, buyer, then creator
     within one event).
     """
-    flags: dict[str, list[bool]] = {}
-
-    def touch(user: str, slot: int) -> None:
-        entry = flags.setdefault(user, [False, False, False])
-        entry[slot] = True
-
-    for event in log.events:
-        touch(event.seller_id, 1)
-        touch(event.buyer_id, 2)
-        touch(event.creator_id, 0)
-    return {
-        user: RoleFlags(minted=m, sold=s, bought=b) for user, (m, s, b) in flags.items()
-    }
+    n = len(log.users)
+    flags = zip(
+        (np.bincount(log.creator, minlength=n) > 0).tolist(),
+        (np.bincount(log.seller, minlength=n) > 0).tolist(),
+        (np.bincount(log.buyer, minlength=n) > 0).tolist(),
+    )
+    return {user: RoleFlags(*user_flags) for user, user_flags in zip(log.users, flags)}
 
 
 def build_network(log: EventLog) -> CollectorArtistNetwork:
@@ -129,28 +127,19 @@ def build_network(log: EventLog) -> CollectorArtistNetwork:
     Buy-back events (buyer equals creator) are dropped and counted; they
     would violate the zero-diagonal structure of the endorsement matrix.
     """
-    unconverted = sum(1 for e in log.events if e.needs_conversion)
-    if unconverted:
-        raise ValueError(
-            f"{unconverted} event(s) lack a USD price; apply convert_currency first"
-        )
-
+    log.require_usd()
     roles = active_users(log)
-    users = tuple(roles)
-    index = {user: i for i, user in enumerate(users)}
+    users = log.users
+    n = len(users)
 
-    edges: dict[tuple[int, int], EdgeData] = {}
-    dropped = 0
-    dropped_usd = Decimal(0)
-    for event in log.events:
-        if event.buyer_id == event.creator_id:
-            dropped += 1
-            dropped_usd += event.price_usd
-            continue
-        key = (index[event.buyer_id], index[event.creator_id])
-        data = edges.setdefault(key, EdgeData())
-        data.total_usd += event.price_usd
-        data.sale_count += 1
+    buyback = log.buyer == log.creator
+    keep = ~buyback
+    dropped = int(np.count_nonzero(buyback))
+    dropped_usd = exact_sum(log.price_usd[buyback].tolist())
+    pairs, edge_of_sale, counts = np.unique(
+        log.buyer[keep] * n + log.creator[keep], return_inverse=True, return_counts=True
+    )
+    collector, artist = np.divmod(pairs, max(n, 1))
     if dropped:
         logger.warning(
             "dropped %d buy-back event(s) (buyer equals creator), %s USD total",
@@ -159,9 +148,12 @@ def build_network(log: EventLog) -> CollectorArtistNetwork:
         )
     return CollectorArtistNetwork(
         users=users,
-        index=index,
+        index={user: i for i, user in enumerate(users)},
         roles=roles,
-        edges=edges,
+        collector=collector,
+        artist=artist,
+        total_usd=sum_by(log.price_usd[keep], edge_of_sale, len(pairs)),
+        sale_count=counts.astype(np.int64),
         dropped_buybacks=dropped,
         dropped_usd=dropped_usd,
     )
@@ -171,19 +163,13 @@ def adjacency(net: CollectorArtistNetwork, weighting: Weighting) -> AdjacencyVie
     """Materialize the sparse adjacency matrix under the given weighting."""
     weighting = Weighting(weighting)
     n = net.node_count
-    rows = np.empty(net.edge_count, dtype=np.int64)
-    cols = np.empty(net.edge_count, dtype=np.int64)
-    vals = np.empty(net.edge_count, dtype=np.float64)
-    for k, ((collector, artist), data) in enumerate(net.edges.items()):
-        if collector == artist:
-            raise ValueError("self-loop edge found; network invariant violated")
-        rows[k] = collector
-        cols[k] = artist
-        if weighting is Weighting.WEIGHTED_USD:
-            vals[k] = float(data.total_usd)
-        elif weighting is Weighting.UNWEIGHTED_BINARY:
-            vals[k] = 1.0
-        else:
-            vals[k] = float(data.sale_count)
-    matrix = sparse.csr_matrix((vals, (rows, cols)), shape=(n, n))
+    if np.any(net.collector == net.artist):
+        raise ValueError("self-loop edge found; network invariant violated")
+    if weighting is Weighting.WEIGHTED_USD:
+        vals = np.array([float(total) for total in net.total_usd.tolist()], dtype=np.float64)
+    elif weighting is Weighting.UNWEIGHTED_BINARY:
+        vals = np.ones(net.edge_count)
+    else:
+        vals = net.sale_count.astype(np.float64)
+    matrix = sparse.csr_matrix((vals, (net.collector, net.artist)), shape=(n, n))
     return AdjacencyView(weighting=weighting, matrix=matrix)

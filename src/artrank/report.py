@@ -13,7 +13,7 @@ from decimal import Decimal
 import numpy as np
 
 from .graph import CollectorArtistNetwork
-from .ingest import EventLog
+from .ingest import EventLog, exact_sum, sum_by
 from .profiling import METRIC_NAMES, MetricsTable, UserProfile
 
 DIMENSION_SALES = "sales"
@@ -91,19 +91,15 @@ class MarketSummary:
 
 def summarize(log: EventLog, net: CollectorArtistNetwork) -> MarketSummary:
     """Counts and volumes for a log and the network built from it."""
-    unconverted = sum(1 for e in log.events if e.needs_conversion)
-    if unconverted:
-        raise ValueError(
-            f"{unconverted} event(s) lack a USD price; apply convert_currency first"
-        )
-    artwork_ids = {e.artwork_id for e in log.events if e.artwork_id is not None}
-    usd = sum((e.price_usd for e in log.events), Decimal(0))
-    eth = sum((e.price_eth for e in log.events if e.price_eth is not None), Decimal(0))
+    log.require_usd()
+    artwork_ids = {a for a in log.artwork.tolist() if a is not None}
+    usd = exact_sum(log.price_usd.tolist())
+    eth = exact_sum(p for p in log.price_eth.tolist() if p is not None)
     flags = net.roles.values()
     return MarketSummary(
         tokenized_count=len(artwork_ids),
         tokenized_is_lower_bound=True,
-        sold_count=len(log.events),
+        sold_count=log.accepted_count,
         sale_volume_usd=usd,
         sale_volume_eth=eth,
         active_users=net.node_count,
@@ -115,12 +111,12 @@ def summarize(log: EventLog, net: CollectorArtistNetwork) -> MarketSummary:
 
 def volume_by_seller(log: EventLog) -> dict[str, Decimal]:
     """USD proceeds per selling user (the transacting seller, not the creator)."""
-    return _volume_by(log, "seller_id")
+    return _volume_by(log, log.seller)
 
 
 def volume_by_buyer(log: EventLog) -> dict[str, Decimal]:
     """USD spend per buying user."""
-    return _volume_by(log, "buyer_id")
+    return _volume_by(log, log.buyer)
 
 
 def histogram_data(
@@ -161,14 +157,9 @@ def figure5_data(profiles: list[UserProfile]) -> list[tuple[str, tuple[float, ..
     return [(p.user_id, tuple(p.normalized[i] for i in idx)) for p in profiles]
 
 
-def _volume_by(log: EventLog, attr: str) -> dict[str, Decimal]:
-    unconverted = sum(1 for e in log.events if e.needs_conversion)
-    if unconverted:
-        raise ValueError(
-            f"{unconverted} event(s) lack a USD price; apply convert_currency first"
-        )
-    totals: dict[str, Decimal] = {}
-    for event in log.events:
-        user = getattr(event, attr)
-        totals[user] = totals.get(user, Decimal(0)) + event.price_usd
-    return totals
+def _volume_by(log: EventLog, users: np.ndarray) -> dict[str, Decimal]:
+    log.require_usd()
+    n = len(log.users)
+    totals = sum_by(log.price_usd, users, n).tolist()
+    active = np.flatnonzero(np.bincount(users, minlength=n)).tolist()
+    return {log.users[i]: totals[i] for i in active}

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from artrank import cli
+from artrank import SaleEvent, cli
 
 FIXTURE_CSV = """seller,buyer,creator,price_eth,price_usd,timestamp,artwork_id
 ann,bob,ann,1.0,2300,2021-04-20T10:00:00Z,a1
@@ -267,3 +267,69 @@ def test_help_lists_subcommands(capsys):
     out = capsys.readouterr().out
     for name in ("ingest", "rank", "concentration", "correlate", "profile", "report", "run"):
         assert name in out
+
+
+def test_failed_run_leaves_no_stale_manifest(fixture_dir, capsys):
+    out = fixture_dir / "out"
+    assert run_cli(
+        "run", fixture_dir / "sales.csv", "--rates", fixture_dir / "rates.csv", "--out", out
+    ) == 0
+    bad = fixture_dir / "bad.csv"
+    bad.write_text(
+        "seller,buyer,creator,price_usd,timestamp\nann,ann,ann,10,100\n", encoding="utf-8"
+    )
+    assert run_cli("run", bad, "--out", out) == 1
+    assert "no volume" in capsys.readouterr().err
+    manifest_path = out / "manifest.json"
+    if manifest_path.exists():
+        for entry in json.loads(manifest_path.read_text())["files"]:
+            digest = hashlib.sha256((out / entry["name"]).read_bytes()).hexdigest()
+            assert digest == entry["sha256"], entry["name"]
+
+
+def test_non_converged_hits_logs_warning(fixture_dir, caplog):
+    out = fixture_dir / "out"
+    with caplog.at_level("WARNING", logger="artrank.cli"):
+        status = run_cli(
+            "run",
+            fixture_dir / "sales.csv",
+            "--rates",
+            fixture_dir / "rates.csv",
+            "--out",
+            out,
+            "--max-iterations",
+            "1",
+        )
+    assert status == 0
+    warnings = [r.getMessage() for r in caplog.records if r.name == "artrank.cli"]
+    for weighting in ("unweighted_binary", "weighted_usd"):
+        line = next(m for m in warnings if weighting in m)
+        assert "did not converge" in line
+        assert "1 iterations" in line
+        assert "residual" in line
+
+
+def test_converged_run_logs_no_hits_warning(fixture_dir, caplog):
+    with caplog.at_level("WARNING", logger="artrank.cli"):
+        run_cli(
+            "run", fixture_dir / "sales.csv", "--rates", fixture_dir / "rates.csv",
+            "--out", fixture_dir / "out",
+        )
+    assert not [r for r in caplog.records if "did not converge" in r.getMessage()]
+
+
+def test_run_builds_no_sale_event(fixture_dir, monkeypatch):
+    plain = fixture_dir / "plain"
+    assert run_cli(
+        "run", fixture_dir / "sales.csv", "--rates", fixture_dir / "rates.csv", "--out", plain
+    ) == 0
+
+    def refuse(self):
+        raise AssertionError("run built a SaleEvent")
+
+    monkeypatch.setattr(SaleEvent, "__post_init__", refuse)
+    columnar = fixture_dir / "columnar"
+    assert run_cli(
+        "run", fixture_dir / "sales.csv", "--rates", fixture_dir / "rates.csv", "--out", columnar
+    ) == 0
+    assert read_tree(columnar) == read_tree(plain)

@@ -271,3 +271,19 @@ def test_accepted_plus_rejected_equals_total(records):
     assert len(rejects) == log.rejected_count
     for earlier, later in zip(log.events, log.events[1:]):
         assert earlier.timestamp <= later.timestamp
+
+
+def test_convert_is_exact_at_wei_precision():
+    payload = (
+        b'{"seller":"a","buyer":"b","creator":"a",'
+        b'"price_eth":123.456789012345678901,"timestamp":"2021-04-21T10:00:00Z"}\n'
+    )
+    log, rejects = parse_events(payload, "json")
+    assert rejects == []
+    rates = RateTable({date(2021, 4, 21): Decimal("1234.56789")})
+    converted = convert_currency(log, rates)
+    usd = converted.events[0].price_usd
+    assert str(usd) == "152415.78751714678875142508889"
+    buffer = io.StringIO()
+    write_events_csv(converted, buffer)
+    assert "152415.78751714678875142508889" in buffer.getvalue()
