@@ -1,11 +1,15 @@
 """Batch pipeline: raw sale log in, ranked network analytics out.
 
-Subcommands mirror the analysis stages (``ingest``, ``rank``,
-``concentration``, ``correlate``, ``profile``, ``report``) plus the
-all-in-one ``run``. Every artifact is a plain CSV/JSON file, so stages can
-be re-run independently from each other's outputs; ``run`` additionally
-writes a manifest with a sha256 per artifact. Outputs are byte-identical
-across runs for a fixed input and configuration.
+One table, ``STAGES``, defines the pipeline: ``ingest``, ``rank``,
+``concentration``, ``correlate``, ``profile`` and ``report``. Each stage is
+also a subcommand, and the all-in-one ``run`` executes them all in order.
+Every artifact is a plain CSV/JSON file, so stages can be re-run
+independently from each other's outputs. Every command takes the output
+directory's ``.lock`` and first deletes any ``manifest.json`` there, so no
+manifest outlives the files it hashes; only ``run`` writes a new one, with a
+sha256 per artifact, after its last artifact. ``ingest`` and ``run`` log one
+WARNING per rejected record. Outputs are byte-identical across runs for a
+fixed input and configuration.
 
 Configuration precedence: built-in defaults, then an INI config file
 (``--config``), then ``ARTRANK_<SECTION>_<KEY>`` environment variables,
@@ -45,7 +49,9 @@ import json
 import logging
 import os
 import sys
+from collections.abc import Callable
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import chain
 from pathlib import Path
 
@@ -56,7 +62,6 @@ from .graph import CollectorArtistNetwork, Weighting, adjacency, build_network
 from .ingest import (
     EventLog,
     RateTable,
-    RejectReport,
     convert_currency,
     exact_sum,
     parse_events,
@@ -205,9 +210,13 @@ def _apply_ini(cfg: RunConfig, path: Path) -> None:
                 raise ValueError(f"config [{section}] {key}: {exc}") from None
 
 
+def _env_name(section: str, key: str) -> str:
+    return f"{ENV_PREFIX}_{section}_{key}".upper()
+
+
 def _apply_env(cfg: RunConfig, environ=os.environ) -> None:
     for (section, key), (attr, convert) in _CONFIG_KEYS.items():
-        name = f"{ENV_PREFIX}_{section}_{key}".upper()
+        name = _env_name(section, key)
         if name in environ:
             try:
                 setattr(cfg, attr, convert(environ[name]))
@@ -216,25 +225,11 @@ def _apply_env(cfg: RunConfig, environ=os.environ) -> None:
 
 
 def _apply_args(cfg: RunConfig, args: argparse.Namespace) -> None:
-    direct = {
-        "input_path": "input_path",
-        "input_format": "input_format",
-        "rates_path": "rates_path",
-        "out_dir": "out_dir",
-        "tolerance": "tolerance",
-        "max_iterations": "max_iterations",
-        "role_percentile": "role_percentile",
-        "tie_rank": "tie_rank",
-        "sort_by": "sort_by",
-    }
-    for arg_name, attr in direct.items():
-        value = getattr(args, arg_name, None)
+    # each flag's dest is the attribute it sets; a flag left out is None
+    for attr, _ in _CONFIG_KEYS.values():
+        value = getattr(args, attr, None)
         if value is not None:
-            setattr(cfg, attr, value)
-    if getattr(args, "field_map", None):
-        cfg.field_map = _parse_map_items(args.field_map)
-    if getattr(args, "unweighted_multiplicity", False):
-        cfg.unweighted_multiplicity = True
+            setattr(cfg, attr, _parse_map_items(value) if attr == "field_map" else value)
 
 
 def _resolve_config(args: argparse.Namespace) -> RunConfig:
@@ -330,96 +325,50 @@ class _OutputLock:
 # ---------------------------------------------------------------------------
 
 
-def _ingest_stage(cfg: RunConfig) -> tuple[EventLog, list[RejectReport]]:
-    with open(cfg.input_path, "rb") as handle:
-        log, rejects = parse_events(
-            handle,
-            fmt=cfg.input_format,
-            field_map=cfg.field_map,
-            source=cfg.input_path.name,
-        )
-    if cfg.rates_path is not None:
-        with open(cfg.rates_path, "rb") as handle:
-            rates = RateTable.from_csv(handle)
-        log = convert_currency(log, rates)
-    return log, rejects
+class _Inputs:
+    """What the stages read. An earlier stage of the same command sets a
+    field; otherwise it loads on first use from the artifact paths on the
+    command line."""
 
+    def __init__(self, cfg: RunConfig, args: argparse.Namespace):
+        self.cfg = cfg
+        self.args = args
 
-def _ingest_report(log: EventLog, rejects: list[RejectReport], fmt: str) -> dict:
-    return {
-        "source": log.source,
-        "format": fmt,
-        "total_records": log.total_records,
-        "accepted": log.accepted_count,
-        "rejected": log.rejected_count,
-        "zero_price_events": log.zero_price_count,
-        "needs_conversion": log.needs_conversion_count,
-        "rejects": [{"row": r.row, "reason": r.reason} for r in rejects],
-    }
-
-
-def _load_events_csv(path: Path) -> EventLog:
-    with open(path, "rb") as handle:
-        log, rejects = parse_events(handle, fmt="csv", source=path.name)
-    if rejects:
-        raise ValueError(
-            f"{len(rejects)} invalid record(s) in {path}; regenerate it with `ingest`"
-        )
-    return log
-
-
-def _rank_stage(
-    log: EventLog, cfg: RunConfig
-) -> tuple[CollectorArtistNetwork, MetricsTable, np.ndarray]:
-    net = build_network(log)
-    hits_cfg = cfg.hits_config()
-    unweighted = centrality.hits(adjacency(net, cfg.unweighted_scheme()), hits_cfg)
-    weighted = centrality.hits(adjacency(net, Weighting.WEIGHTED_USD), hits_cfg)
-    for weighting, scores in (
-        (cfg.unweighted_scheme(), unweighted),
-        (Weighting.WEIGHTED_USD, weighted),
-    ):
-        if not scores.converged:
-            logger.warning(
-                "HITS (%s) did not converge: %d iterations, residual %.3g",
-                weighting.value,
-                scores.iterations_used,
-                scores.residual,
+    @cached_property
+    def log(self) -> EventLog:
+        path = Path(self.args.events)
+        with open(path, "rb") as handle:
+            log, rejects = parse_events(handle, fmt="csv", source=path.name)
+        if rejects:
+            raise ValueError(
+                f"{len(rejects)} invalid record(s) in {path}; regenerate it with `ingest`"
             )
-    degrees = centrality.degree_metrics(net)
-    table = profiling.build_metrics_table(net, degrees, unweighted, weighted)
-    trader = centrality.trader_score(unweighted)
-    return net, table, trader
+        return log
+
+    @cached_property
+    def net(self) -> CollectorArtistNetwork:
+        return build_network(self.log)
+
+    @cached_property
+    def table(self) -> MetricsTable:
+        return load_rankings_csv(Path(self.args.rankings))
+
+    @cached_property
+    def profiles(self) -> list[profiling.UserProfile]:
+        return profiling.build_profiles(self.table, self.cfg.role_percentile, self.cfg.tie_rank)
 
 
 def _rankings_rows(table: MetricsTable, trader: np.ndarray, sort_by: str) -> list[list[str]]:
-    records = []
-    for i, user in enumerate(table.users):
-        row = {name: table.values[i, j] for j, name in enumerate(METRIC_NAMES)}
-        row["user"] = user
-        row["trader_score"] = float(trader[i])
-        records.append(row)
+    users = table.users
+    columns = dict(zip(METRIC_NAMES, table.values.T.tolist()), trader_score=trader.tolist())
     if sort_by == "user":
-        records.sort(key=lambda r: r["user"])
+        order = sorted(range(len(users)), key=users.__getitem__)
     else:
-        records.sort(key=lambda r: (-r[sort_by], r["user"]))
-    out = []
-    for r in records:
-        out.append(
-            [
-                r["user"],
-                str(r["authority"]),
-                str(r["w_authority"]),
-                str(r["hub"]),
-                str(r["w_hub"]),
-                str(int(r["in_degree"])),
-                str(int(r["out_degree"])),
-                str(r["in_strength"]),
-                str(r["out_strength"]),
-                str(r["trader_score"]),
-            ]
-        )
-    return out
+        key = columns[sort_by]
+        order = sorted(range(len(users)), key=lambda i: (-key[i], users[i]))
+    for name in ("in_degree", "out_degree"):
+        columns[name] = [int(v) for v in columns[name]]
+    return [[users[i]] + [str(columns[name][i]) for name in RANKINGS_HEADER[1:]] for i in order]
 
 
 def _edge_rows(net: CollectorArtistNetwork):
@@ -437,8 +386,8 @@ def _edge_rows(net: CollectorArtistNetwork):
     )
 
 
-def load_rankings_csv(path: Path) -> tuple[MetricsTable, np.ndarray]:
-    """Rebuild the metrics table (and trader scores) from a rankings artifact."""
+def load_rankings_csv(path: Path) -> MetricsTable:
+    """Rebuild the metrics table from a rankings artifact."""
     with open(path, encoding="utf-8", newline="") as handle:
         reader = csv.DictReader(handle)
         missing = set(RANKINGS_HEADER) - set(reader.fieldnames or ())
@@ -446,218 +395,207 @@ def load_rankings_csv(path: Path) -> tuple[MetricsTable, np.ndarray]:
             raise ValueError(f"rankings file lacks columns: {', '.join(sorted(missing))}")
         users = []
         values = []
-        trader = []
         for record in reader:
             users.append(record["user"])
             values.append([float(record[name]) for name in METRIC_NAMES])
-            trader.append(float(record["trader_score"]))
-    table = MetricsTable(
+    return MetricsTable(
         users=tuple(users),
         values=np.array(values, dtype=np.float64).reshape(len(users), len(METRIC_NAMES)),
     )
-    return table, np.array(trader)
 
 
-def _write_lorenz(writer: ArtifactWriter, stem: str, volumes: dict) -> None:
-    curve = econometrics.lorenz([float(v) for v in volumes.values()])
-    writer.csv(
-        f"{stem}.csv",
-        ("pop_share", "vol_share"),
-        ([str(p), str(v)] for p, v in curve.points),
-    )
+def _ingest(inputs: _Inputs, writer: ArtifactWriter) -> str:
+    cfg = inputs.cfg
+    with open(cfg.input_path, "rb") as handle:
+        log, rejects = parse_events(
+            handle,
+            fmt=cfg.input_format,
+            field_map=cfg.field_map,
+            source=cfg.input_path.name,
+        )
+    if cfg.rates_path is not None:
+        with open(cfg.rates_path, "rb") as handle:
+            log = convert_currency(log, RateTable.from_csv(handle))
+    inputs.log = log
+    writer.events(EVENTS_CSV, log)
     writer.json(
-        f"{stem}.json",
+        INGEST_REPORT_JSON,
         {
-            "gini": curve.gini,
-            "n": len(volumes),
-            "total": float(exact_sum(volumes.values())),
+            "source": log.source,
+            "format": cfg.input_format,
+            "total_records": log.total_records,
+            "accepted": log.accepted_count,
+            "rejected": log.rejected_count,
+            "zero_price_events": log.zero_price_count,
+            "needs_conversion": log.needs_conversion_count,
+            "rejects": [{"row": r.row, "reason": r.reason} for r in rejects],
         },
     )
+    for reject in rejects:
+        logger.warning("record %d rejected: %s", reject.row, reject.reason)
+    return (
+        f"ingested {log.accepted_count}/{log.total_records} records"
+        f" ({log.rejected_count} rejected) -> {writer.out_dir / EVENTS_CSV}"
+    )
 
 
-def _correlation_rows(matrix: econometrics.CorrelationMatrix) -> list[list[str]]:
-    rows = []
-    for label, row in zip(matrix.labels, matrix.values):
-        rows.append([label] + [str(v) for v in row])
-    return rows
+def _rank(inputs: _Inputs, writer: ArtifactWriter) -> str:
+    cfg, net = inputs.cfg, inputs.net
+    hits_cfg = cfg.hits_config()
+    scores = []
+    for weighting in (cfg.unweighted_scheme(), Weighting.WEIGHTED_USD):
+        result = centrality.hits(adjacency(net, weighting), hits_cfg)
+        if not result.converged:
+            logger.warning(
+                "HITS (%s) did not converge: %d iterations, residual %.3g",
+                weighting.value,
+                result.iterations_used,
+                result.residual,
+            )
+        scores.append(result)
+    unweighted, weighted = scores
+    degrees = centrality.degree_metrics(net)
+    inputs.table = profiling.build_metrics_table(net, degrees, unweighted, weighted)
+    trader = centrality.trader_score(unweighted)
+    writer.csv(RANKINGS_CSV, RANKINGS_HEADER, _rankings_rows(inputs.table, trader, cfg.sort_by))
+    writer.csv(EDGES_CSV, ("collector", "artist", "total_usd", "sale_count"), _edge_rows(net))
+    return (
+        f"ranked {net.node_count} users over {net.edge_count} edges"
+        f" -> {writer.out_dir / RANKINGS_CSV}"
+    )
 
 
-def _profile_records(profiles: list[profiling.UserProfile]) -> list[dict]:
-    # canonical user order, independent of the metrics-table row order
-    records = []
-    for p in sorted(profiles, key=lambda p: p.user_id):
-        records.append(
-            {
-                "user": p.user_id,
-                "role": p.role.value,
-                "artist_code": p.artist_code,
-                "collector_code": p.collector_code,
-                "normalized": {
-                    name: value for name, value in zip(METRIC_NAMES, p.normalized)
-                },
-                "trader_score": p.trader_score,
-            }
+def _concentration(inputs: _Inputs, writer: ArtifactWriter) -> str:
+    for stem, volume_by in (
+        ("lorenz_sellers", report.volume_by_seller),
+        ("lorenz_buyers", report.volume_by_buyer),
+    ):
+        volumes = volume_by(inputs.log)
+        curve = econometrics.lorenz([float(v) for v in volumes.values()])
+        writer.csv(
+            f"{stem}.csv",
+            ("pop_share", "vol_share"),
+            ([str(p), str(v)] for p, v in curve.points),
         )
-    return records
+        writer.json(
+            f"{stem}.json",
+            {
+                "gini": curve.gini,
+                "n": len(volumes),
+                "total": float(exact_sum(volumes.values())),
+            },
+        )
+    return f"wrote Lorenz/Gini files to {writer.out_dir}"
 
 
-def _histogram_rows(edges: np.ndarray, counts: np.ndarray) -> list[list[str]]:
-    return [
-        [str(edges[i]), str(edges[i + 1]), str(int(counts[i]))]
-        for i in range(len(counts))
-    ]
+def _correlate(inputs: _Inputs, writer: ArtifactWriter) -> str:
+    matrix = econometrics.correlation_matrix(inputs.table)
+    rows = ([label] + [str(v) for v in row] for label, row in zip(matrix.labels, matrix.values))
+    writer.csv(CORRELATION_CSV, ("metric",) + matrix.labels, rows)
+    return f"wrote correlation matrix -> {writer.out_dir / CORRELATION_CSV}"
 
 
-def _write_report_artifacts(
-    writer: ArtifactWriter,
-    log: EventLog,
-    net: CollectorArtistNetwork,
-    table: MetricsTable,
-    profiles: list[profiling.UserProfile],
-) -> None:
+def _profile(inputs: _Inputs, writer: ArtifactWriter) -> str:
+    profiles = inputs.profiles
+    # canonical user order, independent of the metrics-table row order
+    by_user = sorted(profiles, key=lambda p: p.user_id)
+    records = (
+        {
+            "user": p.user_id,
+            "role": p.role.value,
+            "artist_code": p.artist_code,
+            "collector_code": p.collector_code,
+            "normalized": dict(zip(METRIC_NAMES, p.normalized)),
+            "trader_score": p.trader_score,
+        }
+        for p in by_user
+    )
+    writer.jsonl(PROFILES_JSONL, records)
+    lines = []
+    pattern = getattr(inputs.args, "match", None)
+    if pattern is not None:
+        matched = set(profiling.match_code(profiles, pattern, which=inputs.args.match_which))
+        rows = [
+            [p.user_id, p.role.value, p.artist_code, p.collector_code]
+            for p in by_user
+            if p.user_id in matched
+        ]
+        writer.csv(MATCHES_CSV, ("user", "role", "artist_code", "collector_code"), rows)
+        lines.append(f"{len(rows)} user(s) match {pattern!r} -> {writer.out_dir / MATCHES_CSV}")
+    lines.append(f"profiled {len(profiles)} users -> {writer.out_dir / PROFILES_JSONL}")
+    return "\n".join(lines)
+
+
+def _report(inputs: _Inputs, writer: ArtifactWriter) -> str:
+    # load every input before the first write, so a bad one leaves no partial report
+    log, net, table, profiles = inputs.log, inputs.net, inputs.table, inputs.profiles
     summary = report.summarize(log, net)
+    text = summary.to_text()
     writer.json(SUMMARY_JSON, summary.to_dict())
-    writer.text(SUMMARY_TXT, summary.to_text())
+    writer.text(SUMMARY_TXT, text)
     for name, dimension in (
         (HIST_SALES_CSV, report.DIMENSION_SALES),
         (HIST_PURCHASES_CSV, report.DIMENSION_PURCHASES),
     ):
         edges, counts = report.histogram_data(table, dimension)
-        writer.csv(name, ("bin_low", "bin_high", "count"), _histogram_rows(edges, counts))
+        rows = ([str(lo), str(hi), str(int(n))] for lo, hi, n in zip(edges, edges[1:], counts))
+        writer.csv(name, ("bin_low", "bin_high", "count"), rows)
     rows = [
         [user] + [str(v) for v in values]
         for user, values in sorted(report.figure5_data(profiles))
     ]
     writer.csv(FIGURE5_CSV, ("user",) + report.FIGURE_MEASURES, rows)
+    return text.rstrip("\n")
 
 
-# ---------------------------------------------------------------------------
-# Subcommand handlers
-# ---------------------------------------------------------------------------
+@dataclass(frozen=True)
+class Stage:
+    """One pipeline step and the subcommand that runs it alone."""
+
+    name: str
+    help: str
+    reads: tuple[str, ...]  # artifact arguments, keys of _ARTIFACT_ARGS
+    options: tuple[str, ...]  # option groups, keys of _option_groups()
+    fn: Callable[[_Inputs, ArtifactWriter], str]  # writes its artifacts, returns a message
 
 
-def _cmd_ingest(args: argparse.Namespace) -> int:
+# in pipeline order; `run` executes every stage, a subcommand its own
+STAGES = (
+    Stage("ingest", "validate a raw log into the canonical event CSV",
+          reads=(), options=("input",), fn=_ingest),
+    Stage("rank", "build the network and write rankings and edge list",
+          reads=("events",), options=("ranking",), fn=_rank),
+    Stage("concentration", "Lorenz curves and Gini indexes for seller and buyer volumes",
+          reads=("events",), options=(), fn=_concentration),
+    Stage("correlate", "Kendall correlation matrix over the 8 metrics",
+          reads=("rankings",), options=(), fn=_correlate),
+    Stage("profile", "role labels, level codes, and normalized vectors per user",
+          reads=("rankings",), options=("roles", "query"), fn=_profile),
+    Stage("report", "summary statistics and figure data tables",
+          reads=("events", "rankings"), options=("roles",), fn=_report),
+)
+
+RUN = "run"
+
+
+def _execute(args: argparse.Namespace) -> int:
+    """Run the stages ``args.command`` selects; ``run`` also writes the manifest."""
+    stages = [s for s in STAGES if args.command in (RUN, s.name)]
     cfg = _resolve_config(args)
-    cfg.validate()
-    log, rejects = _ingest_stage(cfg)
-    writer = ArtifactWriter(cfg.out_dir)
-    writer.events(EVENTS_CSV, log)
-    writer.json(INGEST_REPORT_JSON, _ingest_report(log, rejects, cfg.input_format))
-    for reject in rejects:
-        logger.warning("record %d rejected: %s", reject.row, reject.reason)
-    print(
-        f"ingested {log.accepted_count}/{log.total_records} records"
-        f" ({log.rejected_count} rejected) -> {cfg.out_dir / EVENTS_CSV}"
-    )
-    return 0
-
-
-def _cmd_rank(args: argparse.Namespace) -> int:
-    cfg = _resolve_config(args)
-    cfg.validate(need_input=False)
-    log = _load_events_csv(Path(args.events))
-    net, table, trader = _rank_stage(log, cfg)
-    writer = ArtifactWriter(cfg.out_dir)
-    writer.csv(RANKINGS_CSV, RANKINGS_HEADER, _rankings_rows(table, trader, cfg.sort_by))
-    writer.csv(EDGES_CSV, ("collector", "artist", "total_usd", "sale_count"), _edge_rows(net))
-    print(
-        f"ranked {net.node_count} users over {net.edge_count} edges"
-        f" -> {cfg.out_dir / RANKINGS_CSV}"
-    )
-    return 0
-
-
-def _cmd_concentration(args: argparse.Namespace) -> int:
-    cfg = _resolve_config(args)
-    cfg.validate(need_input=False)
-    log = _load_events_csv(Path(args.events))
-    writer = ArtifactWriter(cfg.out_dir)
-    _write_lorenz(writer, "lorenz_sellers", report.volume_by_seller(log))
-    _write_lorenz(writer, "lorenz_buyers", report.volume_by_buyer(log))
-    print(f"wrote Lorenz/Gini files to {cfg.out_dir}")
-    return 0
-
-
-def _cmd_correlate(args: argparse.Namespace) -> int:
-    cfg = _resolve_config(args)
-    cfg.validate(need_input=False)
-    table, _ = load_rankings_csv(Path(args.rankings))
-    matrix = econometrics.correlation_matrix(table)
-    writer = ArtifactWriter(cfg.out_dir)
-    writer.csv(
-        CORRELATION_CSV, ("metric",) + matrix.labels, _correlation_rows(matrix)
-    )
-    print(f"wrote correlation matrix -> {cfg.out_dir / CORRELATION_CSV}")
-    return 0
-
-
-def _cmd_profile(args: argparse.Namespace) -> int:
-    cfg = _resolve_config(args)
-    cfg.validate(need_input=False)
-    table, _ = load_rankings_csv(Path(args.rankings))
-    profiles = profiling.build_profiles(table, cfg.role_percentile, cfg.tie_rank)
-    writer = ArtifactWriter(cfg.out_dir)
-    writer.jsonl(PROFILES_JSONL, _profile_records(profiles))
-    if args.match is not None:
-        matched = set(profiling.match_code(profiles, args.match, which=args.match_which))
-        rows = [
-            [p.user_id, p.role.value, p.artist_code, p.collector_code]
-            for p in sorted(profiles, key=lambda p: p.user_id)
-            if p.user_id in matched
-        ]
-        writer.csv(MATCHES_CSV, ("user", "role", "artist_code", "collector_code"), rows)
-        print(f"{len(rows)} user(s) match {args.match!r} -> {cfg.out_dir / MATCHES_CSV}")
-    print(f"profiled {len(profiles)} users -> {cfg.out_dir / PROFILES_JSONL}")
-    return 0
-
-
-def _cmd_report(args: argparse.Namespace) -> int:
-    cfg = _resolve_config(args)
-    cfg.validate(need_input=False)
-    log = _load_events_csv(Path(args.events))
-    table, _ = load_rankings_csv(Path(args.rankings))
-    net = build_network(log)
-    profiles = profiling.build_profiles(table, cfg.role_percentile, cfg.tie_rank)
-    writer = ArtifactWriter(cfg.out_dir)
-    _write_report_artifacts(writer, log, net, table, profiles)
-    print((cfg.out_dir / SUMMARY_TXT).read_text(), end="")
-    return 0
-
-
-def _cmd_run(args: argparse.Namespace) -> int:
-    cfg = _resolve_config(args)
-    cfg.validate()
+    cfg.validate(need_input=any("input" in s.options for s in stages))
     with _OutputLock(cfg.out_dir):
         writer = ArtifactWriter(cfg.out_dir)
         # a manifest exists only once it matches every artifact beside it
         (cfg.out_dir / MANIFEST_JSON).unlink(missing_ok=True)
-
-        log, rejects = _ingest_stage(cfg)
-        writer.events(EVENTS_CSV, log)
-        writer.json(INGEST_REPORT_JSON, _ingest_report(log, rejects, cfg.input_format))
-
-        net, table, trader = _rank_stage(log, cfg)
-        writer.csv(RANKINGS_CSV, RANKINGS_HEADER, _rankings_rows(table, trader, cfg.sort_by))
-        writer.csv(
-            EDGES_CSV, ("collector", "artist", "total_usd", "sale_count"), _edge_rows(net)
-        )
-
-        _write_lorenz(writer, "lorenz_sellers", report.volume_by_seller(log))
-        _write_lorenz(writer, "lorenz_buyers", report.volume_by_buyer(log))
-
-        matrix = econometrics.correlation_matrix(table)
-        writer.csv(CORRELATION_CSV, ("metric",) + matrix.labels, _correlation_rows(matrix))
-
-        profiles = profiling.build_profiles(table, cfg.role_percentile, cfg.tie_rank)
-        writer.jsonl(PROFILES_JSONL, _profile_records(profiles))
-
-        _write_report_artifacts(writer, log, net, table, profiles)
-
-        manifest = writer.manifest()
-    print(
-        f"run complete: {len(manifest['files'])} artifacts in {cfg.out_dir}"
-        f" ({log.rejected_count} rejected records)"
-    )
+        inputs = _Inputs(cfg, args)
+        messages = [stage.fn(inputs, writer) for stage in stages]
+        if args.command == RUN:
+            manifest = writer.manifest()
+            messages = [
+                f"run complete: {len(manifest['files'])} artifacts in {cfg.out_dir}"
+                f" ({inputs.log.rejected_count} rejected records)"
+            ]
+    print("\n".join(messages))
     return 0
 
 
@@ -665,32 +603,24 @@ def _cmd_run(args: argparse.Namespace) -> int:
 # Argument parsing
 # ---------------------------------------------------------------------------
 
+_ARTIFACT_ARGS = {
+    "events": ("EVENTS_CSV", "canonical event CSV"),
+    "rankings": ("RANKINGS_CSV", "rankings artifact"),
+}
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="artrank",
-        description="Rank artists and collectors from an art-market sale log.",
-        epilog=(
-            "Config keys (INI sections) and their environment overrides: "
-            "[input] path/format/map/rates (ARTRANK_INPUT_*), "
-            "[hits] tolerance/max_iterations (ARTRANK_HITS_*), "
-            "[profiling] role_percentile/tie_rank (ARTRANK_PROFILING_*), "
-            "[graph] unweighted_multiplicity (ARTRANK_GRAPH_*), "
-            "[rankings] sort_by (ARTRANK_RANKINGS_*), "
-            "[output] directory (ARTRANK_OUTPUT_DIRECTORY). "
-            "Flags take precedence over environment variables and config."
-        ),
-    )
-    parser.add_argument("--verbose", action="store_true", help="log at INFO level")
-    sub = parser.add_subparsers(dest="command", required=True)
 
-    common = argparse.ArgumentParser(add_help=False)
+def _option_groups() -> dict[str, argparse.ArgumentParser]:
+    groups = {
+        name: argparse.ArgumentParser(add_help=False)
+        for name in ("common", "input", "ranking", "roles", "query")
+    }
+    common = groups["common"]
     common.add_argument("--config", metavar="FILE", help="INI config file")
     common.add_argument(
         "--out", dest="out_dir", type=Path, metavar="DIR", help="output directory"
     )
 
-    raw_input = argparse.ArgumentParser(add_help=False)
+    raw_input = groups["input"]
     raw_input.add_argument(
         "input_path",
         type=Path,
@@ -719,111 +649,91 @@ def _build_parser() -> argparse.ArgumentParser:
         help="date,usd_per_eth CSV for ETH-to-USD conversion",
     )
 
-    rank_opts = argparse.ArgumentParser(add_help=False)
-    rank_opts.add_argument(
+    ranking = groups["ranking"]
+    ranking.add_argument(
         "--tolerance", type=float, help="L1 convergence threshold (default 1e-10)"
     )
-    rank_opts.add_argument(
+    ranking.add_argument(
         "--max-iterations",
         dest="max_iterations",
         type=int,
         help="power-iteration cap (default 1000)",
     )
-    rank_opts.add_argument(
+    ranking.add_argument(
         "--unweighted-multiplicity",
         dest="unweighted_multiplicity",
         action="store_true",
         default=None,
         help="use sale counts instead of 0/1 for the unweighted view",
     )
-    rank_opts.add_argument(
+    ranking.add_argument(
         "--sort-by",
         dest="sort_by",
         choices=SORT_KEYS,
         help="rankings sort key (default authority)",
     )
 
-    profile_opts = argparse.ArgumentParser(add_help=False)
-    profile_opts.add_argument(
+    roles = groups["roles"]
+    roles.add_argument(
         "--role-percentile",
         dest="role_percentile",
         type=float,
         help="quadrant threshold for role labels (default 0.95)",
     )
-    profile_opts.add_argument(
+    roles.add_argument(
         "--tie-rank",
         dest="tie_rank",
         choices=(profiling.TIE_RANK_MAX, profiling.TIE_RANK_MIN),
         help="percentile convention for tied scores (default max)",
     )
 
-    p = sub.add_parser(
-        "ingest",
-        parents=[common, raw_input],
-        help="validate a raw log into the canonical event CSV",
-    )
-    p.set_defaults(handler=_cmd_ingest)
-
-    p = sub.add_parser(
-        "rank",
-        parents=[common, rank_opts],
-        help="build the network and write rankings and edge list",
-    )
-    p.add_argument("events", metavar="EVENTS_CSV", help="canonical event CSV")
-    p.set_defaults(handler=_cmd_rank)
-
-    p = sub.add_parser(
-        "concentration",
-        parents=[common],
-        help="Lorenz curves and Gini indexes for seller and buyer volumes",
-    )
-    p.add_argument("events", metavar="EVENTS_CSV", help="canonical event CSV")
-    p.set_defaults(handler=_cmd_concentration)
-
-    p = sub.add_parser(
-        "correlate",
-        parents=[common],
-        help="Kendall correlation matrix over the 8 metrics",
-    )
-    p.add_argument("rankings", metavar="RANKINGS_CSV", help="rankings artifact")
-    p.set_defaults(handler=_cmd_correlate)
-
-    p = sub.add_parser(
-        "profile",
-        parents=[common, profile_opts],
-        help="role labels, level codes, and normalized vectors per user",
-    )
-    p.add_argument("rankings", metavar="RANKINGS_CSV", help="rankings artifact")
-    p.add_argument(
+    query = groups["query"]
+    query.add_argument(
         "--match",
         metavar="PATTERN",
         help="also write users whose code matches, '*' wildcards (e.g. 'AC**')",
     )
-    p.add_argument(
+    query.add_argument(
         "--match-which",
         dest="match_which",
         choices=("artist", "collector", "full"),
         default="artist",
         help="which code the pattern applies to (default artist)",
     )
-    p.set_defaults(handler=_cmd_profile)
+    return groups
 
-    p = sub.add_parser(
-        "report",
-        parents=[common, profile_opts],
-        help="summary statistics and figure data tables",
+
+def _build_parser() -> argparse.ArgumentParser:
+    keys = ", ".join(
+        f"[{section}] {key} ({_env_name(section, key)})" for section, key in _CONFIG_KEYS
     )
-    p.add_argument("events", metavar="EVENTS_CSV", help="canonical event CSV")
-    p.add_argument("rankings", metavar="RANKINGS_CSV", help="rankings artifact")
-    p.set_defaults(handler=_cmd_report)
-
-    p = sub.add_parser(
-        "run",
-        parents=[common, raw_input, rank_opts, profile_opts],
+    parser = argparse.ArgumentParser(
+        prog="artrank",
+        description="Rank artists and collectors from an art-market sale log.",
+        epilog=(
+            f"Config keys (INI sections) and their environment overrides: {keys}. "
+            "Flags take precedence over environment variables and config."
+        ),
+    )
+    parser.add_argument("--verbose", action="store_true", help="log at INFO level")
+    sub = parser.add_subparsers(dest="command", required=True)
+    groups = _option_groups()
+    for stage in STAGES:
+        p = sub.add_parser(
+            stage.name,
+            parents=[groups[name] for name in ("common",) + stage.options],
+            help=stage.help,
+        )
+        for name in stage.reads:
+            metavar, help_text = _ARTIFACT_ARGS[name]
+            p.add_argument(name, metavar=metavar, help=help_text)
+    # the match query writes matches.csv, which is not a pipeline artifact
+    run_groups = dict.fromkeys(g for s in STAGES for g in s.options if g != "query")
+    sub.add_parser(
+        RUN,
+        parents=[groups[name] for name in ("common", *run_groups)],
         help="full pipeline with a hashed artifact manifest",
     )
-    p.set_defaults(handler=_cmd_run)
-
     return parser
 
 
@@ -835,7 +745,7 @@ def main(argv: list[str] | None = None) -> int:
         format="%(levelname)s %(name)s: %(message)s",
     )
     try:
-        return args.handler(args)
+        return _execute(args)
     except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

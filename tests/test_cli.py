@@ -333,3 +333,46 @@ def test_run_builds_no_sale_event(fixture_dir, monkeypatch):
         "run", fixture_dir / "sales.csv", "--rates", fixture_dir / "rates.csv", "--out", columnar
     ) == 0
     assert read_tree(columnar) == read_tree(plain)
+
+
+def test_lock_file_blocks_stage_command(fixture_dir, capsys):
+    staged = fixture_dir / "staged"
+    assert run_cli(
+        "ingest", fixture_dir / "sales.csv", "--rates", fixture_dir / "rates.csv", "--out", staged
+    ) == 0
+    (staged / ".lock").touch()
+    assert run_cli("rank", staged / "events.csv", "--out", staged) == 1
+    assert "locked" in capsys.readouterr().err
+    assert not (staged / "rankings.csv").exists()
+    assert (staged / ".lock").exists()  # the lock belongs to the other run
+
+
+def test_stage_command_after_run_leaves_no_stale_manifest(fixture_dir):
+    out = fixture_dir / "out"
+    assert run_cli(
+        "run", fixture_dir / "sales.csv", "--rates", fixture_dir / "rates.csv", "--out", out
+    ) == 0
+    assert run_cli("rank", out / "events.csv", "--out", out, "--sort-by", "user") == 0
+    manifest_path = out / "manifest.json"
+    if manifest_path.exists():
+        for entry in json.loads(manifest_path.read_text())["files"]:
+            digest = hashlib.sha256((out / entry["name"]).read_bytes()).hexdigest()
+            assert digest == entry["sha256"], entry["name"]
+
+
+def test_run_logs_each_reject_like_ingest(fixture_dir, caplog):
+    with caplog.at_level("WARNING", logger="artrank.cli"):
+        assert run_cli(
+            "run", fixture_dir / "sales.csv", "--rates", fixture_dir / "rates.csv",
+            "--out", fixture_dir / "out",
+        ) == 0
+    assert "record 11 rejected: self-sale" in [r.getMessage() for r in caplog.records]
+
+
+def test_help_lists_every_config_key(capsys):
+    with pytest.raises(SystemExit):
+        run_cli("--help")
+    out = " ".join(capsys.readouterr().out.split())
+    for section, key in cli._CONFIG_KEYS:
+        assert f"[{section}] {key}" in out
+        assert f"ARTRANK_{section}_{key}".upper() in out
