@@ -353,10 +353,6 @@ class _Inputs:
     def table(self) -> MetricsTable:
         return load_rankings_csv(Path(self.args.rankings))
 
-    @cached_property
-    def profiles(self) -> list[profiling.UserProfile]:
-        return profiling.build_profiles(self.table, self.cfg.role_percentile, self.cfg.tie_rank)
-
 
 def _rankings_rows(table: MetricsTable, trader: np.ndarray, sort_by: str) -> list[list[str]]:
     users = table.users
@@ -496,7 +492,8 @@ def _correlate(inputs: _Inputs, writer: ArtifactWriter) -> str:
 
 
 def _profile(inputs: _Inputs, writer: ArtifactWriter) -> str:
-    profiles = inputs.profiles
+    cfg = inputs.cfg
+    profiles = profiling.build_profiles(inputs.table, cfg.role_percentile, cfg.tie_rank)
     # canonical user order, independent of the metrics-table row order
     by_user = sorted(profiles, key=lambda p: p.user_id)
     records = (
@@ -528,7 +525,7 @@ def _profile(inputs: _Inputs, writer: ArtifactWriter) -> str:
 
 def _report(inputs: _Inputs, writer: ArtifactWriter) -> str:
     # load every input before the first write, so a bad one leaves no partial report
-    log, net, table, profiles = inputs.log, inputs.net, inputs.table, inputs.profiles
+    log, net, table = inputs.log, inputs.net, inputs.table
     summary = report.summarize(log, net)
     text = summary.to_text()
     writer.json(SUMMARY_JSON, summary.to_dict())
@@ -542,7 +539,7 @@ def _report(inputs: _Inputs, writer: ArtifactWriter) -> str:
         writer.csv(name, ("bin_low", "bin_high", "count"), rows)
     rows = [
         [user] + [str(v) for v in values]
-        for user, values in sorted(report.figure5_data(profiles))
+        for user, values in sorted(report.figure5_data(table))
     ]
     writer.csv(FIGURE5_CSV, ("user",) + report.FIGURE_MEASURES, rows)
     return text.rstrip("\n")
@@ -572,7 +569,7 @@ STAGES = (
     Stage("profile", "role labels, level codes, and normalized vectors per user",
           reads=("rankings",), options=("roles", "query"), fn=_profile),
     Stage("report", "summary statistics and figure data tables",
-          reads=("events", "rankings"), options=("roles",), fn=_report),
+          reads=("events", "rankings"), options=(), fn=_report),
 )
 
 RUN = "run"

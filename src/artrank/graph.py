@@ -13,7 +13,6 @@ import logging
 from dataclasses import dataclass
 from decimal import Decimal
 from enum import Enum
-from typing import Mapping
 
 import numpy as np
 from scipy import sparse
@@ -54,8 +53,6 @@ class CollectorArtistNetwork:
     """
 
     users: tuple[str, ...]
-    index: Mapping[str, int]
-    roles: Mapping[str, RoleFlags]
     collector: np.ndarray
     artist: np.ndarray
     total_usd: np.ndarray
@@ -128,7 +125,6 @@ def build_network(log: EventLog) -> CollectorArtistNetwork:
     would violate the zero-diagonal structure of the endorsement matrix.
     """
     log.require_usd()
-    roles = active_users(log)
     users = log.users
     n = len(users)
 
@@ -148,8 +144,6 @@ def build_network(log: EventLog) -> CollectorArtistNetwork:
         )
     return CollectorArtistNetwork(
         users=users,
-        index={user: i for i, user in enumerate(users)},
-        roles=roles,
         collector=collector,
         artist=artist,
         total_usd=sum_by(log.price_usd[keep], edge_of_sale, len(pairs)),

@@ -127,10 +127,6 @@ class SaleEvent:
     def needs_conversion(self) -> bool:
         return self.price_usd is None
 
-    @property
-    def utc_date(self) -> date:
-        return self.timestamp.astimezone(timezone.utc).date()
-
 
 @dataclass(frozen=True)
 class RateTable:
@@ -140,6 +136,8 @@ class RateTable:
 
     def __post_init__(self) -> None:
         for day, rate in self.rates.items():
+            if not rate.is_finite():
+                raise ValueError(f"non-finite exchange rate for {day.isoformat()}")
             if rate <= 0:
                 raise ValueError(f"non-positive exchange rate for {day.isoformat()}")
 
@@ -163,6 +161,8 @@ class RateTable:
                 rate = Decimal(row[1].strip())
             except (ValueError, IndexError, InvalidOperation) as exc:
                 raise ValueError(f"rate table line {lineno}: {exc}") from None
+            if not rate.is_finite():
+                raise ValueError(f"rate table line {lineno}: non-finite rate {rate}")
             if day in rates:
                 raise ValueError(f"rate table line {lineno}: duplicate date {day.isoformat()}")
             rates[day] = rate
@@ -626,20 +626,15 @@ def _require_id(value: object, name: str) -> str:
 def _parse_price(value: object, label: str) -> Decimal | None:
     if value is None:
         return None
-    if isinstance(value, (Decimal, int)):
-        price = Decimal(value)
-    elif isinstance(value, float):
-        # JSON floats are intercepted by parse_float=Decimal; this path only
-        # sees caller-built records, where repr round-trips the intent.
-        price = Decimal(repr(value))
-    else:
-        text = str(value).strip()
-        if not text:
-            return None
-        try:
-            price = Decimal(text)
-        except InvalidOperation:
-            raise _Reject(f"bad price: {label}={text!r}") from None
+    # str() of a Decimal, int or float round-trips its value; of a JSON
+    # boolean it is 'True' or 'False', which Decimal rejects
+    text = str(value).strip()
+    if not text:
+        return None
+    try:
+        price = Decimal(text)
+    except InvalidOperation:
+        raise _Reject(f"bad price: {label}={text!r}") from None
     if not price.is_finite():
         raise _Reject(f"bad price: {label} is not finite")
     if price < 0:

@@ -61,6 +61,10 @@ class MetricsTable:
     def __post_init__(self) -> None:
         if self.values.shape != (len(self.users), len(METRIC_NAMES)):
             raise ValueError("values must be (n_users, 8)")
+        bad = np.argwhere(~np.isfinite(self.values))
+        if bad.size:
+            row, col = bad[0].tolist()
+            raise ValueError(f"non-finite {METRIC_NAMES[col]} for user {self.users[row]!r}")
         if self.values.size and np.min(self.values) < 0:
             raise ValueError("metric values must be non-negative")
 

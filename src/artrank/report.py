@@ -1,8 +1,8 @@
 """Dataset summary statistics and plot-ready figure tables.
 
-Counts come from the network role flags and event tallies; histogram and
-per-user score tables are emitted as data only, rendering is left to
-external tools.
+Counts come from the event log's user-code columns and event tallies;
+histogram and per-user score tables are emitted as data only, rendering is
+left to external tools.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import numpy as np
 
 from .graph import CollectorArtistNetwork
 from .ingest import EventLog, exact_sum, sum_by
-from .profiling import METRIC_NAMES, MetricsTable, UserProfile
+from .profiling import METRIC_NAMES, MetricsTable, normalize_metrics
 
 DIMENSION_SALES = "sales"
 DIMENSION_PURCHASES = "purchases"
@@ -95,7 +95,6 @@ def summarize(log: EventLog, net: CollectorArtistNetwork) -> MarketSummary:
     artwork_ids = {a for a in log.artwork.tolist() if a is not None}
     usd = exact_sum(log.price_usd.tolist())
     eth = exact_sum(p for p in log.price_eth.tolist() if p is not None)
-    flags = net.roles.values()
     return MarketSummary(
         tokenized_count=len(artwork_ids),
         tokenized_is_lower_bound=True,
@@ -103,9 +102,9 @@ def summarize(log: EventLog, net: CollectorArtistNetwork) -> MarketSummary:
         sale_volume_usd=usd,
         sale_volume_eth=eth,
         active_users=net.node_count,
-        creators=sum(1 for f in flags if f.minted),
-        sellers=sum(1 for f in flags if f.sold),
-        buyers=sum(1 for f in flags if f.bought),
+        creators=np.unique(log.creator).size,
+        sellers=np.unique(log.seller).size,
+        buyers=np.unique(log.buyer).size,
     )
 
 
@@ -151,10 +150,12 @@ def histogram_data(
     return edges, counts.astype(np.int64)
 
 
-def figure5_data(profiles: list[UserProfile]) -> list[tuple[str, tuple[float, ...]]]:
-    """Per-user (in-degree, authority, hub, out-degree) rows, max-normalized."""
+def figure5_data(table: MetricsTable) -> list[tuple[str, tuple[float, ...]]]:
+    """Per-user (in-degree, authority, hub, out-degree) rows, max-normalized,
+    in table order."""
     idx = [METRIC_NAMES.index(m) for m in FIGURE_MEASURES]
-    return [(p.user_id, tuple(p.normalized[i] for i in idx)) for p in profiles]
+    rows = normalize_metrics(table)[:, idx].tolist()
+    return [(user, tuple(row)) for user, row in zip(table.users, rows)]
 
 
 def _volume_by(log: EventLog, users: np.ndarray) -> dict[str, Decimal]:

@@ -157,10 +157,10 @@ def test_nodes_without_edges_tally_all_zero():
     )
     net = build_network(log)
     metrics = degree_metrics(net)
-    i = net.index["c"]
+    i = net.users.index("c")
     assert metrics.in_degree[i] == 1  # c is the creator: the resale endorses c
     for user in ("s", "a"):
-        j = net.index[user]
+        j = net.users.index(user)
         assert (
             metrics.in_degree[j],
             metrics.out_degree[j],
@@ -177,7 +177,7 @@ def test_artist_with_two_incoming_edges():
     )
     net = build_network(log)
     metrics = degree_metrics(net)
-    i = net.index["a"]
+    i = net.users.index("a")
     assert metrics.in_degree[i] == 3
     assert metrics.in_strength[i] == Decimal(200)
 
@@ -194,7 +194,7 @@ def test_degree_metrics_match_event_recount():
     net = build_network(log_of(*events))
     metrics = degree_metrics(net)
     for user in net.users:
-        i = net.index[user]
+        i = net.users.index(user)
         expect_in = sum(1 for e in events if e.creator_id == user)
         expect_out = sum(1 for e in events if e.buyer_id == user)
         expect_in_usd = sum((e.price_usd for e in events if e.creator_id == user), Decimal(0))

@@ -1,5 +1,6 @@
 """End-to-end pipeline behavior: artifacts, determinism, error paths."""
 
+import argparse
 import csv
 import hashlib
 import json
@@ -109,6 +110,19 @@ def test_missing_rate_is_fatal_and_names_date(fixture_dir, capsys):
     err = capsys.readouterr().err
     assert "2021-04-21" in err
     assert "missing exchange rate" in err
+
+
+@pytest.mark.parametrize("rate", ["Infinity", "NaN", "sNaN"])
+def test_non_finite_rate_is_fatal_and_names_line(fixture_dir, capsys, rate):
+    (fixture_dir / "rates.csv").write_text(
+        RATES_CSV.replace("2021-04-21,2300", f"2021-04-21,{rate}"), encoding="utf-8"
+    )
+    status = run_cli(
+        "run", fixture_dir / "sales.csv", "--rates", fixture_dir / "rates.csv",
+        "--out", fixture_dir / "out",
+    )
+    assert status == 1
+    assert "error: rate table line 3: non-finite rate" in capsys.readouterr().err
 
 
 def test_staged_subcommands_match_run(fixture_dir):
@@ -376,3 +390,57 @@ def test_help_lists_every_config_key(capsys):
     for section, key in cli._CONFIG_KEYS:
         assert f"[{section}] {key}" in out
         assert f"ARTRANK_{section}_{key}".upper() in out
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_rankings_value_rejected(fixture_dir, capsys, value):
+    out = fixture_dir / "out"
+    assert run_cli(
+        "run", fixture_dir / "sales.csv", "--rates", fixture_dir / "rates.csv", "--out", out
+    ) == 0
+    rankings = out / "rankings.csv"
+    lines = rankings.read_text(encoding="utf-8").splitlines()
+    cells = lines[1].split(",")
+    cells[cli.RANKINGS_HEADER.index("hub")] = value
+    lines[1] = ",".join(cells)
+    rankings.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=f"non-finite hub for user {cells[0]!r}"):
+        cli.load_rankings_csv(rankings)
+    capsys.readouterr()
+    assert run_cli("profile", rankings, "--out", fixture_dir / "profiled") == 1
+    assert "error: non-finite hub" in capsys.readouterr().err
+    assert not (fixture_dir / "profiled" / "profiles.jsonl").exists()
+
+
+# every subcommand's option strings; adding or dropping a flag must edit this
+SUBCOMMAND_OPTIONS = {
+    "ingest": {
+        "-h", "--help", "--config", "--out", "--format", "--map", "--rates",
+    },
+    "rank": {
+        "-h", "--help", "--config", "--out", "--tolerance", "--max-iterations",
+        "--unweighted-multiplicity", "--sort-by",
+    },
+    "concentration": {"-h", "--help", "--config", "--out"},
+    "correlate": {"-h", "--help", "--config", "--out"},
+    "profile": {
+        "-h", "--help", "--config", "--out", "--role-percentile", "--tie-rank",
+        "--match", "--match-which",
+    },
+    "report": {"-h", "--help", "--config", "--out"},
+    "run": {
+        "-h", "--help", "--config", "--out", "--format", "--map", "--rates",
+        "--tolerance", "--max-iterations", "--unweighted-multiplicity", "--sort-by",
+        "--role-percentile", "--tie-rank",
+    },
+}
+
+
+def test_subcommand_option_strings_are_pinned():
+    parser = cli._build_parser()
+    (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    found = {
+        name: {s for action in sub._actions for s in action.option_strings}
+        for name, sub in subparsers.choices.items()
+    }
+    assert found == SUBCOMMAND_OPTIONS

@@ -234,6 +234,14 @@ def test_rate_table_rejects_bad_rows():
         RateTable.from_csv(b"date,usd_per_eth\n2021-01-01,0\n")
 
 
+@pytest.mark.parametrize("rate", ["Infinity", "-Infinity", "NaN", "sNaN"])
+def test_rate_table_rejects_non_finite_rates(rate):
+    with pytest.raises(ValueError, match="line 3: non-finite rate"):
+        RateTable.from_csv(f"date,usd_per_eth\n2021-01-01,10\n2021-01-02,{rate}\n".encode())
+    with pytest.raises(ValueError, match="non-finite exchange rate for 2021-01-02"):
+        RateTable({date(2021, 1, 2): Decimal(rate)})
+
+
 def test_event_invariants_enforced():
     with pytest.raises(ValueError, match="self-sale"):
         ev("a", "a", "a", usd=1)

@@ -225,6 +225,30 @@ def test_json_prices_and_ids_of_other_types():
     ]
 
 
+@pytest.mark.parametrize(
+    "literal,expected",
+    [
+        ("1.50", "1.50"),
+        ("1E+3", "1E+3"),
+        ("-0.0", "-0.0"),
+        ("100", "100"),
+        ("12345678901234567890.123456789", "12345678901234567890.123456789"),
+        ('" 2.5 "', "2.5"),
+        ('""', "missing price"),
+        ("NaN", "bad price: price_usd is not finite"),
+        ("Infinity", "bad price: price_usd is not finite"),
+        ("[1]", "bad price: price_usd='[1]'"),
+        ("{}", "bad price: price_usd='{}'"),
+        ("true", "bad price: price_usd='True'"),
+        ("false", "bad price: price_usd='False'"),
+    ],
+)
+def test_json_price_values(literal, expected):
+    record = '{"seller":"a","buyer":"b","creator":"a","price_usd":%s,"timestamp":1}' % literal
+    events, rejects, _ = parsed(f"[{record}]".encode(), "json")
+    assert (rejects[0][1] if rejects else events[0][4]) == expected
+
+
 # ---------------------------------------------------------------------------
 # Timestamps
 # ---------------------------------------------------------------------------
@@ -324,7 +348,7 @@ def test_folds_match_brute_force_recount(rows):
 
     degrees = degree_metrics(net)
     for user in net.users:
-        i = net.index[user]
+        i = net.users.index(user)
         incoming = [p for (_, artist), ps in edges.items() if artist == user for p in ps]
         outgoing = [p for (collector, _), ps in edges.items() if collector == user for p in ps]
         assert degrees.in_degree[i] == len(incoming)

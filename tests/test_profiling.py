@@ -285,7 +285,7 @@ def test_build_metrics_table_wires_columns():
     weighted = hits(adjacency(net, Weighting.WEIGHTED_USD))
     table = build_metrics_table(net, degrees, unweighted, weighted)
     assert table.users == net.users
-    i = net.index["a1"]
+    i = net.users.index("a1")
     assert table.column("in_degree")[i] == 2.0
     assert table.column("in_strength")[i] == 150.0
     np.testing.assert_array_equal(table.column("authority"), unweighted.authority)

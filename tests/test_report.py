@@ -11,7 +11,6 @@ from artrank import (
     METRIC_NAMES,
     MetricsTable,
     build_network,
-    build_profiles,
     figure5_data,
     histogram_data,
     kendall_tau,
@@ -171,7 +170,7 @@ def test_figure5_single_user_row():
         hub=np.array([0.1]),
         out_degree=np.array([0.0]),
     )
-    rows = figure5_data(build_profiles(table))
+    rows = figure5_data(table)
     assert len(rows) == 1
     user, values = rows[0]
     assert user == "u0"
@@ -193,7 +192,7 @@ def test_figure5_planted_seller_and_buyer_shapes():
         columns[name][1] = 50.0
     for name in ("in_degree", "authority"):
         columns[name][1] = 0.0
-    rows = figure5_data(build_profiles(table_with(**columns)))
+    rows = figure5_data(table_with(**columns))
     _, seller_values = rows[0]
     _, buyer_values = rows[1]
     # row order is (in_degree, authority, hub, out_degree)
