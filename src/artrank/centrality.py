@@ -10,9 +10,15 @@ positive vector. The proportionality constants of the recursion are absorbed
 by the normalization, which makes the authority limit the dominant
 eigenvector of A^T A and the hub limit that of A A^T.
 
-Row sums inside the iteration accumulate their summands in value order, so
-results are bitwise invariant under node relabeling and under permutations
-of the input events.
+Row sums inside the iteration accumulate their summands in ascending value
+order, so results are bitwise invariant under node relabeling and under
+permutations of the input events. Each row sum is a sequence of floating-point
+additions, and any ordering that sorts a row's products ascending presents the
+same values in the same sequence: entries that compare equal are the same
+float (or zeros of either sign, which add alike onto a +0.0 accumulator), so
+swapping them cannot change a bit. The kernel therefore keeps each row's order
+from the previous half step and re-sorts only the rows whose products moved
+out of order; the sums equal those of a full sort on every call.
 """
 
 from __future__ import annotations
@@ -93,6 +99,8 @@ def hits(view: AdjacencyView, cfg: HitsConfig | None = None) -> HitsScores:
     if n_rows != n_cols:
         raise ValueError("adjacency matrix must be square")
     n = n_rows
+    if not np.all(np.isfinite(matrix.data)):
+        raise ValueError("adjacency weights must be finite")
     if matrix.nnz and matrix.data.min() < 0:
         raise ValueError("adjacency weights must be non-negative")
     if np.any(matrix.diagonal() != 0):
@@ -166,7 +174,18 @@ def trader_score(scores: HitsScores) -> np.ndarray:
 
 
 class _RowSums:
-    """Sparse matrix-vector product with value-ordered accumulation per row."""
+    """Sparse matrix-vector product with value-ordered accumulation per row.
+
+    ``order`` permutes the stored entries within each row's CSR segment so
+    that each row lists the previous call's products in ascending order. A
+    call re-sorts only the rows where a new product precedes a smaller one,
+    starting from ``arange(nnz)`` on the first call, then sums every row in
+    that order. ``np.bincount`` adds its weights one at a time in index
+    order, and any ascending order of a row presents the same sequence of
+    values, so each result is bitwise the sum after a full sort of the row.
+    The sortedness test needs products that compare, which ``hits`` ensures
+    by refusing non-finite weights.
+    """
 
     def __init__(self, matrix: sparse.csr_matrix):
         self.n = matrix.shape[0]
@@ -175,11 +194,21 @@ class _RowSums:
         self.rows = np.repeat(
             np.arange(self.n, dtype=np.int64), np.diff(matrix.indptr)
         )
+        self.order = np.arange(matrix.nnz)
+        # neighbouring positions in one row; a row boundary is never a descent
+        self.same_row = self.rows[1:] == self.rows[:-1]
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        prod = self.data * x[self.cols]
-        order = np.lexsort((prod, self.rows))
-        return np.bincount(self.rows[order], weights=prod[order], minlength=self.n)
+        order = self.order
+        prod = (self.data * x[self.cols])[order]
+        descents = (prod[1:] < prod[:-1]) & self.same_row
+        stale = np.zeros(self.n, dtype=bool)
+        stale[self.rows[1:][descents]] = True
+        pos = np.flatnonzero(stale[self.rows])
+        resorted = pos[np.lexsort((prod[pos], self.rows[pos]))]
+        order[pos] = order[resorted]
+        prod[pos] = prod[resorted]
+        return np.bincount(self.rows, weights=prod, minlength=self.n)
 
 
 def _ordered_sum(values: np.ndarray) -> float:

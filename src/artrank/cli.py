@@ -49,7 +49,7 @@ import json
 import logging
 import os
 import sys
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
@@ -519,6 +519,9 @@ def _profile(inputs: _Inputs, writer: ArtifactWriter) -> str:
         ]
         writer.csv(MATCHES_CSV, ("user", "role", "artist_code", "collector_code"), rows)
         lines.append(f"{len(rows)} user(s) match {pattern!r} -> {writer.out_dir / MATCHES_CSV}")
+    else:
+        # a query result of an earlier profile must not outlive it
+        (writer.out_dir / MATCHES_CSV).unlink(missing_ok=True)
     lines.append(f"profiled {len(profiles)} users -> {writer.out_dir / PROFILES_JSONL}")
     return "\n".join(lines)
 
@@ -526,6 +529,7 @@ def _profile(inputs: _Inputs, writer: ArtifactWriter) -> str:
 def _report(inputs: _Inputs, writer: ArtifactWriter) -> str:
     # load every input before the first write, so a bad one leaves no partial report
     log, net, table = inputs.log, inputs.net, inputs.table
+    _require_same_users(net.users, table.users)
     summary = report.summarize(log, net)
     text = summary.to_text()
     writer.json(SUMMARY_JSON, summary.to_dict())
@@ -543,6 +547,18 @@ def _report(inputs: _Inputs, writer: ArtifactWriter) -> str:
     ]
     writer.csv(FIGURE5_CSV, ("user",) + report.FIGURE_MEASURES, rows)
     return text.rstrip("\n")
+
+
+def _require_same_users(events: Sequence[str], rankings: Sequence[str]) -> None:
+    """Refuse rankings computed from a log other than the events beside them."""
+    events, rankings = set(events), set(rankings)
+    if events != rankings:
+        only = [
+            f"{len(extra)} user(s) only in the {side} (e.g. {min(extra)!r})"
+            for side, extra in (("events", events - rankings), ("rankings", rankings - events))
+            if extra
+        ]
+        raise ValueError(f"events and rankings come from different logs: {', '.join(only)}")
 
 
 @dataclass(frozen=True)

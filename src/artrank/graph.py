@@ -161,6 +161,13 @@ def adjacency(net: CollectorArtistNetwork, weighting: Weighting) -> AdjacencyVie
         raise ValueError("self-loop edge found; network invariant violated")
     if weighting is Weighting.WEIGHTED_USD:
         vals = np.array([float(total) for total in net.total_usd.tolist()], dtype=np.float64)
+        overflow = np.flatnonzero(np.isinf(vals))
+        if overflow.size:
+            k = overflow[0]
+            raise ValueError(
+                f"edge {net.users[net.collector[k]]!r} -> {net.users[net.artist[k]]!r} "
+                f"totals {net.total_usd[k]} USD, beyond the float range"
+            )
     elif weighting is Weighting.UNWEIGHTED_BINARY:
         vals = np.ones(net.edge_count)
     else:

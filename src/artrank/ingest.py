@@ -23,6 +23,7 @@ import io
 import json
 import operator
 import re
+import sys
 from dataclasses import dataclass, replace
 from datetime import date, datetime, timedelta, timezone
 from decimal import (
@@ -58,6 +59,8 @@ EVENT_CSV_HEADER = CANONICAL_FIELDS
 # Sums and products of finite decimals are exact under this context.
 _EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN)
 _ZERO = Decimal(0)
+# prices above this become inf in the float adjacency, so ingest rejects them
+_MAX_FLOAT = Decimal(sys.float_info.max)
 _EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 _SECOND = timedelta(seconds=1)
 _DAY_S = 86_400
@@ -639,6 +642,8 @@ def _parse_price(value: object, label: str) -> Decimal | None:
         raise _Reject(f"bad price: {label} is not finite")
     if price < 0:
         raise _Reject("negative price")
+    if price > _MAX_FLOAT:
+        raise _Reject(f"bad price: {label} is out of range")
     return price
 
 

@@ -2,6 +2,7 @@
 
 from decimal import Decimal
 
+import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,6 +19,7 @@ from artrank import (
     hits,
     trader_score,
 )
+from artrank.centrality import _RowSums
 from helpers import cosine, dense_hits_oracle, ev, log_of, random_sparse_digraph
 
 
@@ -102,6 +104,20 @@ def test_random_graphs_match_oracle():
         assert cosine(scores.hub, hub_ref) >= 1 - 1e-8
 
 
+def test_random_graphs_match_networkx():
+    rng = np.random.default_rng(1999)
+    for _ in range(20):
+        dense = random_sparse_digraph(rng)
+        scores = hits(view_of(dense), HitsConfig(tolerance=1e-12, max_iterations=5000))
+        hub_nx, auth_nx = nx.hits(
+            nx.from_numpy_array(dense, create_using=nx.DiGraph), max_iter=10_000, tol=1e-12
+        )
+        for ours, theirs in ((scores.authority, auth_nx), (scores.hub, hub_nx)):
+            ref = np.array([theirs[i] for i in range(dense.shape[0])])
+            ref /= np.linalg.norm(ref)
+            np.testing.assert_allclose(ours, ref, rtol=0, atol=1e-8)
+
+
 def test_scale_invariance():
     dense = random_sparse_digraph(np.random.default_rng(7))
     cfg = HitsConfig(tolerance=1e-14, max_iterations=20000)
@@ -137,6 +153,10 @@ def test_hits_validates_input():
     loop = np.eye(2)
     with pytest.raises(ValueError, match="diagonal"):
         hits(view_of(loop))
+    for value in (np.nan, np.inf):
+        bad[0, 1] = value
+        with pytest.raises(ValueError, match="finite"):
+            hits(view_of(bad))
     with pytest.raises(ValueError, match="tolerance"):
         HitsConfig(tolerance=0.0)
     with pytest.raises(ValueError, match="max_iterations"):
@@ -221,3 +241,72 @@ def test_trader_score_products():
         trader_score(
             HitsScores(np.zeros(2), np.zeros(3), 0, True, 0.0)
         )
+
+
+# ---------------------------------------------------------------------------
+# Row-sum kernel against a full sort on every call
+# ---------------------------------------------------------------------------
+
+
+def sorted_row_sums(matrix: sparse.csr_matrix, x: np.ndarray) -> np.ndarray:
+    """Reference: sort every row's products ascending, then sum in that order."""
+    n = matrix.shape[0]
+    rows = np.repeat(np.arange(n), np.diff(matrix.indptr))
+    prod = matrix.data * x[matrix.indices]
+    order = np.lexsort((prod, rows))
+    return np.bincount(rows[order], weights=prod[order], minlength=n)
+
+
+def random_csr(rng: np.random.Generator, data_kind: str) -> sparse.csr_matrix:
+    """Rows of 0, 1, a few and 1000+ entries; explicit zeros stay stored."""
+    n_cols = int(rng.integers(1, 1300))
+    lengths = [
+        min(n_cols, int(rng.choice([0, 1, rng.integers(2, 40), rng.integers(1000, 1300)])))
+        for _ in range(int(rng.integers(1, 12)))
+    ]
+    indices = np.concatenate(
+        [np.sort(rng.choice(n_cols, size=k, replace=False)) for k in lengths] + [[]]
+    ).astype(np.int64)
+    if data_kind == "ones":
+        data = np.ones(len(indices))
+    elif data_kind == "with_zeros":
+        data = rng.uniform(0.0, 5.0, len(indices)) * (rng.random(len(indices)) < 0.7)
+    else:  # few distinct values, so products tie often
+        data = rng.integers(0, 4, len(indices)).astype(np.float64)
+    indptr = np.concatenate([[0], np.cumsum(lengths)])
+    return sparse.csr_matrix((data, indices, indptr), shape=(len(lengths), n_cols))
+
+
+def next_vector(rng: np.random.Generator, previous: np.ndarray, kind: str) -> np.ndarray:
+    n = previous.size
+    if kind == "uniform":
+        return rng.random(n)
+    if kind == "repeats":
+        return rng.integers(0, 3, n) / 7.0
+    if kind == "zeros":
+        return np.where(rng.random(n) < 0.5, 0.0, rng.random(n))
+    if kind == "reversed":  # the previous ranking turned upside down
+        ranks = np.argsort(np.argsort(previous, kind="stable"), kind="stable")
+        return (n - ranks) / n
+    # a nearby vector: most rows keep their order, a few entries swap
+    return previous * (1.0 + rng.normal(0.0, 1e-3, n))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(["ones", "with_zeros", "ties"]),
+    st.lists(
+        st.sampled_from(["uniform", "repeats", "zeros", "reversed", "nearby"]),
+        min_size=20,
+        max_size=30,
+    ),
+)
+def test_row_sums_equal_full_sort_on_every_call(seed, data_kind, kinds):
+    rng = np.random.default_rng(seed)
+    matrix = random_csr(rng, data_kind)
+    kernel = _RowSums(matrix)
+    x = rng.random(matrix.shape[1])
+    for kind in kinds:
+        x = next_vector(rng, x, kind)
+        np.testing.assert_array_equal(kernel(x), sorted_row_sums(matrix, x))

@@ -412,6 +412,62 @@ def test_non_finite_rankings_value_rejected(fixture_dir, capsys, value):
     assert not (fixture_dir / "profiled" / "profiles.jsonl").exists()
 
 
+def write_log(path: Path, *rows: str) -> Path:
+    """A USD-priced sale log, one CSV line per row."""
+    path.write_text(
+        "seller,buyer,creator,price_usd,timestamp\n" + "".join(f"{row}\n" for row in rows),
+        encoding="utf-8",
+    )
+    return path
+
+
+def test_price_beyond_float_range_rejected_at_ingest(tmp_path):
+    sales = write_log(tmp_path / "huge.csv", "a,b,a,1E+400,100", "a,c,a,10,200", "b,c,a,5,300")
+    out = tmp_path / "out"
+    assert run_cli("run", sales, "--out", out) == 0
+    report = json.loads((out / "ingest_report.json").read_text())
+    assert report["rejects"] == [{"row": 1, "reason": "bad price: price_usd is out of range"}]
+    rankings = (out / "rankings.csv").read_text(encoding="utf-8").lower()
+    assert "nan" not in rankings and "inf" not in rankings
+
+
+def test_report_refuses_rankings_of_another_log(tmp_path, capsys):
+    one = write_log(tmp_path / "one.csv", "a,b,a,10,100", "c,d,c,5,200")
+    two = write_log(tmp_path / "two.csv", "x,y,x,10,100", "y,z,x,5,200", "b,z,x,1,300")
+    assert run_cli("run", one, "--out", tmp_path / "o1") == 0
+    assert run_cli("run", two, "--out", tmp_path / "o2") == 0
+    capsys.readouterr()
+    out = tmp_path / "o3"
+    status = run_cli(
+        "report", tmp_path / "o1" / "events.csv", tmp_path / "o2" / "rankings.csv", "--out", out
+    )
+    assert status == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    # events: a b c d; rankings: x y z b
+    assert "3 user(s) only in the events (e.g. 'a')" in err
+    assert "3 user(s) only in the rankings (e.g. 'x')" in err
+    assert not (out / "summary.txt").exists()
+    assert not (out / "figure5.csv").exists()
+
+
+@pytest.mark.parametrize("last", ["run", "profile"])
+def test_stale_matches_csv_removed(fixture_dir, last):
+    out = fixture_dir / "out"
+    run_cli("ingest", fixture_dir / "sales.csv", "--rates", fixture_dir / "rates.csv", "--out", out)
+    run_cli("rank", out / "events.csv", "--out", out)
+    assert run_cli("profile", out / "rankings.csv", "--out", out, "--match", "A***") == 0
+    assert "ann" in (out / "matches.csv").read_text(encoding="utf-8")
+    other = write_log(fixture_dir / "other.csv", "x,y,x,10,100", "y,z,x,5,200")
+    if last == "run":
+        assert run_cli("run", other, "--out", out) == 0
+    else:
+        assert run_cli("run", other, "--out", fixture_dir / "o2") == 0
+        rankings = fixture_dir / "o2" / "rankings.csv"
+        assert run_cli("profile", rankings, "--out", out) == 0
+    assert not (out / "matches.csv").exists()
+
+
 # every subcommand's option strings; adding or dropping a flag must edit this
 SUBCOMMAND_OPTIONS = {
     "ingest": {

@@ -123,6 +123,19 @@ def test_adjacency_matches_dense_hand_matrix():
     np.testing.assert_array_equal(view.matrix.toarray(), dense)
 
 
+def test_adjacency_rejects_edge_total_beyond_float_range():
+    # each price is a finite float; their exact sum is not
+    log = log_of(
+        ev("a1", "c1", "a1", usd="1E+308", ts=0),
+        ev("a1", "c1", "a1", usd="1E+308", ts=1),
+        ev("a2", "c2", "a2", usd=7, ts=2),
+    )
+    net = build_network(log)
+    with pytest.raises(ValueError, match="'c1' -> 'a1'"):
+        adjacency(net, Weighting.WEIGHTED_USD)
+    assert adjacency(net, Weighting.UNWEIGHTED_BINARY).matrix.nnz == 2
+
+
 def test_empty_network_adjacency_is_all_zero():
     net = build_network(log_of())
     view = adjacency(net, Weighting.WEIGHTED_USD)

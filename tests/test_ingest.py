@@ -1,6 +1,7 @@
 """Parsing, validation, and currency-conversion behavior."""
 
 import io
+import sys
 from datetime import date, datetime, timezone
 from decimal import Decimal
 
@@ -66,6 +67,8 @@ def test_self_sale_rejected_others_kept():
         (b"alice,bob,alice,,,2021-01-01T00:00:00Z,", "missing price"),
         (b"alice,bob,alice,-1,,2021-01-01T00:00:00Z,", "negative price"),
         (b"alice,bob,alice,abc,,2021-01-01T00:00:00Z,", "bad price: price_eth='abc'"),
+        (b"alice,bob,alice,,1E+400,2021-01-01T00:00:00Z,", "bad price: price_usd is out of range"),
+        (b"alice,bob,alice,1.8E+308,,2021-01-01T00:00:00Z,", "bad price: price_eth is out of range"),
         (b"alice,bob,alice,1.0,,,", "missing field: timestamp"),
         (b"alice,bob,alice,1.0,,yesterday,", "bad timestamp: 'yesterday'"),
     ],
@@ -75,6 +78,15 @@ def test_per_record_rejections(row, reason):
     log, rejects = parse_events(header + row + b"\n", "csv")
     assert log.accepted_count == 0
     assert rejects[0].reason == reason
+
+
+def test_price_at_largest_float_accepted():
+    largest = Decimal(sys.float_info.max)
+    header = b"seller,buyer,creator,price_eth,price_usd,timestamp,artwork_id\n"
+    row = f"alice,bob,alice,,{largest},2021-01-01T00:00:00Z,\n".encode()
+    log, rejects = parse_events(header + row, "csv")
+    assert rejects == []
+    assert log.price_usd.tolist() == [largest]
 
 
 def test_needs_conversion_flag_roundtrips():
