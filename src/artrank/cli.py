@@ -47,10 +47,12 @@ import csv
 import hashlib
 import json
 import logging
+import math
 import os
 import sys
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
+from decimal import Decimal
 from functools import cached_property
 from itertools import chain
 from pathlib import Path
@@ -68,7 +70,7 @@ from .ingest import (
     write_csv_rows,
     write_events_csv,
 )
-from .profiling import METRIC_NAMES, MetricsTable
+from .profiling import METRIC_NAMES, MetricsTable, Profiles
 
 logger = logging.getLogger(__name__)
 
@@ -103,6 +105,17 @@ RANKINGS_HEADER = (
 )
 
 SORT_KEYS = RANKINGS_HEADER
+COUNT_COLUMNS = ("in_degree", "out_degree")  # rankings columns written as integers
+
+# one profiles.jsonl line as json.dumps writes the record: the user id goes in
+# as json.dumps text, each float by repr, which is what json writes for a finite float
+_PROFILE_LINE = (
+    '{"user": %s, "role": "%s", "artist_code": "%s", "collector_code": "%s", "normalized": {'
+    + ", ".join(f'"{name}": %r' for name in METRIC_NAMES)
+    + '}, "trader_score": %r}\n'
+)
+# profiles.jsonl is formatted this many lines at a time, so its text never exists whole
+_PROFILE_CHUNK_ROWS = 1 << 12
 
 
 @dataclass
@@ -267,17 +280,21 @@ class ArtifactWriter:
 
     def json(self, name: str, payload) -> None:
         path = self._register(name)
-        path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+        # NaN and infinities have no JSON form; json.dumps raises ValueError on them
+        path.write_text(json.dumps(payload, indent=2, allow_nan=False) + "\n", encoding="utf-8")
 
     def text(self, name: str, content: str) -> None:
         path = self._register(name)
         path.write_text(content, encoding="utf-8")
 
-    def jsonl(self, name: str, records) -> None:
+    def jsonl(self, name: str, chunks: Iterable[str]) -> None:
+        """Write JSON lines given as chunks of formatted lines, one chunk at a time.
+
+        The caller formats the lines and must keep NaN and infinities out of them.
+        """
         path = self._register(name)
         with path.open("w", encoding="utf-8", newline="") as handle:
-            for record in records:
-                handle.write(json.dumps(record) + "\n")
+            handle.writelines(chunks)
 
     def events(self, name: str, log: EventLog) -> None:
         path = self._register(name)
@@ -354,25 +371,51 @@ class _Inputs:
         return load_rankings_csv(Path(self.args.rankings))
 
 
-def _rankings_rows(table: MetricsTable, trader: np.ndarray, sort_by: str) -> list[list[str]]:
-    users = table.users
-    columns = dict(zip(METRIC_NAMES, table.values.T.tolist()), trader_score=trader.tolist())
-    if sort_by == "user":
-        order = sorted(range(len(users)), key=users.__getitem__)
-    else:
-        key = columns[sort_by]
-        order = sorted(range(len(users)), key=lambda i: (-key[i], users[i]))
-    for name in ("in_degree", "out_degree"):
-        columns[name] = [int(v) for v in columns[name]]
-    return [[users[i]] + [str(columns[name][i]) for name in RANKINGS_HEADER[1:]] for i in order]
+def _id_order(users: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+    """Row indices sorted by user id, and each row's place in that order."""
+    order = np.array(sorted(range(len(users)), key=users.__getitem__), dtype=np.int64)
+    place = np.empty_like(order)
+    place[order] = np.arange(order.size)
+    return order, place
 
 
-def _edge_rows(net: CollectorArtistNetwork):
+def _texts(column: np.ndarray) -> Iterator[str]:
+    """A column's cells as ``str`` writes them: ``repr``, for a float the shortest round trip."""
+    return map(repr, column.tolist())
+
+
+def _in_order(users: Sequence[str], order: np.ndarray) -> list[str]:
+    return list(map(users.__getitem__, order.tolist()))
+
+
+def _user_rows(users: Sequence[str], order: np.ndarray, columns) -> Iterator[tuple[str, ...]]:
+    """CSV rows in ``order``: the user id, then the text of each column's cell.
+
+    Columns are formatted one at a time, so only one column's floats exist as
+    Python objects at once.
+    """
+    cells = [list(_texts(column[order])) for column in columns]
+    return zip(_in_order(users, order), *cells)
+
+
+def _rankings_rows(
+    table: MetricsTable,
+    trader: np.ndarray,
+    sort_by: str,
+    id_order: tuple[np.ndarray, np.ndarray],
+):
+    """Rankings rows by descending ``sort_by`` key, ties by user id (or by user id alone)."""
+    by_id, id_place = id_order
+    columns = dict(zip(METRIC_NAMES, table.values.T), trader_score=trader)
+    order = by_id if sort_by == "user" else np.lexsort((id_place, -columns[sort_by]))
+    for name in COUNT_COLUMNS:
+        columns[name] = columns[name].astype(np.int64)  # sale counts, exact in a float
+    return _user_rows(table.users, order, [columns[name] for name in RANKINGS_HEADER[1:]])
+
+
+def _edge_rows(net: CollectorArtistNetwork, id_place: np.ndarray):
     """``collector,artist,total_usd,sale_count`` rows sorted by (collector, artist) id."""
-    by_id = np.array(sorted(range(net.node_count), key=net.users.__getitem__), dtype=np.int64)
-    id_rank = np.empty_like(by_id)
-    id_rank[by_id] = np.arange(len(by_id))
-    order = np.lexsort((id_rank[net.artist], id_rank[net.collector]))
+    order = np.lexsort((id_place[net.artist], id_place[net.collector]))
     users = np.array(net.users, dtype=object)
     return zip(
         users[net.collector[order]].tolist(),
@@ -380,6 +423,27 @@ def _edge_rows(net: CollectorArtistNetwork):
         map(str, net.total_usd[order].tolist()),
         map(str, net.sale_count[order].tolist()),
     )
+
+
+def _figure5_rows(table: MetricsTable):
+    """``figure5.csv`` rows in user-id order."""
+    return _user_rows(table.users, _id_order(table.users)[0], report.figure5_values(table).T)
+
+
+def _profile_lines(profiles: Profiles, order: np.ndarray) -> Iterator[str]:
+    """``profiles.jsonl`` in ``order``, a chunk of lines at a time."""
+    roles = np.array([role.value for role in profiling.ROLES])
+    for start in range(0, order.size, _PROFILE_CHUNK_ROWS):
+        part = order[start : start + _PROFILE_CHUNK_ROWS]
+        rows = zip(
+            map(json.dumps, _in_order(profiles.users, part)),
+            roles[profiles.role[part]].tolist(),
+            profiles.artist_code[part].tolist(),
+            profiles.collector_code[part].tolist(),
+            *profiles.normalized[part].T.tolist(),
+            profiles.trader_score[part].tolist(),
+        )
+        yield "".join(map(_PROFILE_LINE.__mod__, rows))
 
 
 def load_rankings_csv(path: Path) -> MetricsTable:
@@ -453,8 +517,13 @@ def _rank(inputs: _Inputs, writer: ArtifactWriter) -> str:
     degrees = centrality.degree_metrics(net)
     inputs.table = profiling.build_metrics_table(net, degrees, unweighted, weighted)
     trader = centrality.trader_score(unweighted)
-    writer.csv(RANKINGS_CSV, RANKINGS_HEADER, _rankings_rows(inputs.table, trader, cfg.sort_by))
-    writer.csv(EDGES_CSV, ("collector", "artist", "total_usd", "sale_count"), _edge_rows(net))
+    id_order = _id_order(net.users)
+    writer.csv(
+        RANKINGS_CSV, RANKINGS_HEADER, _rankings_rows(inputs.table, trader, cfg.sort_by, id_order)
+    )
+    writer.csv(
+        EDGES_CSV, ("collector", "artist", "total_usd", "sale_count"), _edge_rows(net, id_order[1])
+    )
     return (
         f"ranked {net.node_count} users over {net.edge_count} edges"
         f" -> {writer.out_dir / RANKINGS_CSV}"
@@ -462,26 +531,36 @@ def _rank(inputs: _Inputs, writer: ArtifactWriter) -> str:
 
 
 def _concentration(inputs: _Inputs, writer: ArtifactWriter) -> str:
-    for stem, volume_by in (
-        ("lorenz_sellers", report.volume_by_seller),
-        ("lorenz_buyers", report.volume_by_buyer),
+    for stem, side, volume_by in (
+        ("lorenz_sellers", "seller", report.volume_by_seller),
+        ("lorenz_buyers", "buyer", report.volume_by_buyer),
     ):
         volumes = volume_by(inputs.log)
-        curve = econometrics.lorenz([float(v) for v in volumes.values()])
+        floats, total = _float_volumes(volumes, side)
+        curve = econometrics.lorenz(floats)
         writer.csv(
             f"{stem}.csv",
             ("pop_share", "vol_share"),
-            ([str(p), str(v)] for p, v in curve.points),
+            zip(_texts(curve.population_shares), _texts(curve.volume_shares)),
         )
-        writer.json(
-            f"{stem}.json",
-            {
-                "gini": curve.gini,
-                "n": len(volumes),
-                "total": float(exact_sum(volumes.values())),
-            },
-        )
+        writer.json(f"{stem}.json", {"gini": curve.gini, "n": len(volumes), "total": total})
     return f"wrote Lorenz/Gini files to {writer.out_dir}"
+
+
+def _float_volumes(volumes: dict[str, Decimal], side: str) -> tuple[np.ndarray, float]:
+    """Each user's volume and the exact total as floats; refuses any beyond the float range."""
+    floats = np.array([float(v) for v in volumes.values()])
+    bad = np.flatnonzero(~np.isfinite(floats))
+    if bad.size:
+        user = list(volumes)[bad[0]]
+        raise ValueError(
+            f"{side} {user!r} has {volumes[user]:.6E} USD of volume, beyond the float range"
+        )
+    exact = exact_sum(volumes.values())
+    total = float(exact)
+    if not (math.isfinite(total) and math.isfinite(np.sum(floats))):
+        raise ValueError(f"{side} volumes total {exact:.6E} USD, beyond the float range")
+    return floats, total
 
 
 def _correlate(inputs: _Inputs, writer: ArtifactWriter) -> str:
@@ -494,27 +573,21 @@ def _correlate(inputs: _Inputs, writer: ArtifactWriter) -> str:
 def _profile(inputs: _Inputs, writer: ArtifactWriter) -> str:
     cfg = inputs.cfg
     profiles = profiling.build_profiles(inputs.table, cfg.role_percentile, cfg.tie_rank)
+    # the table is finite (MetricsTable refuses anything else), so every
+    # normalized value is too, but authority x hub can overflow
+    bad = np.flatnonzero(~np.isfinite(profiles.trader_score))
+    if bad.size:
+        raise ValueError(f"non-finite trader_score for user {profiles.users[bad[0]]!r}")
     # canonical user order, independent of the metrics-table row order
-    by_user = sorted(profiles, key=lambda p: p.user_id)
-    records = (
-        {
-            "user": p.user_id,
-            "role": p.role.value,
-            "artist_code": p.artist_code,
-            "collector_code": p.collector_code,
-            "normalized": dict(zip(METRIC_NAMES, p.normalized)),
-            "trader_score": p.trader_score,
-        }
-        for p in by_user
-    )
-    writer.jsonl(PROFILES_JSONL, records)
+    by_id, _ = _id_order(profiles.users)
+    writer.jsonl(PROFILES_JSONL, _profile_lines(profiles, by_id))
     lines = []
     pattern = getattr(inputs.args, "match", None)
     if pattern is not None:
         matched = set(profiling.match_code(profiles, pattern, which=inputs.args.match_which))
         rows = [
             [p.user_id, p.role.value, p.artist_code, p.collector_code]
-            for p in by_user
+            for p in map(profiles.__getitem__, by_id.tolist())
             if p.user_id in matched
         ]
         writer.csv(MATCHES_CSV, ("user", "role", "artist_code", "collector_code"), rows)
@@ -541,11 +614,7 @@ def _report(inputs: _Inputs, writer: ArtifactWriter) -> str:
         edges, counts = report.histogram_data(table, dimension)
         rows = ([str(lo), str(hi), str(int(n))] for lo, hi, n in zip(edges, edges[1:], counts))
         writer.csv(name, ("bin_low", "bin_high", "count"), rows)
-    rows = [
-        [user] + [str(v) for v in values]
-        for user, values in sorted(report.figure5_data(table))
-    ]
-    writer.csv(FIGURE5_CSV, ("user",) + report.FIGURE_MEASURES, rows)
+    writer.csv(FIGURE5_CSV, ("user",) + report.FIGURE_MEASURES, _figure5_rows(table))
     return text.rstrip("\n")
 
 

@@ -7,14 +7,20 @@ are split into levels by empirical percentile: C for [0, 0.5], B for
 code (in-degree, in-strength, authority, weighted authority, in that
 order), the collector-side levels the collector code; codes support
 wildcard pattern queries such as ``AC**``.
+
+Profiles are columns: one cut of the (n, 8) percentile matrix gives every
+level, the codes are those levels read as base-3 numbers, and the roles come
+from two boolean columns. ``UserProfile`` rows are built only when read.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence
+from functools import cached_property
+from itertools import product
 
 import numpy as np
 
@@ -41,6 +47,13 @@ WILDCARD = "*"
 TIE_RANK_MAX = "max"  # ties share the highest rank of their group (default)
 TIE_RANK_MIN = "min"  # ties share the lowest rank; keeps zero-heavy columns low
 
+# a percentile's level index counts the cuts below it: C (<= 0.5), B (<= 0.9), A
+_LEVEL_CUTS = np.array([0.5, 0.9])
+_LEVELS = np.array(["C", "B", "A"])
+# every 4-level code, at the index its level indexes spell in base 3
+_CODES = np.array(["".join(code) for code in product(_LEVELS.tolist(), repeat=4)])
+_BASE3 = np.array([27, 9, 3, 1])
+
 
 class Role(str, Enum):
     """Quadrants of the sale/purchase count plane."""
@@ -49,6 +62,10 @@ class Role(str, Enum):
     PURE_SELLER = "pure_seller"
     PURE_BUYER = "pure_buyer"
     TRADER = "trader"
+
+
+# the role at index 2 * high_sell + high_buy
+ROLES = (Role.BY_STANDER, Role.PURE_BUYER, Role.PURE_SELLER, Role.TRADER)
 
 
 @dataclass(frozen=True)
@@ -82,6 +99,56 @@ class UserProfile:
     collector_code: str
     normalized: tuple[float, ...]  # 8 values in METRIC_NAMES order, each in [0, 1]
     trader_score: float
+
+
+@dataclass(frozen=True, eq=False)
+class Profiles(Sequence[UserProfile]):
+    """Every user's profile as columns, aligned to the metrics table's rows.
+
+    User ``i`` has role ``ROLES[role[i]]``, the 4-letter codes
+    ``artist_code[i]`` and ``collector_code[i]``, the max-normalized metrics
+    ``normalized[i]`` (8 values in ``METRIC_NAMES`` order) and
+    ``trader_score[i]``. As a sequence it reads as ``UserProfile`` rows,
+    built on first access.
+    """
+
+    users: tuple[str, ...]
+    role: np.ndarray
+    artist_code: np.ndarray
+    collector_code: np.ndarray
+    normalized: np.ndarray
+    trader_score: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.users)
+
+    def __getitem__(self, index):
+        return self.rows[index]
+
+    def __iter__(self):
+        return iter(self.rows)
+
+    @cached_property
+    def rows(self) -> tuple[UserProfile, ...]:
+        """The profiles as ``UserProfile`` rows, built on first access."""
+        return tuple(
+            UserProfile(
+                user_id=user,
+                role=ROLES[role],
+                artist_code=artist,
+                collector_code=collector,
+                normalized=tuple(normalized),
+                trader_score=trader,
+            )
+            for user, role, artist, collector, normalized, trader in zip(
+                self.users,
+                self.role.tolist(),
+                self.artist_code.tolist(),
+                self.collector_code.tolist(),
+                self.normalized.tolist(),
+                self.trader_score.tolist(),
+            )
+        )
 
 
 def build_metrics_table(
@@ -131,16 +198,13 @@ def percentiles(scores, tie_rank: str = TIE_RANK_MAX) -> np.ndarray:
 
 def percentile_levels(scores, tie_rank: str = TIE_RANK_MAX) -> list[str]:
     """A/B/C level per score: C for percentile <= 0.5, B <= 0.9, A above."""
-    return [_level(p) for p in percentiles(scores, tie_rank)]
+    return _LEVELS[_level_index(percentiles(scores, tie_rank))].tolist()
 
 
 def role_codes(table: MetricsTable, tie_rank: str = TIE_RANK_MAX) -> tuple[list[str], list[str]]:
     """Per-user artist and collector 4-letter codes, aligned to table order."""
-    if not table.users:
-        raise ValueError("metrics table is empty")
-    artist = _codes(table, ARTIST_CODE_METRICS, tie_rank)
-    collector = _codes(table, COLLECTOR_CODE_METRICS, tie_rank)
-    return artist, collector
+    artist, collector = _code_columns(table, tie_rank)
+    return artist.tolist(), collector.tolist()
 
 
 def classify_role(table: MetricsTable, percentile_threshold: float = 0.95) -> list[Role]:
@@ -151,23 +215,7 @@ def classify_role(table: MetricsTable, percentile_threshold: float = 0.95) -> li
     the percentile line of the count-count scatter. Rank-based, so any
     strictly increasing rescaling of a column leaves the labels unchanged.
     """
-    if not 0 < percentile_threshold < 1:
-        raise ValueError("percentile_threshold must be in (0, 1)")
-    sell = table.column("in_degree")
-    buy = table.column("out_degree")
-    high_sell = sell > _quantile(sell, percentile_threshold)
-    high_buy = buy > _quantile(buy, percentile_threshold)
-    roles = []
-    for s, b in zip(high_sell, high_buy):
-        if s and b:
-            roles.append(Role.TRADER)
-        elif s:
-            roles.append(Role.PURE_SELLER)
-        elif b:
-            roles.append(Role.PURE_BUYER)
-        else:
-            roles.append(Role.BY_STANDER)
-    return roles
+    return [ROLES[i] for i in _role_index(table, percentile_threshold).tolist()]
 
 
 def normalize_metrics(table: MetricsTable) -> np.ndarray:
@@ -181,27 +229,21 @@ def build_profiles(
     table: MetricsTable,
     percentile_threshold: float = 0.95,
     tie_rank: str = TIE_RANK_MAX,
-) -> list[UserProfile]:
+) -> Profiles:
     """Full per-user profiles: role, codes, normalized vector, trader score.
 
     The trader score is the product of the unweighted authority and hub
     columns.
     """
-    artist_codes, collector_codes = role_codes(table, tie_rank)
-    roles = classify_role(table, percentile_threshold)
-    normalized = normalize_metrics(table)
-    trader = table.column("authority") * table.column("hub")
-    return [
-        UserProfile(
-            user_id=user,
-            role=roles[i],
-            artist_code=artist_codes[i],
-            collector_code=collector_codes[i],
-            normalized=tuple(float(x) for x in normalized[i]),
-            trader_score=float(trader[i]),
-        )
-        for i, user in enumerate(table.users)
-    ]
+    artist_code, collector_code = _code_columns(table, tie_rank)
+    return Profiles(
+        users=table.users,
+        role=_role_index(table, percentile_threshold),
+        artist_code=artist_code,
+        collector_code=collector_code,
+        normalized=normalize_metrics(table),
+        trader_score=table.column("authority") * table.column("hub"),
+    )
 
 
 def match_code(
@@ -235,17 +277,33 @@ def match_code(
     return matched
 
 
-def _level(percentile: float) -> str:
-    if percentile > 0.9:
-        return "A"
-    if percentile > 0.5:
-        return "B"
-    return "C"
+def _level_index(percentile: np.ndarray) -> np.ndarray:
+    """0 (C), 1 (B) or 2 (A) per percentile: the number of cuts below it."""
+    return np.searchsorted(_LEVEL_CUTS, percentile, side="left")
 
 
-def _codes(table: MetricsTable, metrics: Sequence[str], tie_rank: str) -> list[str]:
-    level_columns = [percentile_levels(table.column(m), tie_rank) for m in metrics]
-    return ["".join(levels) for levels in zip(*level_columns)]
+def _code_columns(table: MetricsTable, tie_rank: str) -> tuple[np.ndarray, np.ndarray]:
+    """Artist and collector codes of every user, from one cut of all 8 percentile columns."""
+    if not table.users:
+        raise ValueError("metrics table is empty")
+    levels = _level_index(
+        np.column_stack([percentiles(column, tie_rank) for column in table.values.T])
+    )
+    return tuple(
+        _CODES[levels[:, [METRIC_NAMES.index(m) for m in metrics]] @ _BASE3]
+        for metrics in (ARTIST_CODE_METRICS, COLLECTOR_CODE_METRICS)
+    )
+
+
+def _role_index(table: MetricsTable, percentile_threshold: float) -> np.ndarray:
+    """Index into ``ROLES`` per user, from the high-seller and high-buyer columns."""
+    if not 0 < percentile_threshold < 1:
+        raise ValueError("percentile_threshold must be in (0, 1)")
+    sell = table.column("in_degree")
+    buy = table.column("out_degree")
+    high_sell = sell > _quantile(sell, percentile_threshold)
+    high_buy = buy > _quantile(buy, percentile_threshold)
+    return 2 * high_sell.astype(np.int8) + high_buy
 
 
 def _quantile(values: np.ndarray, q: float) -> float:

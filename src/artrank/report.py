@@ -150,12 +150,16 @@ def histogram_data(
     return edges, counts.astype(np.int64)
 
 
-def figure5_data(table: MetricsTable) -> list[tuple[str, tuple[float, ...]]]:
-    """Per-user (in-degree, authority, hub, out-degree) rows, max-normalized,
-    in table order."""
+def figure5_values(table: MetricsTable) -> np.ndarray:
+    """Per-user (in-degree, authority, hub, out-degree), max-normalized, as an
+    (n, 4) matrix in table order."""
     idx = [METRIC_NAMES.index(m) for m in FIGURE_MEASURES]
-    rows = normalize_metrics(table)[:, idx].tolist()
-    return [(user, tuple(row)) for user, row in zip(table.users, rows)]
+    return normalize_metrics(table)[:, idx]
+
+
+def figure5_data(table: MetricsTable) -> list[tuple[str, tuple[float, ...]]]:
+    """``figure5_values`` as ``(user, values)`` rows in table order."""
+    return list(zip(table.users, map(tuple, figure5_values(table).tolist())))
 
 
 def _volume_by(log: EventLog, users: np.ndarray) -> dict[str, Decimal]:

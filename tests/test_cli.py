@@ -500,3 +500,100 @@ def test_subcommand_option_strings_are_pinned():
         for name, sub in subparsers.choices.items()
     }
     assert found == SUBCOMMAND_OPTIONS
+
+
+def _refuse_constant(token: str):
+    raise AssertionError(f"non-standard JSON token {token}")
+
+
+def assert_no_non_finite_json(out: Path) -> None:
+    """Every JSON artifact parses as standard JSON: no NaN, Infinity, nan or inf."""
+    for path in out.iterdir():
+        text = path.read_text(encoding="utf-8")
+        if path.suffix == ".json":
+            json.loads(text, parse_constant=_refuse_constant)
+        elif path.suffix == ".jsonl":
+            for line in text.splitlines():
+                json.loads(line, parse_constant=_refuse_constant)
+
+
+def test_concentration_refuses_user_volume_beyond_float_range(tmp_path, capsys):
+    # seller a sells twice at 1E+308 USD: each price is a finite float, the sum is not
+    sales = write_log(tmp_path / "huge.csv", "a,b,a,1E+308,100", "a,c,a,1E+308,200", "b,c,a,5,300")
+    out = tmp_path / "out"
+    assert run_cli("ingest", sales, "--out", out) == 0
+    capsys.readouterr()
+    assert run_cli("concentration", out / "events.csv", "--out", out) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "seller 'a'" in err
+    assert not (out / "lorenz_sellers.json").exists()
+    assert not (out / "lorenz_sellers.csv").exists()
+    assert_no_non_finite_json(out)
+
+
+def test_concentration_refuses_volume_total_beyond_float_range(tmp_path, capsys):
+    # two sellers at 1E+308 USD each: every volume is finite, their float total is not
+    sales = write_log(tmp_path / "two.csv", "a,c,a,1E+308,100", "b,d,b,1E+308,200")
+    out = tmp_path / "out"
+    assert run_cli("ingest", sales, "--out", out) == 0
+    capsys.readouterr()
+    assert run_cli("concentration", out / "events.csv", "--out", out) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "seller volumes" in err
+    assert not (out / "lorenz_sellers.json").exists()
+    assert_no_non_finite_json(out)
+
+
+def test_non_finite_json_payload_is_an_error(fixture_dir, capsys, monkeypatch):
+    monkeypatch.setattr(cli.econometrics, "gini", lambda values: float("nan"))
+    out = fixture_dir / "out"
+    status = run_cli(
+        "run", fixture_dir / "sales.csv", "--rates", fixture_dir / "rates.csv", "--out", out
+    )
+    assert status == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (out / "manifest.json").exists()
+    assert_no_non_finite_json(out)
+
+
+def test_profile_refuses_trader_score_beyond_float_range(fixture_dir, capsys):
+    out = fixture_dir / "out"
+    assert run_cli(
+        "run", fixture_dir / "sales.csv", "--rates", fixture_dir / "rates.csv", "--out", out
+    ) == 0
+    rankings = out / "rankings.csv"
+    lines = rankings.read_text(encoding="utf-8").splitlines()
+    cells = lines[1].split(",")
+    # each value is finite; authority x hub is not
+    for name in ("authority", "hub"):
+        cells[cli.RANKINGS_HEADER.index(name)] = "1e200"
+    lines[1] = ",".join(cells)
+    rankings.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    profiled = fixture_dir / "profiled"
+    assert run_cli("profile", rankings, "--out", profiled) == 1
+    assert f"error: non-finite trader_score for user {cells[0]!r}" in capsys.readouterr().err
+    assert not (profiled / "profiles.jsonl").exists()
+
+
+@pytest.mark.parametrize("command", ["profile", "correlate"])
+@pytest.mark.parametrize("cell", ["inf", "-inf", "nan"])
+def test_rankings_with_non_finite_cell_is_an_error(fixture_dir, capsys, command, cell):
+    out = fixture_dir / "out"
+    assert run_cli(
+        "run", fixture_dir / "sales.csv", "--rates", fixture_dir / "rates.csv", "--out", out
+    ) == 0
+    assert_no_non_finite_json(out)
+    rankings = out / "rankings.csv"
+    lines = rankings.read_text(encoding="utf-8").splitlines()
+    cells = lines[1].split(",")
+    cells[cli.RANKINGS_HEADER.index("in_strength")] = cell
+    lines[1] = ",".join(cells)
+    rankings.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    target = fixture_dir / "target"
+    assert run_cli(command, rankings, "--out", target) == 1
+    assert f"error: non-finite in_strength for user {cells[0]!r}" in capsys.readouterr().err
+    assert not target.exists() or not any(target.glob("*.json*"))

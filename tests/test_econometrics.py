@@ -249,3 +249,65 @@ def test_correlation_needs_two_users():
     table = table_from_columns({name: [1.0] for name in METRIC_NAMES})
     with pytest.raises(ValueError, match="at least 2"):
         correlation_matrix(table)
+
+
+@st.composite
+def tie_heavy_columns(draw):
+    """Eight columns of one length up to 2000 with few distinct values, many zeros."""
+    n = draw(st.integers(2, 2000))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    columns = {}
+    for name in METRIC_NAMES:
+        distinct = draw(st.integers(1, 12))
+        zero_share = draw(st.sampled_from([0.0, 0.5, 0.9, 0.99]))
+        levels = np.sort(rng.choice([0.0, 1e-300, 5e-324, 0.25, 1.0, 3.0, 7.5, 1e6], 8, replace=False))
+        column = levels[rng.integers(0, min(distinct, 8), n)]
+        column[rng.random(n) < zero_share] = 0.0
+        columns[name] = column
+    return columns
+
+
+def same_bits(a: float, b: float) -> bool:
+    return (np.isnan(a) and np.isnan(b)) or float(a).hex() == float(b).hex()
+
+
+@settings(max_examples=25, deadline=None)
+@given(tie_heavy_columns())
+def test_correlation_matrix_entries_are_kendall_tau_bit_for_bit(columns):
+    from scipy import stats
+
+    matrix = correlation_matrix(table_from_columns(columns)).values
+    names = list(METRIC_NAMES)
+    n = len(columns[names[0]])
+    for i, a in enumerate(names):
+        for j, b in enumerate(names):
+            x, y = columns[a], columns[b]
+            if np.all(x == x[0]) or np.all(y == y[0]):
+                assert np.isnan(matrix[i, j])
+                continue
+            assert same_bits(matrix[i, j], kendall_tau(x, y))
+            with np.errstate(all="ignore"):
+                assert matrix[i, j] == pytest.approx(stats.kendalltau(x, y).statistic, abs=1e-12)
+            # the O(n^2) oracle holds n x n matrices; keep it to the smaller inputs
+            if n <= 600 or (i, j) == (0, 1):
+                assert matrix[i, j] == pytest.approx(kendall_brute(x, y), abs=1e-12)
+
+
+def test_kendall_rejects_nan():
+    with pytest.raises(ValueError, match="NaN"):
+        kendall_tau([1.0, float("nan"), 2.0], [1.0, 2.0, 3.0])
+
+
+def test_gini_refuses_volumes_beyond_float_range():
+    # the total is finite, but the rank-weighted sum 1 + 2e308 is not
+    with pytest.raises(ValueError, match="too large"):
+        gini([1e308, 1.0])
+    with pytest.raises(ValueError, match="too large"):
+        lorenz([1e308, 1.0])
+
+
+def test_kendall_counts_equal_infinities_as_ties():
+    # tau depends on ranks only: two equal infinities tie like two equal finite values
+    inf = float("inf")
+    ys = [1.0, 2.0, 3.0, 4.0]
+    assert kendall_tau([inf, inf, 1.0, 2.0], ys) == kendall_tau([9.0, 9.0, 1.0, 2.0], ys)
