@@ -19,6 +19,10 @@ float (or zeros of either sign, which add alike onto a +0.0 accumulator), so
 swapping them cannot change a bit. The kernel therefore keeps each row's order
 from the previous half step and re-sorts only the rows whose products moved
 out of order; the sums equal those of a full sort on every call.
+
+The kernel reads the adjacency matrix as its three CSR arrays (``indptr``,
+``indices``, ``data``) and builds the transpose for the authority half step
+by a stable sort of the column indices, so it needs numpy only.
 """
 
 from __future__ import annotations
@@ -28,9 +32,8 @@ from dataclasses import dataclass
 from decimal import Decimal
 
 import numpy as np
-from scipy import sparse
 
-from .graph import AdjacencyView, CollectorArtistNetwork
+from .graph import AdjacencyView, CollectorArtistNetwork, CSRMatrix
 from .ingest import sum_by
 
 DEFAULT_TOLERANCE = 1e-10
@@ -99,13 +102,15 @@ def hits(view: AdjacencyView, cfg: HitsConfig | None = None) -> HitsScores:
     if n_rows != n_cols:
         raise ValueError("adjacency matrix must be square")
     n = n_rows
-    if not np.all(np.isfinite(matrix.data)):
+    data = matrix.data
+    if not np.all(np.isfinite(data)):
         raise ValueError("adjacency weights must be finite")
-    if matrix.nnz and matrix.data.min() < 0:
+    if data.size and data.min() < 0:
         raise ValueError("adjacency weights must be non-negative")
-    if np.any(matrix.diagonal() != 0):
+    rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(matrix.indptr))
+    if np.any((rows == matrix.indices) & (data != 0)):
         raise ValueError("adjacency diagonal must be zero")
-    if n == 0 or matrix.nnz == 0 or matrix.data.max() == 0.0:
+    if n == 0 or data.size == 0 or data.max() == 0.0:
         zero = np.zeros(n)
         return HitsScores(
             authority=zero,
@@ -118,10 +123,13 @@ def hits(view: AdjacencyView, cfg: HitsConfig | None = None) -> HitsScores:
 
     # Rankings are scale-free; rescaling by the largest weight keeps the
     # iteration numerically identical (to rounding) across weight scalings.
-    scaled = matrix.astype(np.float64, copy=True)
-    scaled.data = scaled.data / scaled.data.max()
-    forward = _RowSums(scaled)           # y = A x
-    backward = _RowSums(scaled.T.tocsr())  # x = A^T y
+    scaled = data.astype(np.float64)
+    scaled /= scaled.max()
+    forward = _RowSums(CSRMatrix((n, n), matrix.indptr, matrix.indices, scaled))  # y = A x
+    # A^T in CSR: entries grouped by column, each column's rows kept ascending
+    by_col = np.argsort(matrix.indices, kind="stable")
+    transposed = CSRMatrix.from_rows((n, n), matrix.indices[by_col], rows[by_col], scaled[by_col])
+    backward = _RowSums(transposed)  # x = A^T y
 
     x = np.full(n, 1.0 / math.sqrt(n))
     y = x.copy()
@@ -187,7 +195,7 @@ class _RowSums:
     by refusing non-finite weights.
     """
 
-    def __init__(self, matrix: sparse.csr_matrix):
+    def __init__(self, matrix: CSRMatrix):
         self.n = matrix.shape[0]
         self.data = matrix.data
         self.cols = matrix.indices

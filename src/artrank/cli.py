@@ -49,9 +49,11 @@ import json
 import logging
 import math
 import os
+import platform
 import sys
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
+from datetime import datetime, timezone
 from decimal import Decimal
 from functools import cached_property
 from itertools import chain
@@ -313,7 +315,12 @@ class ArtifactWriter:
 
 
 class _OutputLock:
-    """Exclusive ownership of an output directory for the duration of a run."""
+    """Exclusive ownership of an output directory for the duration of a run.
+
+    The lock file holds ``pid=``, ``host=`` and ``started=`` lines naming
+    its owner, which the "locked" error quotes so that a lock left behind
+    by a killed run can be recognised and removed.
+    """
 
     def __init__(self, out_dir: Path):
         self.path = out_dir / LOCK_FILE
@@ -324,10 +331,20 @@ class _OutputLock:
             fd = os.open(self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
         except FileExistsError:
             raise RuntimeError(
-                f"output directory is locked by another run: {self.path}"
+                f"output directory is locked by another run ({self._owner()}): {self.path};"
+                " if that process is gone, remove the file and retry"
             ) from None
-        os.close(fd)
+        started = datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
+        with os.fdopen(fd, "w", encoding="utf-8") as handle:
+            handle.write(f"pid={os.getpid()}\nhost={platform.node()}\nstarted={started}\n")
         return self
+
+    def _owner(self) -> str:
+        try:
+            owner = self.path.read_text(encoding="utf-8", errors="replace").split()
+        except OSError:
+            owner = []
+        return ", ".join(owner) if owner else "owner not recorded"
 
     def __exit__(self, *exc_info):
         try:

@@ -5,6 +5,10 @@ original creator of the artwork (artist), weighted by the USD price; repeat
 purchases between the same pair aggregate into one edge with a summed total
 and a sale count. Buy-backs (a creator repurchasing their own piece) would
 form self-loops and are dropped with an audit count.
+
+Adjacency views hold a ``CSRMatrix``: the shape and the three compressed
+sparse row arrays, built straight from the network's sorted edge arrays.
+numpy is the only array dependency.
 """
 
 from __future__ import annotations
@@ -15,7 +19,6 @@ from decimal import Decimal
 from enum import Enum
 
 import numpy as np
-from scipy import sparse
 
 from .ingest import EventLog, exact_sum, sum_by
 
@@ -90,16 +93,78 @@ class CollectorArtistNetwork:
         }
 
 
+@dataclass(frozen=True, eq=False)
+class CSRMatrix:
+    """A sparse matrix in compressed sparse row form.
+
+    Row ``i`` stores its entries at positions ``indptr[i]:indptr[i + 1]`` of
+    ``indices`` (column numbers) and ``data`` (values); stored zeros stay
+    stored. The constructor checks the layout and raises ``ValueError``
+    naming the first fault.
+    """
+
+    shape: tuple[int, int]
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+
+    def __post_init__(self) -> None:
+        n_rows, n_cols = self.shape
+        indptr, indices, data = self.indptr, self.indices, self.data
+        if n_rows < 0 or n_cols < 0:
+            raise ValueError(f"shape {self.shape} has a negative dimension")
+        if len(indptr) != n_rows + 1:
+            raise ValueError(
+                f"indptr has {len(indptr)} entries for {n_rows} rows, not {n_rows + 1}"
+            )
+        if indptr[0] != 0:
+            raise ValueError(f"indptr starts at {indptr[0]}, not 0")
+        if np.any(np.diff(indptr) < 0):
+            raise ValueError("indptr decreases")
+        if len(indices) != len(data):
+            raise ValueError(f"{len(indices)} indices for {len(data)} data entries")
+        if indptr[-1] != len(data):
+            raise ValueError(f"indptr ends at {indptr[-1]}, not at the {len(data)} data entries")
+        if len(indices) and (indices.min() < 0 or indices.max() >= n_cols):
+            raise ValueError(f"a column index lies outside [0, {n_cols})")
+
+    @classmethod
+    def from_rows(
+        cls, shape: tuple[int, int], rows: np.ndarray, indices: np.ndarray, data: np.ndarray
+    ) -> CSRMatrix:
+        """Entries listed in row order: entry ``k`` lies at (``rows[k]``, ``indices[k]``)."""
+        if np.any(np.diff(rows) < 0):
+            raise ValueError("entries are not in row order")
+        counts = np.bincount(rows, minlength=shape[0])
+        return cls(shape, np.concatenate(([0], np.cumsum(counts))), indices, data)
+
+    @property
+    def nnz(self) -> int:
+        """Number of stored entries, zeros included."""
+        return len(self.data)
+
+    def tocsr(self) -> CSRMatrix:
+        return self
+
+    def toarray(self) -> np.ndarray:
+        dense = np.zeros(self.shape, dtype=self.data.dtype)
+        rows = np.repeat(np.arange(self.shape[0]), np.diff(self.indptr))
+        np.add.at(dense, (rows, self.indices), self.data)
+        return dense
+
+
 @dataclass(frozen=True)
 class AdjacencyView:
     """A sparse n-by-n non-negative matrix over the network nodes.
 
     Entry (i, j) carries the weight of the edge collector i -> artist j under
-    the selected weighting. The diagonal is structurally zero.
+    the selected weighting. The diagonal is structurally zero. ``adjacency``
+    builds a ``CSRMatrix``; ``hits`` reads only ``tocsr()``, ``shape``,
+    ``indptr``, ``indices`` and ``data``, so any matrix offering those works.
     """
 
     weighting: Weighting
-    matrix: sparse.csr_matrix
+    matrix: CSRMatrix
 
 
 def active_users(log: EventLog) -> dict[str, RoleFlags]:
@@ -154,7 +219,11 @@ def build_network(log: EventLog) -> CollectorArtistNetwork:
 
 
 def adjacency(net: CollectorArtistNetwork, weighting: Weighting) -> AdjacencyView:
-    """Materialize the sparse adjacency matrix under the given weighting."""
+    """Materialize the sparse adjacency matrix under the given weighting.
+
+    Edges are sorted by (collector, artist), so they already are the CSR
+    entries in row order.
+    """
     weighting = Weighting(weighting)
     n = net.node_count
     if np.any(net.collector == net.artist):
@@ -172,5 +241,5 @@ def adjacency(net: CollectorArtistNetwork, weighting: Weighting) -> AdjacencyVie
         vals = np.ones(net.edge_count)
     else:
         vals = net.sale_count.astype(np.float64)
-    matrix = sparse.csr_matrix((vals, (net.collector, net.artist)), shape=(n, n))
+    matrix = CSRMatrix.from_rows((n, n), net.collector, net.artist, vals)
     return AdjacencyView(weighting=weighting, matrix=matrix)

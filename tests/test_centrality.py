@@ -14,13 +14,15 @@ from artrank import (
     HitsConfig,
     HitsScores,
     Weighting,
+    adjacency,
     build_network,
     degree_metrics,
     hits,
+    parse_events,
     trader_score,
 )
 from artrank.centrality import _RowSums
-from helpers import cosine, dense_hits_oracle, ev, log_of, random_sparse_digraph
+from helpers import cosine, dense_hits_oracle, ev, log_of, market_csv, random_sparse_digraph
 
 
 def view_of(dense: np.ndarray) -> AdjacencyView:
@@ -141,6 +143,32 @@ def test_permutation_equivariance_exact(seed):
     np.testing.assert_array_equal(permuted.authority, base.authority[perm])
     np.testing.assert_array_equal(permuted.hub, base.hub[perm])
     assert permuted.iterations_used == base.iterations_used
+
+
+def bits(values) -> bytes:
+    return np.asarray(values, dtype=np.float64).tobytes()
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(20, 1500),
+    st.integers(2, 60),
+    st.integers(2, 90),
+    st.sampled_from(list(Weighting)),
+)
+def test_adjacency_hits_equal_scipy_csr_bit_for_bit(seed, n_events, n_artists, n_collectors, w):
+    # scipy serves only as an independent CSR container here; it drops stored zeros
+    text = market_csv(seed, n_events, n_artists=n_artists, n_collectors=n_collectors)
+    log, _ = parse_events(text.encode(), "csv")
+    view = adjacency(build_network(log), w)
+    ours = hits(view)
+    oracle = hits(AdjacencyView(w, sparse.csr_matrix(view.matrix.toarray())))
+    assert bits(ours.authority) == bits(oracle.authority)
+    assert bits(ours.hub) == bits(oracle.hub)
+    assert ours.iterations_used == oracle.iterations_used
+    assert bits(ours.residual) == bits(oracle.residual)
+    assert ours.converged == oracle.converged
 
 
 def test_hits_validates_input():

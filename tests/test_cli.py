@@ -4,6 +4,11 @@ import argparse
 import csv
 import hashlib
 import json
+import os
+import platform
+import subprocess
+import sys
+from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
 import pytest
@@ -145,6 +150,20 @@ def test_staged_subcommands_match_run(fixture_dir):
     assert staged_files == run_files
 
 
+def test_cli_import_loads_no_scipy():
+    # numpy is the only runtime dependency; scipy would add about 0.25 s per start-up
+    src = Path(cli.__file__).resolve().parents[1]
+    code = "import sys, artrank.cli; print(sorted(m for m in sys.modules if 'scipy' in m))"
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert result.stdout.strip() == "[]"
+
+
 def test_lock_file_blocks_concurrent_run(fixture_dir, capsys):
     out = fixture_dir / "out"
     out.mkdir()
@@ -154,6 +173,48 @@ def test_lock_file_blocks_concurrent_run(fixture_dir, capsys):
     )
     assert status == 1
     assert "locked" in capsys.readouterr().err
+
+
+def test_lock_error_quotes_owner_of_existing_lock(fixture_dir, capsys):
+    out = fixture_dir / "out"
+    out.mkdir()
+    owner = "pid=4242\nhost=otherbox\nstarted=2026-01-02T03:04:05Z\n"
+    (out / ".lock").write_text(owner, encoding="utf-8")
+    status = run_cli(
+        "run", fixture_dir / "sales.csv", "--rates", fixture_dir / "rates.csv", "--out", out
+    )
+    assert status == 1
+    err = capsys.readouterr().err
+    assert "locked by another run (pid=4242, host=otherbox, started=2026-01-02T03:04:05Z)" in err
+    assert "if that process is gone, remove the file" in err
+    assert (out / ".lock").read_text(encoding="utf-8") == owner  # left to its owner
+    assert not (out / "events.csv").exists()
+
+
+def test_lock_records_this_run_while_held(fixture_dir, monkeypatch):
+    out = fixture_dir / "out"
+    seen = []
+    original = cli.ArtifactWriter.json
+
+    def json_noting_lock(self, name, payload):
+        seen.append((out / ".lock").read_text(encoding="utf-8"))
+        return original(self, name, payload)
+
+    monkeypatch.setattr(cli.ArtifactWriter, "json", json_noting_lock)
+    status = run_cli(
+        "run", fixture_dir / "sales.csv", "--rates", fixture_dir / "rates.csv", "--out", out
+    )
+    assert status == 0
+    assert seen
+    fields = dict(line.split("=", 1) for line in seen[0].splitlines())
+    assert list(fields) == ["pid", "host", "started"]
+    assert fields["pid"] == str(os.getpid())
+    assert fields["host"] == platform.node()
+    started = datetime.strptime(fields["started"], "%Y-%m-%dT%H:%M:%SZ")
+    assert abs(datetime.now(timezone.utc) - started.replace(tzinfo=timezone.utc)) < timedelta(
+        minutes=5
+    )
+    assert not (out / ".lock").exists()  # a finished run leaves no lock
 
 
 def test_rankings_artifact_layout(fixture_dir):

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from artrank import (
+    CSRMatrix,
     RoleFlags,
     Weighting,
     active_users,
@@ -60,7 +61,7 @@ def test_buyback_dropped_with_audit():
     assert net.dropped_usd == Decimal(40)
     assert net.edges_by_id() == {("b", "a"): (Decimal(10), 1)}
     view = adjacency(net, Weighting.WEIGHTED_USD)
-    assert not view.matrix.diagonal().any()
+    assert not view.matrix.toarray().diagonal().any()
 
 
 def test_volume_and_count_conservation():
@@ -81,7 +82,7 @@ def test_isolated_minted_only_user_is_a_node():
     assert "c" in net.users
     view = adjacency(net, Weighting.WEIGHTED_USD)
     i = net.users.index("c")
-    assert view.matrix[i].sum() == 0  # no outgoing weight
+    assert view.matrix.toarray()[i].sum() == 0  # no outgoing weight
 
 
 def test_unconverted_events_rejected():
@@ -97,15 +98,15 @@ def test_adjacency_views():
         ev("a2", "c2", "a2", usd=7, ts=2),
     )
     net = build_network(log)
-    weighted = adjacency(net, Weighting.WEIGHTED_USD).matrix
-    binary = adjacency(net, Weighting.UNWEIGHTED_BINARY).matrix
-    multi = adjacency(net, Weighting.UNWEIGHTED_MULTIPLICITY).matrix
+    weighted = adjacency(net, Weighting.WEIGHTED_USD).matrix.toarray()
+    binary = adjacency(net, Weighting.UNWEIGHTED_BINARY).matrix.toarray()
+    multi = adjacency(net, Weighting.UNWEIGHTED_MULTIPLICITY).matrix.toarray()
     c1, a1 = net.users.index("c1"), net.users.index("a1")
     c2, a2 = net.users.index("c2"), net.users.index("a2")
     assert weighted[c1, a1] == 150.0 and weighted[c2, a2] == 7.0
     assert binary[c1, a1] == 1.0 and binary[c2, a2] == 1.0
     assert multi[c1, a1] == 2.0 and multi[c2, a2] == 1.0
-    assert weighted.nnz == 2
+    assert adjacency(net, Weighting.WEIGHTED_USD).matrix.nnz == 2
 
 
 def test_adjacency_matches_dense_hand_matrix():
@@ -163,3 +164,55 @@ def test_build_network_order_insensitive(order):
     assert permuted.edges_by_id() == base.edges_by_id()
     assert active_users(log_of(*shuffled)) == active_users(log_of(*events))
     assert set(permuted.users) == set(base.users)
+
+
+def test_csr_matrix_basics():
+    matrix = CSRMatrix(
+        (3, 4), np.array([0, 2, 2, 3]), np.array([1, 3, 0]), np.array([5.0, 0.0, 2.0])
+    )
+    assert matrix.nnz == 3  # the stored zero counts
+    assert matrix.tocsr() is matrix
+    np.testing.assert_array_equal(
+        matrix.toarray(), [[0.0, 5.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0], [2.0, 0.0, 0.0, 0.0]]
+    )
+
+
+def test_adjacency_is_csr_of_sorted_edges():
+    log = log_of(
+        ev("a", "c", "a", usd=5, ts=0),
+        ev("b", "c", "b", usd=7, ts=1),
+        ev("a", "d", "a", usd=1, ts=2),
+    )
+    net = build_network(log)
+    matrix = adjacency(net, Weighting.WEIGHTED_USD).matrix
+    n = net.node_count
+    assert matrix.shape == (n, n)
+    rows = np.repeat(np.arange(n), np.diff(matrix.indptr))
+    np.testing.assert_array_equal(rows, net.collector)
+    np.testing.assert_array_equal(matrix.indices, net.artist)
+    np.testing.assert_array_equal(matrix.data, [float(t) for t in net.total_usd])
+
+
+def test_csr_matrix_from_rows_requires_row_order():
+    built = CSRMatrix.from_rows((3, 2), np.array([0, 2, 2]), np.array([1, 0, 1]), np.ones(3))
+    np.testing.assert_array_equal(built.indptr, [0, 1, 1, 3])
+    with pytest.raises(ValueError, match="not in row order"):
+        CSRMatrix.from_rows((3, 2), np.array([2, 0]), np.array([1, 0]), np.ones(2))
+
+
+@pytest.mark.parametrize(
+    "shape, indptr, indices, data, fault",
+    [
+        ((-1, 2), [], [], [], r"shape \(-1, 2\) has a negative dimension"),
+        ((2, 2), [0, 1], [0], [1.0], "indptr has 2 entries for 2 rows, not 3"),
+        ((2, 2), [1, 1, 1], [0], [1.0], "indptr starts at 1, not 0"),
+        ((2, 2), [0, 2, 1], [0], [1.0], "indptr decreases"),
+        ((2, 2), [0, 1, 2], [0, 1], [1.0, 2.0, 3.0], "2 indices for 3 data entries"),
+        ((2, 2), [0, 1, 1], [0, 1], [1.0, 2.0], "indptr ends at 1, not at the 2 data entries"),
+        ((2, 2), [0, 1, 2], [0, 2], [1.0, 2.0], r"a column index lies outside \[0, 2\)"),
+        ((2, 2), [0, 1, 2], [-1, 0], [1.0, 2.0], r"a column index lies outside \[0, 2\)"),
+    ],
+)
+def test_csr_matrix_rejects_bad_layout(shape, indptr, indices, data, fault):
+    with pytest.raises(ValueError, match=fault):
+        CSRMatrix(shape, np.array(indptr), np.array(indices), np.array(data))
