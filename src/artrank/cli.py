@@ -464,17 +464,30 @@ def _profile_lines(profiles: Profiles, order: np.ndarray) -> Iterator[str]:
 
 
 def load_rankings_csv(path: Path) -> MetricsTable:
-    """Rebuild the metrics table from a rankings artifact."""
+    """Rebuild the metrics table from a rankings artifact.
+
+    Columns are found by header name, so their order and any extra columns
+    do not matter; of duplicate names the last column wins.
+    """
     with open(path, encoding="utf-8", newline="") as handle:
-        reader = csv.DictReader(handle)
-        missing = set(RANKINGS_HEADER) - set(reader.fieldnames or ())
+        reader = csv.reader(handle)
+        header = next(reader, [])
+        missing = set(RANKINGS_HEADER) - set(header)
         if missing:
             raise ValueError(f"rankings file lacks columns: {', '.join(sorted(missing))}")
+        position = {name: i for i, name in enumerate(header)}
+        user_at = position["user"]
+        metric_at = [position[name] for name in METRIC_NAMES]
+        width = max(user_at, *metric_at) + 1
         users = []
         values = []
-        for record in reader:
-            users.append(record["user"])
-            values.append([float(record[name]) for name in METRIC_NAMES])
+        for row in reader:
+            if not row:
+                continue
+            if len(row) < width:
+                raise ValueError(f"rankings file line {reader.line_num} is missing columns")
+            users.append(row[user_at])
+            values.append([float(row[i]) for i in metric_at])
     return MetricsTable(
         users=tuple(users),
         values=np.array(values, dtype=np.float64).reshape(len(users), len(METRIC_NAMES)),

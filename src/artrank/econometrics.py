@@ -77,7 +77,8 @@ def gini(values) -> float:
     s = np.sort(v)
     total = float(np.sum(s))
     ranks = np.arange(1, n + 1, dtype=np.float64)
-    g = 2.0 * float(np.sum(ranks * s)) / (n * total) - (n + 1) / n
+    with np.errstate(over="ignore"):  # an overflow leaves inf, refused below
+        g = 2.0 * float(np.sum(ranks * s)) / (n * total) - (n + 1) / n
     if not math.isfinite(g):
         raise ValueError("volumes too large for a float Gini index")
     return max(g, 0.0)

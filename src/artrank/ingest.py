@@ -4,6 +4,10 @@ Raw rows (CSV or JSON) are validated record by record into a columnar
 ``EventLog``: interned user codes, UTC epoch seconds, exact ``Decimal``
 prices and artwork ids, one array per field. Bad rows never abort a run;
 they are returned as ``RejectReport`` entries with a row number and reason.
+CSV input is decoded as it is read, and its common row takes an inline fast
+path that keeps what the full validator would keep; every other row, and
+every JSON record, goes through the full validator. ``events.csv`` is
+written a chunk of rows at a time, column by column.
 Prices stay exact ``Decimal`` values, and every sum over them is computed
 without rounding, so that re-exported logs are byte-identical to their
 source; conversion to binary floats happens only inside the numeric
@@ -36,7 +40,7 @@ from decimal import (
     localcontext,
 )
 from functools import cached_property
-from itertools import chain, islice
+from itertools import islice
 from typing import BinaryIO, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -315,38 +319,49 @@ class EventLog:
         ``events`` of the result are the caller's objects, in sorted order.
         """
         ordered = tuple(sorted(events, key=lambda e: e.timestamp))
-        rows = [
-            (
-                e.seller_id,
-                e.buyer_id,
-                e.creator_id,
+        records = _Records()
+        user = records.user
+        for e in ordered:
+            records.append(
+                user(e.seller_id),
+                user(e.buyer_id),
+                user(e.creator_id),
                 e.price_eth,
                 e.price_usd,
                 (e.timestamp - _EPOCH) // _SECOND,
                 e.artwork_id,
             )
-            for e in ordered
-        ]
-        log = _assemble(rows, source, total=len(rows), rejected=0)
+        log = records.log(source, total=len(ordered))
         object.__setattr__(log, "events", ordered)
         return log
 
 
 class _Records:
-    """Validated records in input order, plus the rejected ones."""
+    """Validated records as columns in input order, plus the rejected ones.
+
+    A user's code is its index in ``users``, given at first sight, so codes
+    number users by first appearance in input order (seller, buyer, then
+    creator within one record). ``memo`` maps each user id, and each raw
+    ``str`` id cell seen so far, to the code of the id it names.
+    """
 
     def __init__(self) -> None:
-        self.rows: list[tuple] = []
+        self.memo: dict[str, int] = {}
+        self.users: list[str] = []
+        self.codes: list[int] = []  # seller, buyer and creator of each record
+        self.price_eth: list[Decimal | None] = []
+        self.price_usd: list[Decimal | None] = []
+        self.timestamp: list[int] = []
+        self.artwork: list[str | None] = []
         self.rejects: list[RejectReport] = []
-        self.ids: dict[str, str] = {}  # one str object per distinct user id
 
     def add(self, row, seller, buyer, creator, price_eth, price_usd, timestamp, artwork) -> None:
         """Validate one raw record; keep it, or record why it was rejected."""
         try:
-            seller = _require_id(seller, "seller")
-            buyer = _require_id(buyer, "buyer")
-            creator = _require_id(creator, "creator")
-            if buyer == seller:
+            seller_id = _require_id(seller, "seller")
+            buyer_id = _require_id(buyer, "buyer")
+            creator_id = _require_id(creator, "creator")
+            if buyer_id == seller_id:
                 raise _Reject("self-sale")
             eth = _parse_price(price_eth, "price_eth")
             usd = _parse_price(price_usd, "price_usd")
@@ -358,46 +373,66 @@ class _Records:
             return
         if artwork is not None:
             artwork = str(artwork).strip() or None
-        ids = self.ids
-        self.rows.append(
-            (
-                ids.setdefault(seller, seller),
-                ids.setdefault(buyer, buyer),
-                ids.setdefault(creator, creator),
-                eth,
-                usd,
-                epoch,
-                artwork,
-            )
+        codes = (self.user(seller_id), self.user(buyer_id), self.user(creator_id))
+        for cell, code in zip((seller, buyer, creator), codes):
+            # only str cells: True == 1 as a key, and a JSON list is unhashable
+            if type(cell) is str:
+                self.memo[cell] = code
+        self.append(*codes, eth, usd, epoch, artwork)
+
+    def user(self, user_id: str) -> int:
+        """The code of a (stripped) user id, given here at its first sight."""
+        code = self.memo.get(user_id)
+        if code is None:
+            code = self.memo[user_id] = len(self.users)
+            self.users.append(user_id)
+        return code
+
+    def append(self, seller: int, buyer: int, creator: int, eth, usd, epoch: int, artwork) -> None:
+        """Keep one validated record."""
+        self.codes += (seller, buyer, creator)
+        self.price_eth.append(eth)
+        self.price_usd.append(usd)
+        self.timestamp.append(epoch)
+        self.artwork.append(artwork)
+
+    def log(self, source: str, total: int) -> EventLog:
+        """The kept records as a log, stably sorted by timestamp."""
+        timestamp = _array(self.timestamp, np.int64)
+        codes = _array(self.codes, np.int64).reshape(-1, 3)
+        columns = [_array(column, object) for column in (self.price_eth, self.price_usd, self.artwork)]
+        users = self.users
+        # in sorted input, codes already number users by first appearance in event order
+        if np.any(timestamp[1:] < timestamp[:-1]):
+            order = np.argsort(timestamp, kind="stable")  # input order breaks ties
+            timestamp, codes = timestamp[order], codes[order]
+            columns = [column[order] for column in columns]
+            present, first = np.unique(codes, return_index=True)
+            by_first = present[np.argsort(first)]
+            renumber = np.empty(len(users), dtype=np.int64)
+            renumber[by_first] = np.arange(by_first.size)
+            codes = renumber[codes]
+            users = list(map(users.__getitem__, by_first.tolist()))
+        seller, buyer, creator = codes.T.copy()
+        price_eth, price_usd, artwork = columns
+        return EventLog(
+            users=tuple(users),
+            seller=seller,
+            buyer=buyer,
+            creator=creator,
+            timestamp=timestamp,
+            price_eth=price_eth,
+            price_usd=price_usd,
+            artwork=artwork,
+            source=source,
+            total_records=total,
+            rejected_count=len(self.rejects),
         )
 
 
-def _assemble(rows: list[tuple], source: str, total: int, rejected: int) -> EventLog:
-    """The log of valid ``(seller, buyer, creator, price_eth, price_usd,
-    epoch seconds, artwork)`` rows, stably sorted by timestamp."""
-    timestamp = np.array([row[5] for row in rows], dtype=np.int64)
-    order = np.argsort(timestamp, kind="stable")  # input order breaks ties
-    rows = [rows[i] for i in order.tolist()]
-    seller, buyer, creator, eth, usd, _, artwork = ([row[k] for row in rows] for k in range(7))
-    # interning in event order numbers users by first appearance
-    ids = list(chain.from_iterable(zip(seller, buyer, creator)))
-    users = tuple(dict.fromkeys(ids))
-    code = {user: i for i, user in enumerate(users)}
-    codes = np.fromiter(map(code.__getitem__, ids), dtype=np.int64, count=len(ids))
-    seller_code, buyer_code, creator_code = codes.reshape(-1, 3).T.copy()
-    return EventLog(
-        users=users,
-        seller=seller_code,
-        buyer=buyer_code,
-        creator=creator_code,
-        timestamp=timestamp[order],
-        price_eth=np.array(eth, dtype=object),
-        price_usd=np.array(usd, dtype=object),
-        artwork=np.array(artwork, dtype=object),
-        source=source,
-        total_records=total,
-        rejected_count=rejected,
-    )
+def _array(values: list, dtype) -> np.ndarray:
+    # fromiter takes each item as it is; np.array would probe objects for nesting
+    return np.fromiter(values, dtype=dtype, count=len(values))
 
 
 # ---------------------------------------------------------------------------
@@ -431,16 +466,16 @@ def parse_events(
     if source is None:
         source = getattr(stream, "name", "") or ""
         source = str(source)
-    text = _decode(stream)
-
     remap = dict(field_map or {})
     for dst in remap.values():
         if dst not in CANONICAL_FIELDS:
             raise ValueError(f"field map target {dst!r} is not a canonical field")
     records = _Records()
-    read = _read_csv if fmt == "csv" else _read_json
-    total = read(text, remap, records.add)
-    return _assemble(records.rows, source, total, len(records.rejects)), records.rejects
+    if fmt == "csv":
+        total = _read_csv(stream, remap, records)
+    else:
+        total = _read_json(_decode(stream), remap, records.add)
+    return records.log(source, total), records.rejects
 
 
 def convert_currency(log: EventLog, rates: RateTable) -> EventLog:
@@ -466,41 +501,60 @@ def convert_currency(log: EventLog, rates: RateTable) -> EventLog:
 
 
 def write_events_csv(log: EventLog, stream) -> None:
-    """Write the canonical event CSV (re-parsable by ``parse_events``)."""
-    write_csv_rows(stream, chain([EVENT_CSV_HEADER], _event_rows(log)))
+    """Write the canonical event CSV (re-parsable by ``parse_events``).
 
-
-def _event_rows(log: EventLog) -> Iterator[tuple[str, ...]]:
-    # formatted a chunk at a time, so the text of the whole log never exists at once
+    The log is formatted a chunk of rows at a time, one column at a time, so
+    its whole text never exists at once. Price and timestamp text never
+    holds a delimiter, quote or line break, so a chunk is joined directly
+    unless a user id or one of its artwork ids does; such a chunk goes
+    through the csv writer.
+    """
+    writer = csv.writer(stream, lineterminator="\n")
+    writer.writerow(EVENT_CSV_HEADER)
     names = np.array(log.users, dtype=object)
+    plain_names = not _CSV_SPECIAL.search("".join(log.users))
     for start in range(0, log.accepted_count, _CSV_CHUNK_ROWS):
         part = slice(start, start + _CSV_CHUNK_ROWS)
         when = np.datetime_as_string(log.timestamp[part].astype("datetime64[s]"), unit="s")
-        yield from zip(
+        artwork = [text or "" for text in log.artwork[part].tolist()]
+        rows = zip(
             names[log.seller[part]].tolist(),
             names[log.buyer[part]].tolist(),
             names[log.creator[part]].tolist(),
             _price_text(log.price_eth[part]),
             _price_text(log.price_usd[part]),
             [day_time + "+00:00" for day_time in when.tolist()],
-            [artwork or "" for artwork in log.artwork[part].tolist()],
+            artwork,
         )
+        if plain_names and not _CSV_SPECIAL.search("".join(artwork)):
+            stream.write("\n".join(map(",".join, rows)) + "\n")
+        else:
+            writer.writerows(rows)
 
 
 def write_csv_rows(stream, rows: Iterable[Sequence[str]]) -> None:
     """Write rows of str fields exactly as ``csv.writer(stream, lineterminator="\\n")``.
 
-    Rows of two or more fields, none holding a delimiter, quote or line
-    break, need no quoting; each chunk of such rows is joined directly, and
-    any other chunk goes through the csv writer.
+    Each chunk of rows is joined once. The csv writer would quote nothing in
+    it when every row has two or more fields and the joined body holds no
+    quote or carriage return, one comma fewer than fields per row and one
+    line break fewer than rows; such a body is written as it is, and any
+    other chunk goes through the csv writer.
     """
     writer = csv.writer(stream, lineterminator="\n")
     rows = iter(rows)
     while chunk := list(islice(rows, _CSV_CHUNK_ROWS)):
-        if min(map(len, chunk)) < 2 or _CSV_SPECIAL.search("".join(chain.from_iterable(chunk))):
-            writer.writerows(chunk)
+        body = "\n".join(map(",".join, chunk))
+        if (
+            min(map(len, chunk)) >= 2
+            and body.count(",") == sum(map(len, chunk)) - len(chunk)
+            and body.count("\n") == len(chunk) - 1
+            and '"' not in body
+            and "\r" not in body
+        ):
+            stream.write(body + "\n")
         else:
-            stream.write("\n".join(map(",".join, chunk)) + "\n")
+            writer.writerows(chunk)
 
 
 def _price_text(prices: np.ndarray) -> list[str]:
@@ -519,17 +573,46 @@ def _decode(stream: BinaryIO | bytes) -> str:
     try:
         return data.decode("utf-8-sig")
     except UnicodeDecodeError as exc:
-        raise ValueError(f"input is not valid UTF-8: {exc}") from None
+        raise _not_utf8(exc) from None
 
 
-def _read_csv(text: str, remap: Mapping[str, str], add) -> int:
-    """Feed each CSV record to ``add``; returns the record count.
+def _not_utf8(exc: UnicodeDecodeError) -> ValueError:
+    return ValueError(f"input is not valid UTF-8: {exc}")
+
+
+def _read_csv(stream: BinaryIO | bytes, remap: Mapping[str, str], records: _Records) -> int:
+    """Validate each CSV record into ``records``; returns the record count.
+
+    The input is decoded a buffer at a time, so its bytes and its whole text
+    never exist at once, and a binary file object is left open. A text
+    stream is read as it is.
+    """
+    if isinstance(stream, io.TextIOBase):
+        return _validate_csv(csv.reader(stream), remap, records)
+    raw = io.BytesIO(stream) if isinstance(stream, (bytes, bytearray)) else stream
+    text = io.TextIOWrapper(raw, encoding="utf-8-sig", newline="")
+    try:
+        return _validate_csv(csv.reader(text), remap, records)
+    except UnicodeDecodeError as exc:
+        raise _not_utf8(exc) from None
+    finally:
+        text.detach()
+
+
+def _validate_csv(reader: Iterator[list[str]], remap: Mapping[str, str], records: _Records) -> int:
+    """Validate each record of ``reader`` into ``records``; returns the record count.
 
     Blank lines are skipped and take no record number. A short row leaves
     its trailing fields missing, extra cells are ignored, and of duplicate
     header names the last column wins.
+
+    The common record takes a fast path inline: its three id cells are in
+    the memo, seller and buyer differ, each price is empty or a decimal in
+    ``[0, _MAX_FLOAT]``, and its timestamp is ASCII digits or the 25
+    characters ``events.csv`` writes (``...+00:00``). It keeps exactly what
+    ``_Records.add`` would keep. Any other record goes to ``add``, the one
+    source of reject reasons.
     """
-    reader = csv.reader(io.StringIO(text, newline=""))
     header = next(reader, None)
     if header is None:
         raise ValueError("CSV input has no header row")
@@ -540,6 +623,14 @@ def _read_csv(text: str, remap: Mapping[str, str], add) -> int:
         *(width if key is None else position[key] for key in _field_keys(header, remap))
     )
     missing = [None] * (width + 1)
+    add = records.add
+    code_of = records.memo.get
+    codes = records.codes
+    keep_eth = records.price_eth.append
+    keep_usd = records.price_usd.append
+    keep_timestamp = records.timestamp.append
+    keep_artwork = records.artwork.append
+    fromisoformat = datetime.fromisoformat
     row_num = 0
     for row in reader:
         if not row:
@@ -549,7 +640,41 @@ def _read_csv(text: str, remap: Mapping[str, str], add) -> int:
             row.append(None)
         else:
             row = row[:width] + missing[min(len(row), width) :]
-        add(row_num, *pick(row))
+        cells = pick(row)
+        seller, buyer, creator, eth, usd, when, artwork = cells
+        s = code_of(seller)
+        b = code_of(buyer)
+        c = code_of(creator)
+        if s is None or b is None or c is None or s == b or not when or not when.isascii():
+            add(row_num, *cells)
+            continue
+        try:
+            eth = Decimal(eth) if eth else None
+            usd = Decimal(usd) if usd else None
+            # comparing a NaN raises InvalidOperation
+            fast = (
+                (eth is not None or usd is not None)
+                and (eth is None or _ZERO <= eth <= _MAX_FLOAT)
+                and (usd is None or _ZERO <= usd <= _MAX_FLOAT)
+            )
+            if when.isdigit():
+                epoch = int(when)
+                fast = fast and epoch <= _MAX_EPOCH
+            elif len(when) == 25 and when.endswith("+00:00"):
+                since_epoch = fromisoformat(when) - _EPOCH
+                epoch = since_epoch.days * _DAY_S + since_epoch.seconds
+            else:
+                fast = False
+        except (InvalidOperation, ValueError):
+            fast = False
+        if not fast:
+            add(row_num, *cells)
+            continue
+        codes += (s, b, c)
+        keep_eth(eth)
+        keep_usd(usd)
+        keep_timestamp(epoch)
+        keep_artwork(None if artwork is None else artwork.strip() or None)
     return row_num
 
 

@@ -236,13 +236,16 @@ def build_profiles(
     columns.
     """
     artist_code, collector_code = _code_columns(table, tie_rank)
+    # an overflow leaves inf, which the `profile` command refuses by name
+    with np.errstate(over="ignore"):
+        trader_score = table.column("authority") * table.column("hub")
     return Profiles(
         users=table.users,
         role=_role_index(table, percentile_threshold),
         artist_code=artist_code,
         collector_code=collector_code,
         normalized=normalize_metrics(table),
-        trader_score=table.column("authority") * table.column("hub"),
+        trader_score=trader_score,
     )
 
 

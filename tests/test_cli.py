@@ -473,6 +473,32 @@ def test_non_finite_rankings_value_rejected(fixture_dir, capsys, value):
     assert not (fixture_dir / "profiled" / "profiles.jsonl").exists()
 
 
+def test_rankings_read_by_header_name(fixture_dir):
+    out = fixture_dir / "out"
+    assert run_cli(
+        "run", fixture_dir / "sales.csv", "--rates", fixture_dir / "rates.csv", "--out", out
+    ) == 0
+    with open(out / "rankings.csv", encoding="utf-8", newline="") as handle:
+        rows = list(csv.reader(handle))
+    expected = cli.load_rankings_csv(out / "rankings.csv")
+
+    def load(rows) -> cli.MetricsTable:
+        path = fixture_dir / "edited.csv"
+        with open(path, "w", encoding="utf-8", newline="") as handle:
+            csv.writer(handle).writerows(rows)
+        return cli.load_rankings_csv(path)
+
+    # reversed columns, with an extra column before and after the others
+    moved = load([["note", *row[::-1], "x,y"] for row in rows])
+    assert moved.users == expected.users
+    assert moved.values.tobytes() == expected.values.tobytes()
+    hub = rows[0].index("hub")
+    with pytest.raises(ValueError, match="rankings file lacks columns: hub$"):
+        load([row[:hub] + row[hub + 1 :] for row in rows])
+    with pytest.raises(ValueError, match="rankings file line 3 is missing columns"):
+        load([rows[0], rows[1], rows[2][:hub]])
+
+
 def write_log(path: Path, *rows: str) -> Path:
     """A USD-priced sale log, one CSV line per row."""
     path.write_text(

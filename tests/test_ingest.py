@@ -1,10 +1,13 @@
 """Parsing, validation, and currency-conversion behavior."""
 
+import csv
 import io
+import json
 import sys
 from datetime import date, datetime, timezone
 from decimal import Decimal
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,6 +20,8 @@ from artrank import (
     parse_events,
     write_events_csv,
 )
+from artrank import ingest
+from artrank.ingest import _MAX_EPOCH, _MIN_EPOCH, CANONICAL_FIELDS, write_csv_rows
 from helpers import ev, log_of
 
 CSV_3ROWS = b"""seller,buyer,creator,price_eth,price_usd,timestamp,artwork_id
@@ -307,3 +312,196 @@ def test_convert_is_exact_at_wei_precision():
     buffer = io.StringIO()
     write_events_csv(converted, buffer)
     assert "152415.78751714678875142508889" in buffer.getvalue()
+
+
+# ---------------------------------------------------------------------------
+# The CSV fast path against the full validator
+# ---------------------------------------------------------------------------
+
+_clean_id = st.sampled_from(("a", "b", "c", "d"))
+_clean = (
+    _clean_id,
+    _clean_id,
+    _clean_id,
+    st.sampled_from(["", "1", "0.000001", "12.50"]),
+    st.sampled_from(["", "3", "1E+3", "2300.10"]),
+    st.one_of(
+        st.integers(0, 2_000_000_000).map(str),
+        st.integers(_MIN_EPOCH, _MAX_EPOCH).map(
+            lambda s: datetime.fromtimestamp(s, tz=timezone.utc).isoformat()
+        ),
+    ),
+    st.sampled_from(["", "art1", "art2"]),
+)
+_odd_id = st.sampled_from(
+    ["", "  ", " a", "a ", "b\t", " c", "é", "x,y", 'q"r', "l\nm", "True", "1"]
+)
+_odd_price = st.sampled_from(
+    [" ", " 2 ", "-0", "-0.00", "-1", "1_0", "1E+3", "nan", "sNaN", "Infinity", "-Infinity",
+     "abc", "١", "1e400", "1.7976931348623157E+308", "1.8E+308", ".5", "+3"]
+)
+_odd_timestamp = st.sampled_from(
+    ["", " ", "-1", "+5", "007", "1_000", "253402300799", "253402300800",
+     "99999999999999999999", "1.5", "1e3", "١٢", "²", " 100", "yesterday",
+     "2021-04-21T10:00:00Z", "2021-04-21T10:00:00+02:00", "2021-04-21T10:00:00-00:00",
+     "2021-04-21 10:00:00+00:00", "20210421T100000.500+00:00", "   2021-04-21T10:00+00:00",
+     "2021-04-21T10:00:00+00:00 ", "0001-01-01T00:00:00+00:00", "9999-12-31T23:59:59+00:00",
+     "0001-01-01T00:00:00+01:00", "2021-04-21T10:00:00.12345", "2021-04-21"]
+)
+_odd_artwork = st.sampled_from([" ", " x ", "a,b", "n\nl", '"'])
+_odd = (_odd_id, _odd_id, _odd_id, _odd_price, _odd_price, _odd_timestamp, _odd_artwork)
+# clean rows, rows with one odd cell, and rows that mix odd cells freely
+_csv_rows = st.lists(
+    st.one_of(
+        st.tuples(*_clean),
+        *(st.tuples(*_clean[:i], _odd[i], *_clean[i + 1 :]) for i in range(len(_clean))),
+        st.tuples(*(st.one_of(clean, odd) for clean, odd in zip(_clean, _odd))),
+    ),
+    max_size=40,
+)
+
+# JSON cells: literals, so that prices can be Decimals as parse_events reads them
+_json_cell = st.sampled_from(
+    ['"a"', '"b"', '" a "', '""', "1", "2", "true", "false", "null", "[1]", "{}", "1.50",
+     '"1.50"', "100", "100.0", "100.5", '"100"', '"2021-04-21T10:00:00+00:00"', "-1", "1E+3"]
+)
+_json_rows = st.lists(st.lists(_json_cell, min_size=7, max_size=7), max_size=30)
+
+
+def _full_validator(rows):
+    """The log and rejects of feeding every record to ``_Records.add``."""
+    records = ingest._Records()
+    for row_num, cells in enumerate(rows, start=1):
+        records.add(row_num, *cells)
+    ids = list(map(records.users.__getitem__, records.codes))
+    expected_events = sorted(
+        zip(
+            ids[0::3],
+            ids[1::3],
+            ids[2::3],
+            records.price_eth,
+            records.price_usd,
+            records.timestamp,
+            records.artwork,
+        ),
+        key=lambda event: event[5],
+    )
+    return records.log("", len(rows)), records.rejects, expected_events
+
+
+def _columns(log):
+    return (
+        log.users,
+        log.seller.tolist(),
+        log.buyer.tolist(),
+        log.creator.tolist(),
+        log.timestamp.tolist(),
+        [repr(price) for price in log.price_eth.tolist()],
+        [repr(price) for price in log.price_usd.tolist()],
+        log.artwork.tolist(),
+        log.total_records,
+        log.rejected_count,
+    )
+
+
+def _check_against_full_validator(log, rejects, rows):
+    expected, expected_rejects, expected_events = _full_validator(rows)
+    assert rejects == expected_rejects
+    assert _columns(log) == _columns(expected)
+    assert [a.dtype for a in (log.seller, log.buyer, log.creator, log.timestamp)] == [np.int64] * 4
+    # sorted stably by timestamp, users numbered by first appearance in that order
+    users = log.users
+    events = list(
+        zip(
+            map(users.__getitem__, log.seller.tolist()),
+            map(users.__getitem__, log.buyer.tolist()),
+            map(users.__getitem__, log.creator.tolist()),
+            log.price_eth.tolist(),
+            log.price_usd.tolist(),
+            log.timestamp.tolist(),
+            log.artwork.tolist(),
+        )
+    )
+    assert [tuple(map(repr, e)) for e in events] == [tuple(map(repr, e)) for e in expected_events]
+    assert list(users) == list(dict.fromkeys(u for e in events for u in e[:3]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_csv_rows)
+def test_csv_fast_path_keeps_what_the_full_validator_keeps(rows):
+    text = io.StringIO()
+    writer = csv.writer(text, lineterminator="\n")
+    writer.writerow(CANONICAL_FIELDS)
+    writer.writerows(rows)
+    log, rejects = parse_events(text.getvalue().encode(), "csv")
+    _check_against_full_validator(log, rejects, rows)
+    # events.csv is written as the csv module writes its rows, and reads back the same
+    written = io.StringIO()
+    write_events_csv(log, written)
+    expected = io.StringIO()
+    writer = csv.writer(expected, lineterminator="\n")
+    writer.writerow(CANONICAL_FIELDS)
+    for e in log.events:
+        writer.writerow(
+            [
+                e.seller_id,
+                e.buyer_id,
+                e.creator_id,
+                "" if e.price_eth is None else str(e.price_eth),
+                "" if e.price_usd is None else str(e.price_usd),
+                e.timestamp.isoformat(),
+                e.artwork_id or "",
+            ]
+        )
+    assert written.getvalue() == expected.getvalue()
+    again, again_rejects = parse_events(written.getvalue().encode(), "csv")
+    assert again_rejects == []
+    assert _columns(again)[:-2] == _columns(log)[:-2]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_json_rows)
+def test_json_records_keep_what_the_full_validator_keeps(rows):
+    records = ",".join(
+        "{" + ",".join(f'"{name}":{cell}' for name, cell in zip(CANONICAL_FIELDS, row)) + "}"
+        for row in rows
+    )
+    log, rejects = parse_events(f"[{records}]".encode(), "json")
+    cells = [[json.loads(cell, parse_float=Decimal) for cell in row] for row in rows]
+    _check_against_full_validator(log, rejects, cells)
+
+
+def test_parse_leaves_a_binary_stream_open():
+    stream = io.BytesIO(CSV_3ROWS)
+    log, rejects = parse_events(stream, "csv")
+    assert (log.accepted_count, rejects) == (3, [])
+    assert not stream.closed
+    stream.seek(0)
+    assert stream.read() == CSV_3ROWS
+
+
+def test_parse_reads_a_text_stream():
+    log, rejects = parse_events(io.StringIO(CSV_3ROWS.decode()), "csv")
+    assert log == parse_events(CSV_3ROWS, "csv")[0]
+    assert rejects == []
+
+
+def test_invalid_utf8_deep_in_the_input_is_fatal():
+    rows = [b"s%d,b,s%d,1.5,,%d,art\n" % (i, i, i) for i in range(1500)]
+    rows[1200] = b"s\xff,b,s,1.5,,1200,art\n"
+    stream = io.BytesIO(b"seller,buyer,creator,price_eth,price_usd,timestamp,artwork_id\n" + b"".join(rows))
+    with pytest.raises(ValueError, match=r"^input is not valid UTF-8: "):
+        parse_events(stream, "csv")
+    assert not stream.closed
+
+
+@pytest.mark.parametrize("special", [",", "\n", "\r", '"', "\r\n"])
+@pytest.mark.parametrize("where", [0, 1, 99])
+def test_csv_chunk_with_one_field_that_needs_quoting(special, where):
+    rows = [(f"user{i}", f"{i}.50", "x y") for i in range(100)]
+    rows[where] = (rows[where][0], f"p{special}q", "x y")
+    expected = io.StringIO()
+    csv.writer(expected, lineterminator="\n").writerows(rows)
+    got = io.StringIO()
+    write_csv_rows(got, rows)
+    assert got.getvalue() == expected.getvalue()
