@@ -55,7 +55,7 @@ from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from decimal import Decimal
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import chain
 from pathlib import Path
 
@@ -92,6 +92,7 @@ HIST_SALES_CSV = "hist_sales.csv"
 HIST_PURCHASES_CSV = "hist_purchases.csv"
 FIGURE5_CSV = "figure5.csv"
 MANIFEST_JSON = "manifest.json"
+_HASH_BLOCK_BYTES = 1 << 20  # bytes of an artifact read at a time to hash it
 
 RANKINGS_HEADER = (
     "user",
@@ -307,11 +308,19 @@ class ArtifactWriter:
         entries = []
         for name in sorted(self.written):
             path = self.out_dir / name
-            digest = hashlib.sha256(path.read_bytes()).hexdigest()
-            entries.append({"name": name, "sha256": digest, "size": path.stat().st_size})
+            entries.append({"name": name, "sha256": _sha256(path), "size": path.stat().st_size})
         payload = {"files": entries}
         self.json(MANIFEST_JSON, payload)
         return payload
+
+
+def _sha256(path: Path) -> str:
+    """Hex sha256 of a file, read a block at a time."""
+    digest = hashlib.sha256()
+    with path.open("rb") as handle:
+        for block in iter(partial(handle.read, _HASH_BLOCK_BYTES), b""):
+            digest.update(block)
+    return digest.hexdigest()
 
 
 class _OutputLock:

@@ -4,10 +4,12 @@ Raw rows (CSV or JSON) are validated record by record into a columnar
 ``EventLog``: interned user codes, UTC epoch seconds, exact ``Decimal``
 prices and artwork ids, one array per field. Bad rows never abort a run;
 they are returned as ``RejectReport`` entries with a row number and reason.
-CSV input is decoded as it is read, and its common row takes an inline fast
-path that keeps what the full validator would keep; every other row, and
-every JSON record, goes through the full validator. ``events.csv`` is
-written a chunk of rows at a time, column by column.
+Input is decoded as it is read: CSV a buffer at a time, one-object-per-line
+JSON a block of lines at a time; only a JSON array is decoded whole. CSV
+rows and JSON records alike pass one validating loop, whose inline fast
+path keeps what the full validator would keep for the common record; every
+other record goes through the full validator. ``events.csv`` is written a
+chunk of rows at a time, column by column.
 Prices stay exact ``Decimal`` values, and every sum over them is computed
 without rounding, so that re-exported logs are byte-identical to their
 source; conversion to binary floats happens only inside the numeric
@@ -39,9 +41,9 @@ from decimal import (
     InvalidOperation,
     localcontext,
 )
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import islice
-from typing import BinaryIO, Iterable, Iterator, Mapping, Sequence
+from typing import BinaryIO, Callable, Iterable, Iterator, Mapping, Sequence, TextIO
 
 import numpy as np
 
@@ -69,7 +71,14 @@ _EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 _SECOND = timedelta(seconds=1)
 _DAY_S = 86_400
 _CSV_SPECIAL = re.compile('[,"\r\n]')  # characters the csv writer may quote for
-_CSV_CHUNK_ROWS = 1 << 16
+_CSV_CHUNK_ROWS = 1 << 13
+# characters of one-object-per-line JSON read at a time
+_JSON_BLOCK_CHARS = 1 << 20
+# the characters at which str.splitlines() ends a line ("\r\n" ends one line)
+_LINE_BREAKS = frozenset("\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029")
+# events.csv timestamp text, and the two-digit fields within it
+_STAMP = np.frombuffer(b"0000-00-00T00:00:00+00:00\n", dtype=np.uint8)
+_STAMP_FIELDS = (0, 2, 5, 8, 11, 14, 17)
 # UTC epoch seconds of 0001-01-01T00:00:00Z and 9999-12-31T23:59:59Z, the
 # range of datetime
 _MIN_EPOCH = -62_135_596_800
@@ -471,10 +480,8 @@ def parse_events(
         if dst not in CANONICAL_FIELDS:
             raise ValueError(f"field map target {dst!r} is not a canonical field")
     records = _Records()
-    if fmt == "csv":
-        total = _read_csv(stream, remap, records)
-    else:
-        total = _read_json(_decode(stream), remap, records.add)
+    cells = _csv_cells if fmt == "csv" else _json_cells
+    total = _read_text(stream, lambda text: _validate(cells(text, remap), records))
     return records.log(source, total), records.rejects
 
 
@@ -515,7 +522,6 @@ def write_events_csv(log: EventLog, stream) -> None:
     plain_names = not _CSV_SPECIAL.search("".join(log.users))
     for start in range(0, log.accepted_count, _CSV_CHUNK_ROWS):
         part = slice(start, start + _CSV_CHUNK_ROWS)
-        when = np.datetime_as_string(log.timestamp[part].astype("datetime64[s]"), unit="s")
         artwork = [text or "" for text in log.artwork[part].tolist()]
         rows = zip(
             names[log.seller[part]].tolist(),
@@ -523,7 +529,7 @@ def write_events_csv(log: EventLog, stream) -> None:
             names[log.creator[part]].tolist(),
             _price_text(log.price_eth[part]),
             _price_text(log.price_usd[part]),
-            [day_time + "+00:00" for day_time in when.tolist()],
+            _timestamp_text(log.timestamp[part]),
             artwork,
         )
         if plain_names and not _CSV_SPECIAL.search("".join(artwork)):
@@ -561,6 +567,35 @@ def _price_text(prices: np.ndarray) -> list[str]:
     return ["" if price is None else str(price) for price in prices.tolist()]
 
 
+def _timestamp_text(epoch: np.ndarray) -> list[str]:
+    """``YYYY-MM-DDTHH:MM:SS+00:00`` of each UTC epoch second in ``[_MIN_EPOCH, _MAX_EPOCH]``.
+
+    The civil date comes from the day count by integer arithmetic over
+    400-year eras that start on 0000-03-01 (Hinnant's ``civil_from_days``),
+    and the digits are written into one byte row per timestamp.
+    """
+    days, second = np.divmod(epoch, _DAY_S)
+    era, day_of_era = np.divmod(days + 719_468, 146_097)
+    year_of_era = (
+        day_of_era - day_of_era // 1460 + day_of_era // 36_524 - day_of_era // 146_096
+    ) // 365
+    day_of_year = day_of_era - (365 * year_of_era + year_of_era // 4 - year_of_era // 100)
+    month_from_march = (5 * day_of_year + 2) // 153
+    day = day_of_year - (153 * month_from_march + 2) // 5 + 1
+    month = np.where(month_from_march < 10, month_from_march + 3, month_from_march - 9)
+    century, year = np.divmod(era * 400 + year_of_era + (month <= 2), 100)
+    minutes, second = np.divmod(second, 60)
+    hour, minute = np.divmod(minutes, 60)
+    text = np.tile(_STAMP, (len(epoch), 1))
+    for column, value in zip(_STAMP_FIELDS, (century, year, month, day, hour, minute, second)):
+        tens, ones = np.divmod(value, 10)
+        text[:, column] += tens.astype(np.uint8)
+        text[:, column + 1] += ones.astype(np.uint8)
+    lines = text.tobytes().decode("ascii").split("\n")
+    lines.pop()  # the text ends with a line break
+    return lines
+
+
 # ---------------------------------------------------------------------------
 # Record readers
 # ---------------------------------------------------------------------------
@@ -580,39 +615,33 @@ def _not_utf8(exc: UnicodeDecodeError) -> ValueError:
     return ValueError(f"input is not valid UTF-8: {exc}")
 
 
-def _read_csv(stream: BinaryIO | bytes, remap: Mapping[str, str], records: _Records) -> int:
-    """Validate each CSV record into ``records``; returns the record count.
+def _read_text(stream: BinaryIO | bytes, read: Callable[[TextIO], int]) -> int:
+    """``read(text)`` of the UTF-8 text of ``stream``; returns what it returns.
 
-    The input is decoded a buffer at a time, so its bytes and its whole text
-    never exist at once, and a binary file object is left open. A text
-    stream is read as it is.
+    A binary input is decoded as ``read`` asks for it, so its bytes and its
+    whole text never exist at once, and a binary file object is left open.
+    A text stream is read as it is.
     """
     if isinstance(stream, io.TextIOBase):
-        return _validate_csv(csv.reader(stream), remap, records)
+        return read(stream)
     raw = io.BytesIO(stream) if isinstance(stream, (bytes, bytearray)) else stream
     text = io.TextIOWrapper(raw, encoding="utf-8-sig", newline="")
     try:
-        return _validate_csv(csv.reader(text), remap, records)
+        return read(text)
     except UnicodeDecodeError as exc:
         raise _not_utf8(exc) from None
     finally:
         text.detach()
 
 
-def _validate_csv(reader: Iterator[list[str]], remap: Mapping[str, str], records: _Records) -> int:
-    """Validate each record of ``reader`` into ``records``; returns the record count.
+def _csv_cells(text: TextIO, remap: Mapping[str, str]) -> Iterator[tuple]:
+    """The seven canonical cells of each CSV record, in ``CANONICAL_FIELDS`` order.
 
     Blank lines are skipped and take no record number. A short row leaves
     its trailing fields missing, extra cells are ignored, and of duplicate
     header names the last column wins.
-
-    The common record takes a fast path inline: its three id cells are in
-    the memo, seller and buyer differ, each price is empty or a decimal in
-    ``[0, _MAX_FLOAT]``, and its timestamp is ASCII digits or the 25
-    characters ``events.csv`` writes (``...+00:00``). It keeps exactly what
-    ``_Records.add`` would keep. Any other record goes to ``add``, the one
-    source of reject reasons.
     """
+    reader = csv.reader(text)
     header = next(reader, None)
     if header is None:
         raise ValueError("CSV input has no header row")
@@ -623,6 +652,98 @@ def _validate_csv(reader: Iterator[list[str]], remap: Mapping[str, str], records
         *(width if key is None else position[key] for key in _field_keys(header, remap))
     )
     missing = [None] * (width + 1)
+    for row in reader:
+        if not row:
+            continue
+        if len(row) == width:
+            row.append(None)
+        else:
+            row = row[:width] + missing[min(len(row), width) :]
+        yield pick(row)
+
+
+def _json_cells(text: TextIO, remap: Mapping[str, str]) -> Iterator[tuple]:
+    """The seven canonical cells of each JSON record, None for an absent field.
+
+    A record that is not an object has none of the fields.
+    """
+    keys_by_layout: dict[tuple, list[str | None]] = {}
+    for record in _json_records(text):
+        if not isinstance(record, dict):
+            record = {}
+        layout = tuple(record)
+        keys = keys_by_layout.get(layout)
+        if keys is None:
+            keys = keys_by_layout[layout] = _field_keys(layout, remap)
+        yield tuple(map(record.get, keys))
+
+
+def _json_records(text: TextIO) -> Iterable[object]:
+    """The records of an array of objects, decoded whole, or of one object per line.
+
+    The first character that is not whitespace tells them apart; reading
+    stops at the block that holds it.
+    """
+    head = ""
+    for block in iter(partial(text.read, _JSON_BLOCK_CHARS), ""):
+        head += block
+        if not block.isspace():
+            break
+    else:
+        raise ValueError("JSON input is empty")
+    if not block.lstrip().startswith("["):
+        return _ndjson_records(text, head)
+    try:
+        records = json.loads(head + text.read(), parse_float=Decimal)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"invalid JSON input: {exc}") from None
+    if not isinstance(records, list):
+        raise ValueError("JSON input must be an array of objects")
+    return records
+
+
+def _ndjson_records(text: TextIO, head: str) -> Iterator[object]:
+    """Decode each non-blank line of ``head`` and the rest of ``text``.
+
+    Lines are split and numbered as ``str.splitlines()`` of the whole text
+    splits them. Each block read is joined to the unfinished line the
+    previous block ended with; a read is at least as long as that line, so
+    one long line costs linear time. A ``\r\n`` that two blocks split ends
+    a line at the ``\r`` and adds an empty one, which takes no number.
+    """
+    decoder = json.JSONDecoder(parse_float=Decimal)
+    row_num = 0
+    tail = head
+    while True:
+        block = text.read(max(_JSON_BLOCK_CHARS, len(tail)))
+        buffer = tail + block
+        lines = buffer.splitlines()
+        tail = lines.pop() if block and buffer[-1] not in _LINE_BREAKS else ""
+        for line in lines:
+            if not line.strip():
+                continue
+            row_num += 1
+            try:
+                yield decoder.decode(line)
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"invalid JSON on record {row_num}: {exc}") from None
+        if not block:
+            return
+
+
+def _validate(rows: Iterable[tuple], records: _Records) -> int:
+    """Validate each record's seven cells into ``records``; returns the record count.
+
+    The common record takes a fast path inline: its three id cells are
+    ``str`` cells in the memo, seller and buyer differ, each price is
+    absent or a ``str`` or ``Decimal`` decimal in ``[0, _MAX_FLOAT]``, its
+    timestamp is a ``str`` of ASCII digits or one of the UTC forms
+    ``...+00:00`` (25 characters, as ``events.csv`` writes it) or ``...Z``
+    (20 characters) with no other "Z", and its artwork is absent or a
+    ``str``. It keeps exactly what ``_Records.add`` would keep. Any other
+    record goes to ``add``, the one source of reject reasons; no unhashable
+    cell reaches the memo.
+    """
     add = records.add
     code_of = records.memo.get
     codes = records.codes
@@ -632,16 +753,18 @@ def _validate_csv(reader: Iterator[list[str]], remap: Mapping[str, str], records
     keep_artwork = records.artwork.append
     fromisoformat = datetime.fromisoformat
     row_num = 0
-    for row in reader:
-        if not row:
-            continue
+    for cells in rows:
         row_num += 1
-        if len(row) == width:
-            row.append(None)
-        else:
-            row = row[:width] + missing[min(len(row), width) :]
-        cells = pick(row)
         seller, buyer, creator, eth, usd, when, artwork = cells
+        if (
+            type(seller) is not str
+            or type(buyer) is not str
+            or type(creator) is not str
+            or type(when) is not str
+            or not (artwork is None or type(artwork) is str)
+        ):
+            add(row_num, *cells)
+            continue
         s = code_of(seller)
         b = code_of(buyer)
         c = code_of(creator)
@@ -649,18 +772,25 @@ def _validate_csv(reader: Iterator[list[str]], remap: Mapping[str, str], records
             add(row_num, *cells)
             continue
         try:
-            eth = Decimal(eth) if eth else None
-            usd = Decimal(usd) if usd else None
+            if type(eth) is str:
+                eth = Decimal(eth) if eth else None
+            if type(usd) is str:
+                usd = Decimal(usd) if usd else None
             # comparing a NaN raises InvalidOperation
             fast = (
                 (eth is not None or usd is not None)
-                and (eth is None or _ZERO <= eth <= _MAX_FLOAT)
-                and (usd is None or _ZERO <= usd <= _MAX_FLOAT)
+                and (eth is None or type(eth) is Decimal and _ZERO <= eth <= _MAX_FLOAT)
+                and (usd is None or type(usd) is Decimal and _ZERO <= usd <= _MAX_FLOAT)
             )
             if when.isdigit():
                 epoch = int(when)
                 fast = fast and epoch <= _MAX_EPOCH
-            elif len(when) == 25 and when.endswith("+00:00"):
+            elif (len(when) == 25 and when.endswith("+00:00") and "Z" not in when) or (
+                len(when) == 20 and when.find("Z") == 19
+            ):
+                # ``add`` reads every "Z" as "+00:00", so a "Z" elsewhere (a
+                # date-time separator to fromisoformat) takes ``add``, as does
+                # the final "Z" before Python 3.11, which fromisoformat rejects
                 since_epoch = fromisoformat(when) - _EPOCH
                 epoch = since_epoch.days * _DAY_S + since_epoch.seconds
             else:
@@ -676,47 +806,6 @@ def _validate_csv(reader: Iterator[list[str]], remap: Mapping[str, str], records
         keep_timestamp(epoch)
         keep_artwork(None if artwork is None else artwork.strip() or None)
     return row_num
-
-
-def _read_json(text: str, remap: Mapping[str, str], add) -> int:
-    """Feed each JSON record to ``add``; returns the record count."""
-    stripped = text.lstrip()
-    if not stripped:
-        raise ValueError("JSON input is empty")
-    if stripped.startswith("["):
-        try:
-            payload = json.loads(text, parse_float=Decimal)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"invalid JSON input: {exc}") from None
-        if not isinstance(payload, list):
-            raise ValueError("JSON input must be an array of objects")
-        items: Iterable[tuple[int, object]] = enumerate(payload, start=1)
-    else:
-        items = _iter_ndjson(text)
-    keys_by_layout: dict[tuple, list[str | None]] = {}
-    row_num = 0
-    for row_num, record in items:
-        if not isinstance(record, dict):
-            record = {}  # a record that is not an object has none of the fields
-        layout = tuple(record)
-        keys = keys_by_layout.get(layout)
-        if keys is None:
-            keys = keys_by_layout[layout] = _field_keys(layout, remap)
-        add(row_num, *map(record.get, keys))
-    return row_num
-
-
-def _iter_ndjson(text: str) -> Iterator[tuple[int, object]]:
-    decoder = json.JSONDecoder(parse_float=Decimal)
-    row_num = 0
-    for line in text.splitlines():
-        if not line.strip():
-            continue
-        row_num += 1
-        try:
-            yield row_num, decoder.decode(line)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"invalid JSON on record {row_num}: {exc}") from None
 
 
 def _field_keys(present: Iterable[str], remap: Mapping[str, str]) -> list[str | None]:

@@ -9,12 +9,13 @@ from __future__ import annotations
 
 import csv
 import io
+import json
 from datetime import datetime, timezone
 from decimal import Decimal
 
 import numpy as np
 
-from artrank import EventLog, SaleEvent
+from artrank import EventLog, SaleEvent, ingest
 
 T0 = 1_600_000_000  # arbitrary epoch base for generated timestamps
 
@@ -105,6 +106,44 @@ def random_sparse_digraph(
             continue
         weights = rng.uniform(0.1, 10.0, size=(n, n))
         return np.where(mask, weights, 0.0)
+
+
+def parse_json_whole(data: bytes, field_map=None):
+    """``parse_events(data, "json")`` read the whole-text way, through the full validator.
+
+    The input is decoded at once, one-object-per-line input is split with
+    ``str.splitlines()`` of the whole text, and every record goes to
+    ``_Records.add``. Returns ``(log, rejects)``; raises the ValueError that
+    ``parse_events`` raises.
+    """
+    remap = dict(field_map or {})
+    text = ingest._decode(data)
+    stripped = text.lstrip()
+    if not stripped:
+        raise ValueError("JSON input is empty")
+    if stripped.startswith("["):
+        try:
+            items = json.loads(text, parse_float=Decimal)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"invalid JSON input: {exc}") from None
+        if not isinstance(items, list):
+            raise ValueError("JSON input must be an array of objects")
+    else:
+        decoder = json.JSONDecoder(parse_float=Decimal)
+        items = []
+        for line in text.splitlines():
+            if not line.strip():
+                continue
+            try:
+                items.append(decoder.decode(line))
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"invalid JSON on record {len(items) + 1}: {exc}") from None
+    records = ingest._Records()
+    for row_num, record in enumerate(items, start=1):
+        if not isinstance(record, dict):
+            record = {}
+        records.add(row_num, *map(record.get, ingest._field_keys(record, remap)))
+    return records.log("", len(items)), records.rejects
 
 
 # ---------------------------------------------------------------------------

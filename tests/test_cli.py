@@ -344,6 +344,22 @@ def test_help_lists_subcommands(capsys):
         assert name in out
 
 
+def test_manifest_hashes_a_file_larger_than_one_block(tmp_path):
+    writer = cli.ArtifactWriter(tmp_path)
+    content = "".join(f"{i:07d}\n" for i in range(cli._HASH_BLOCK_BYTES // 4 + 3))
+    writer.text("big.txt", content)
+    writer.text("small.txt", "x\n")
+    manifest = writer.manifest()
+    path = tmp_path / "big.txt"
+    assert path.stat().st_size > 2 * cli._HASH_BLOCK_BYTES
+    assert manifest["files"][0] == {
+        "name": "big.txt",
+        "sha256": hashlib.sha256(path.read_bytes()).hexdigest(),
+        "size": path.stat().st_size,
+    }
+    assert manifest["files"][1]["sha256"] == hashlib.sha256(b"x\n").hexdigest()
+
+
 def test_failed_run_leaves_no_stale_manifest(fixture_dir, capsys):
     out = fixture_dir / "out"
     assert run_cli(

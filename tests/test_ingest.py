@@ -6,6 +6,7 @@ import json
 import sys
 from datetime import date, datetime, timezone
 from decimal import Decimal
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from artrank import (
 )
 from artrank import ingest
 from artrank.ingest import _MAX_EPOCH, _MIN_EPOCH, CANONICAL_FIELDS, write_csv_rows
-from helpers import ev, log_of
+from helpers import ev, log_of, parse_json_whole
 
 CSV_3ROWS = b"""seller,buyer,creator,price_eth,price_usd,timestamp,artwork_id
 alice,bob,alice,1.0,2300,2021-04-21T10:00:00Z,art1
@@ -505,3 +506,309 @@ def test_csv_chunk_with_one_field_that_needs_quoting(special, where):
     got = io.StringIO()
     write_csv_rows(got, rows)
     assert got.getvalue() == expected.getvalue()
+
+
+# ---------------------------------------------------------------------------
+# One-object-per-line JSON read in blocks, against the whole-text reader
+# ---------------------------------------------------------------------------
+
+_LINE_ENDS = [
+    "\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"
+]
+_NDJSON_LINES = [
+    '{"seller":"a","buyer":"b","creator":"a","price_usd":1.50,"timestamp":"2021-04-21T10:00:00Z"}',
+    '{"seller":"b","buyer":"c","creator":"a","price_eth":2,"timestamp":1619000000}',
+    ' {"seller":"c","buyer":"a","creator":"c","price_usd":"3",'
+    '"timestamp":"2021-04-21T11:00:00+00:00"} ',
+    '{"seller":"a","buyer":"a","creator":"a","price_usd":1,"timestamp":0}',
+    '{"seller":"a\u2028b","buyer":"c","creator":"a","price_usd":1,"timestamp":0}',
+    '{"seller":"a\x85b","buyer":"c","creator":"a","price_usd":1,"timestamp":0}',
+    '{"seller":"é","buyer":"☃","creator":"é","price_usd":1,"timestamp":5}',
+    "[1]",
+    "",
+    "   ",
+    "\t",
+    "{",
+]
+
+
+def _parse_or_error(data, parse):
+    try:
+        log, rejects = parse(data)
+    except ValueError as exc:
+        return "error", str(exc)
+    return _columns(log), rejects
+
+
+def _assert_blocks_read_as_whole(data: bytes, block_chars: int):
+    with mock.patch.object(ingest, "_JSON_BLOCK_CHARS", block_chars):
+        got = _parse_or_error(io.BytesIO(data), lambda stream: parse_events(stream, "json"))
+    assert got == _parse_or_error(data, parse_json_whole)
+
+
+def test_ndjson_block_boundary_anywhere_splits_as_the_whole_text():
+    text = (
+        "\ufeff \r\n"
+        + "\r\n".join(_NDJSON_LINES[:3])
+        + "\r\r\n\x0c"
+        + "\x0c".join(_NDJSON_LINES[3:8])
+        + "\u2029 \x85\n"
+        + _NDJSON_LINES[0]
+    )
+    data = text.encode()
+    for block_chars in range(1, len(text) + 2):
+        _assert_blocks_read_as_whole(data, block_chars)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.booleans(),
+    st.text(" \t\n\r\x0c", max_size=12),
+    st.lists(st.tuples(st.sampled_from(_NDJSON_LINES), st.sampled_from(_LINE_ENDS)), max_size=12),
+    st.integers(1, 9),
+)
+def test_ndjson_blocks_read_as_the_whole_text(bom, lead, lines, block_chars):
+    text = ("\ufeff" if bom else "") + lead + "".join(line + end for line, end in lines)
+    _assert_blocks_read_as_whole(text.encode(), block_chars)
+
+
+@pytest.mark.parametrize("block_chars", [1, 3, 4])
+def test_whitespace_longer_than_a_block_before_an_array(block_chars):
+    records = ",".join(_NDJSON_LINES[:4])
+    _assert_blocks_read_as_whole(f"\n \r\n\t  \x0c[{records}]".encode(), block_chars)
+    _assert_blocks_read_as_whole(f"\n \r\n\t  \x0c[{records}".encode(), block_chars)
+    _assert_blocks_read_as_whole(b" \n\t \r\n  ", block_chars)
+
+
+def test_invalid_line_deep_in_ndjson_is_fatal_with_its_record_number():
+    lines = [_NDJSON_LINES[0]] * 2000 + ["", '{"seller": nope}'] + [_NDJSON_LINES[1]] * 10
+    data = "\n".join(lines).encode()
+    with mock.patch.object(ingest, "_JSON_BLOCK_CHARS", 4096):
+        with pytest.raises(ValueError, match=r"^invalid JSON on record 2001: Expecting value"):
+            parse_events(data, "json")
+    _assert_blocks_read_as_whole(data, 4096)
+
+
+def test_invalid_utf8_after_the_first_ndjson_block_is_fatal():
+    line = _NDJSON_LINES[0].encode() + b"\n"
+    stream = io.BytesIO(line * 400 + b'{"seller":"\xff"}\n' + line)
+    with mock.patch.object(ingest, "_JSON_BLOCK_CHARS", 64):
+        with pytest.raises(ValueError, match=r"^input is not valid UTF-8: "):
+            parse_events(stream, "json")
+    assert not stream.closed
+
+
+class _SizedReadsOnly(io.BytesIO):
+    """A binary stream that refuses to be read whole."""
+
+    def read(self, size=-1):
+        if size is None or size < 0:
+            raise AssertionError("read of the whole stream")
+        return super().read(size)
+
+    def read1(self, size=-1):
+        if size is None or size < 0:
+            raise AssertionError("read of the whole stream")
+        return super().read1(size)
+
+
+def test_ndjson_is_read_in_sized_blocks_and_the_stream_left_open():
+    data = "\n".join(_NDJSON_LINES[:3] * 50).encode()
+    stream = _SizedReadsOnly(data)
+    with mock.patch.object(ingest, "_JSON_BLOCK_CHARS", 100):
+        log, rejects = parse_events(stream, "json")
+    assert (log.total_records, rejects) == (150, [])
+    assert not stream.closed
+    assert (_columns(log), rejects) == (_columns(parse_json_whole(data)[0]), [])
+
+
+# ---------------------------------------------------------------------------
+# JSON records on the shared fast path, against the full validator
+# ---------------------------------------------------------------------------
+
+_JSON_TIMESTAMPS = [
+    '"2021-04-21T10:00:00Z"', '"2021-04-21T10:00:00+00:00"', '"1619000000"', "1619000000",
+    '"2021-04-21T10:00:00"', '"2021-04-21Z10:00:00Z"', '"2021-04-21Z10:00:00+00:00"',
+    '"20210421T100000.500Z"', '"2021-04-21 10:00:00Z"', '"0001-01-01T00:00:00Z"',
+    '"9999-12-31T23:59:59Z"', '" 2021-04-21T10:00:00Z"', '"2021-04-21T10:00:00z"',
+    "1619000000.0", "1619000000.5", '"١٢"', '""', "null", "true", "NaN", "[]", "{}",
+]
+# every type json yields: str, int, bool, None, Decimal, float (constants), list, dict
+_JSON_ANY = [
+    '"a"', '" a "', '""', '"1.5"', '"-1"', '"nan"', '"1E+400"', "1", "0", "-1", "true", "false",
+    "null", "1.50", "0.0", "-0.0", "-0", "1E+3", "-2.5", "1.8E+308", "1e400",
+    "123.456789012345678901", "NaN", "Infinity", "-Infinity", "[1]", "[]", "{}", '{"a":1}',
+]
+_json_clean = (
+    st.sampled_from(['"a"', '"b"', '"c"']),
+    st.sampled_from(['"a"', '"b"', '"c"']),
+    st.sampled_from(['"a"', '"b"', '"c"']),
+    st.sampled_from([None, "null", "1.5", "0.000001", "1E+3", '"2.50"', '""']),
+    st.sampled_from([None, "null", "2300.10", "0", '"12"', "-0.0"]),
+    st.sampled_from(['"2021-04-21T10:00:00Z"', '"2021-04-21T11:00:00+00:00"', '"1619000000"']),
+    st.sampled_from([None, "null", '"art1"', '" art2 "', '""']),
+)
+_json_odd = (
+    *[st.sampled_from(_JSON_ANY)] * 5,
+    st.sampled_from(_JSON_TIMESTAMPS),
+    st.sampled_from(_JSON_ANY),
+)
+# the source key of each canonical field: itself, or an alias the field map renames
+_ALIASES = {"seller": "from", "buyer": "to", "price_usd": "usd", "timestamp": "when"}
+_JSON_FIELD_MAP = {alias: name for name, alias in _ALIASES.items()}
+
+
+@st.composite
+def _json_record(draw):
+    # a record that is not an object, a clean one, one with an odd cell (most
+    # often the timestamp, whose fast-path check is the subtlest), or a mix
+    kind = draw(st.sampled_from(["other", "clean", 0, 1, 2, 3, 4, 5, 5, 5, 6, "mix"]))
+    if kind == "other":
+        return draw(st.sampled_from(["5", '"x"', "[1]", "null", "[]", "true"]))
+    cells = [
+        draw(st.one_of(clean, odd) if kind == "mix" else odd if kind == i else clean)
+        for i, (clean, odd) in enumerate(zip(_json_clean, _json_odd))
+    ]
+    items = []
+    for name, cell in zip(CANONICAL_FIELDS, cells):
+        if cell is None:
+            continue  # the field is absent
+        alias = _ALIASES.get(name)
+        if alias and draw(st.booleans()):
+            items.append((alias, cell))
+            if draw(st.booleans()):  # the mapped key wins over a canonical one
+                items.append((name, draw(st.sampled_from(_JSON_ANY))))
+        else:
+            items.append((name, cell))
+    if draw(st.booleans()):
+        items.append(("extra", draw(st.sampled_from(_JSON_ANY))))
+    items = draw(st.permutations(items))
+    return "{" + ",".join(f'"{key}":{value}' for key, value in items) + "}"
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_json_record(), max_size=30), st.booleans())
+def test_json_fast_path_keeps_what_the_full_validator_keeps(records, as_array):
+    text = "[" + ",".join(records) + "]" if as_array else "\n".join(records)
+    data = text.encode()
+    got = _parse_or_error(data, lambda raw: parse_events(raw, "json", field_map=_JSON_FIELD_MAP))
+    assert got == _parse_or_error(data, lambda raw: parse_json_whole(raw, _JSON_FIELD_MAP))
+
+
+@pytest.mark.parametrize("when", ["2021-04-21Z10:00:00Z", "2021-04-21Z10:00:00+00:00"])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_z_as_date_time_separator_is_rejected_for_known_ids_too(when, fmt):
+    # the full validator reads every "Z" as "+00:00"; the fast path must not
+    # accept what it rejects once the ids are known
+    if fmt == "csv":
+        payload = f"seller,buyer,creator,price_usd,timestamp\na,b,a,1,0\na,b,a,1,{when}\n"
+    else:
+        payload = "\n".join(
+            json.dumps(
+                {"seller": "a", "buyer": "b", "creator": "a", "price_usd": "1", "timestamp": t}
+            )
+            for t in ("0", when)
+        )
+    log, rejects = parse_events(payload.encode(), fmt)
+    assert log.accepted_count == 1
+    assert rejects == [ingest.RejectReport(row=2, reason=f"bad timestamp: {when!r}")]
+
+
+# ---------------------------------------------------------------------------
+# events.csv timestamp text
+# ---------------------------------------------------------------------------
+
+_EPOCH_EDGES = [
+    _MIN_EPOCH, _MIN_EPOCH + 86_399, _MAX_EPOCH, _MAX_EPOCH - 86_399, -1, 0, 1, 86_399, 86_400,
+    951_782_400,  # 2000-02-29T00:00:00
+    951_868_799,  # 2000-02-29T23:59:59
+    -2_203_977_600,  # 1900-02-28T00:00:00
+    -2_203_891_200,  # 1900-03-01T00:00:00, the next day
+    -11_670_998_400,  # 1600-02-29T00:00:00
+    -62_130_499_200,  # 0001-03-01T00:00:00
+    253_370_764_800,  # 9999-01-01T00:00:00
+]
+
+
+def _numpy_timestamp_text(epoch):
+    return [
+        text + "+00:00"
+        for text in np.datetime_as_string(epoch.astype("datetime64[s]"), unit="s").tolist()
+    ]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.one_of(st.integers(_MIN_EPOCH, _MAX_EPOCH), st.sampled_from(_EPOCH_EDGES)), max_size=50
+    )
+)
+def test_timestamp_text_matches_numpy(epochs):
+    epoch = np.array(epochs, dtype=np.int64)
+    assert ingest._timestamp_text(epoch) == _numpy_timestamp_text(epoch)
+
+
+def test_timestamp_text_of_every_day_in_leap_cycles():
+    # every day of 0001-0004, 1599-1604, 1896-1904, 1968-1972 and 9996-9999, at
+    # midnight and one second before the next
+    starts = [_MIN_EPOCH, -11_707_632_000, -2_335_219_200, -63_158_400, 253_276_070_400]
+    days = np.concatenate([start + 86_400 * np.arange(4 * 366) for start in starts])
+    days = days[days <= _MAX_EPOCH]
+    epoch = np.concatenate([days, days + 86_399])
+    assert ingest._timestamp_text(epoch) == _numpy_timestamp_text(epoch)
+    assert ingest._timestamp_text(epoch[:0]) == []
+
+
+# ---------------------------------------------------------------------------
+# Bounded writes
+# ---------------------------------------------------------------------------
+
+
+class _WriteLog(io.StringIO):
+    """A text stream that records the text of each write."""
+
+    def __init__(self):
+        super().__init__()
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+        return super().write(text)
+
+
+def test_write_csv_rows_writes_at_most_one_chunk_per_call():
+    chunk = ingest._CSV_CHUNK_ROWS
+    rows = [(f"u{i:06d}", "1.50") for i in range(3 * chunk + 1)]
+    rows[chunk + 7] = ("u,quoted", "1.50")
+    stream = _WriteLog()
+    write_csv_rows(stream, rows)
+    expected = io.StringIO()
+    csv.writer(expected, lineterminator="\n").writerows(rows)
+    assert stream.getvalue() == expected.getvalue()
+    assert max(text.count("\n") for text in stream.writes) == chunk
+    assert len(stream.writes) >= 4
+
+
+def test_write_events_csv_writes_at_most_one_chunk_per_call():
+    chunk = ingest._CSV_CHUNK_ROWS
+    lines = [
+        f"u{i % 50},v{i % 40},u{i % 50},,1.5,{1_600_000_000 + i},art{i}"
+        for i in range(3 * chunk + 1)
+    ]
+    lines[2 * chunk + 3] = 'u1,v1,u1,,1.5,1600000000,"art,quoted"'
+    payload = "seller,buyer,creator,price_eth,price_usd,timestamp,artwork_id\n" + "\n".join(lines)
+    log, rejects = parse_events(payload.encode(), "csv")
+    assert (log.accepted_count, rejects) == (3 * chunk + 1, [])
+    stream = _WriteLog()
+    write_events_csv(log, stream)
+    expected = io.StringIO()
+    writer = csv.writer(expected, lineterminator="\n")
+    writer.writerow(CANONICAL_FIELDS)
+    for e in log.events:
+        writer.writerow(
+            [e.seller_id, e.buyer_id, e.creator_id, "", str(e.price_usd),
+             e.timestamp.isoformat(), e.artwork_id]
+        )
+    assert stream.getvalue() == expected.getvalue()
+    assert max(text.count("\n") for text in stream.writes) == chunk
+    assert len(stream.writes) >= 4
