@@ -66,8 +66,10 @@ from .graph import CollectorArtistNetwork, Weighting, adjacency, build_network
 from .ingest import (
     EventLog,
     RateTable,
+    _read_text,
     convert_currency,
     exact_sum,
+    id_order,
     parse_events,
     write_csv_rows,
     write_events_csv,
@@ -397,72 +399,59 @@ class _Inputs:
         return load_rankings_csv(Path(self.args.rankings))
 
 
-def _id_order(users: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
-    """Row indices sorted by user id, and each row's place in that order."""
-    order = np.array(sorted(range(len(users)), key=users.__getitem__), dtype=np.int64)
-    place = np.empty_like(order)
-    place[order] = np.arange(order.size)
-    return order, place
-
-
 def _texts(column: np.ndarray) -> Iterator[str]:
     """A column's cells as ``str`` writes them: ``repr``, for a float the shortest round trip."""
     return map(repr, column.tolist())
 
 
-def _in_order(users: Sequence[str], order: np.ndarray) -> list[str]:
-    return list(map(users.__getitem__, order.tolist()))
-
-
-def _user_rows(users: Sequence[str], order: np.ndarray, columns) -> Iterator[tuple[str, ...]]:
-    """CSV rows in ``order``: the user id, then the text of each column's cell.
+def _user_rows(users: Iterable[str], columns) -> Iterator[tuple[str, ...]]:
+    """CSV rows: the user id, then the text of each column's cell.
 
     Columns are formatted one at a time, so only one column's floats exist as
     Python objects at once.
     """
-    cells = [list(_texts(column[order])) for column in columns]
-    return zip(_in_order(users, order), *cells)
+    cells = [list(_texts(column)) for column in columns]
+    return zip(users, *cells)
 
 
-def _rankings_rows(
-    table: MetricsTable,
-    trader: np.ndarray,
-    sort_by: str,
-    id_order: tuple[np.ndarray, np.ndarray],
-):
-    """Rankings rows by descending ``sort_by`` key, ties by user id (or by user id alone)."""
-    by_id, id_place = id_order
+def _rankings_rows(table: MetricsTable, trader: np.ndarray, sort_by: str):
+    """Rankings rows by descending ``sort_by`` key with ties in table order, or by ``user``
+    in table order; the pipeline's tables are in user-id order."""
     columns = dict(zip(METRIC_NAMES, table.values.T), trader_score=trader)
-    order = by_id if sort_by == "user" else np.lexsort((id_place, -columns[sort_by]))
+    if sort_by == "user":
+        order = np.arange(len(table.users))
+    else:
+        order = np.argsort(-columns[sort_by], kind="stable")
     for name in COUNT_COLUMNS:
         columns[name] = columns[name].astype(np.int64)  # sale counts, exact in a float
-    return _user_rows(table.users, order, [columns[name] for name in RANKINGS_HEADER[1:]])
+    users = map(table.users.__getitem__, order.tolist())
+    return _user_rows(users, [columns[name][order] for name in RANKINGS_HEADER[1:]])
 
 
-def _edge_rows(net: CollectorArtistNetwork, id_place: np.ndarray):
-    """``collector,artist,total_usd,sale_count`` rows sorted by (collector, artist) id."""
-    order = np.lexsort((id_place[net.artist], id_place[net.collector]))
+def _edge_rows(net: CollectorArtistNetwork):
+    """``collector,artist,total_usd,sale_count`` rows in (collector id, artist id) order,
+    the network's own edge order."""
     users = np.array(net.users, dtype=object)
     return zip(
-        users[net.collector[order]].tolist(),
-        users[net.artist[order]].tolist(),
-        map(str, net.total_usd[order].tolist()),
-        map(str, net.sale_count[order].tolist()),
+        users[net.collector].tolist(),
+        users[net.artist].tolist(),
+        map(str, net.total_usd.tolist()),
+        map(str, net.sale_count.tolist()),
     )
 
 
 def _figure5_rows(table: MetricsTable):
-    """``figure5.csv`` rows in user-id order."""
-    return _user_rows(table.users, _id_order(table.users)[0], report.figure5_values(table).T)
+    """``figure5.csv`` rows in table order."""
+    return _user_rows(table.users, report.figure5_values(table).T)
 
 
-def _profile_lines(profiles: Profiles, order: np.ndarray) -> Iterator[str]:
-    """``profiles.jsonl`` in ``order``, a chunk of lines at a time."""
+def _profile_lines(profiles: Profiles) -> Iterator[str]:
+    """``profiles.jsonl`` in table order, a chunk of lines at a time."""
     roles = np.array([role.value for role in profiling.ROLES])
-    for start in range(0, order.size, _PROFILE_CHUNK_ROWS):
-        part = order[start : start + _PROFILE_CHUNK_ROWS]
+    for start in range(0, len(profiles), _PROFILE_CHUNK_ROWS):
+        part = slice(start, start + _PROFILE_CHUNK_ROWS)
         rows = zip(
-            map(json.dumps, _in_order(profiles.users, part)),
+            map(json.dumps, profiles.users[part]),
             roles[profiles.role[part]].tolist(),
             profiles.artist_code[part].tolist(),
             profiles.collector_code[part].tolist(),
@@ -473,34 +462,39 @@ def _profile_lines(profiles: Profiles, order: np.ndarray) -> Iterator[str]:
 
 
 def load_rankings_csv(path: Path) -> MetricsTable:
-    """Rebuild the metrics table from a rankings artifact.
+    """Rebuild the metrics table from a rankings artifact, its rows in user-id order.
 
     Columns are found by header name, so their order and any extra columns
     do not matter; of duplicate names the last column wins.
     """
-    with open(path, encoding="utf-8", newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, [])
-        missing = set(RANKINGS_HEADER) - set(header)
-        if missing:
-            raise ValueError(f"rankings file lacks columns: {', '.join(sorted(missing))}")
-        position = {name: i for i, name in enumerate(header)}
-        user_at = position["user"]
-        metric_at = [position[name] for name in METRIC_NAMES]
-        width = max(user_at, *metric_at) + 1
-        users = []
-        values = []
-        for row in reader:
-            if not row:
-                continue
-            if len(row) < width:
-                raise ValueError(f"rankings file line {reader.line_num} is missing columns")
-            users.append(row[user_at])
-            values.append([float(row[i]) for i in metric_at])
-    return MetricsTable(
-        users=tuple(users),
-        values=np.array(values, dtype=np.float64).reshape(len(users), len(METRIC_NAMES)),
-    )
+    with open(path, "rb") as handle:
+        users, values = _read_text(handle, _rankings_cells)
+    by_id = id_order(users)
+    values = np.array(values, dtype=np.float64).reshape(len(users), len(METRIC_NAMES))
+    return MetricsTable(users=tuple(map(users.__getitem__, by_id.tolist())), values=values[by_id])
+
+
+def _rankings_cells(text: Iterable[str]) -> tuple[list[str], list[list[float]]]:
+    """The user id and the ``METRIC_NAMES`` values of each rankings row, in file order."""
+    reader = csv.reader(text)
+    header = next(reader, [])
+    missing = set(RANKINGS_HEADER) - set(header)
+    if missing:
+        raise ValueError(f"rankings file lacks columns: {', '.join(sorted(missing))}")
+    position = {name: i for i, name in enumerate(header)}
+    user_at = position["user"]
+    metric_at = [position[name] for name in METRIC_NAMES]
+    width = max(user_at, *metric_at) + 1
+    users = []
+    values = []
+    for row in reader:
+        if not row:
+            continue
+        if len(row) < width:
+            raise ValueError(f"rankings file line {reader.line_num} is missing columns")
+        users.append(row[user_at])
+        values.append([float(row[i]) for i in metric_at])
+    return users, values
 
 
 def _ingest(inputs: _Inputs, writer: ArtifactWriter) -> str:
@@ -556,13 +550,8 @@ def _rank(inputs: _Inputs, writer: ArtifactWriter) -> str:
     degrees = centrality.degree_metrics(net)
     inputs.table = profiling.build_metrics_table(net, degrees, unweighted, weighted)
     trader = centrality.trader_score(unweighted)
-    id_order = _id_order(net.users)
-    writer.csv(
-        RANKINGS_CSV, RANKINGS_HEADER, _rankings_rows(inputs.table, trader, cfg.sort_by, id_order)
-    )
-    writer.csv(
-        EDGES_CSV, ("collector", "artist", "total_usd", "sale_count"), _edge_rows(net, id_order[1])
-    )
+    writer.csv(RANKINGS_CSV, RANKINGS_HEADER, _rankings_rows(inputs.table, trader, cfg.sort_by))
+    writer.csv(EDGES_CSV, ("collector", "artist", "total_usd", "sale_count"), _edge_rows(net))
     return (
         f"ranked {net.node_count} users over {net.edge_count} edges"
         f" -> {writer.out_dir / RANKINGS_CSV}"
@@ -611,22 +600,23 @@ def _correlate(inputs: _Inputs, writer: ArtifactWriter) -> str:
 
 def _profile(inputs: _Inputs, writer: ArtifactWriter) -> str:
     cfg = inputs.cfg
+    pattern = getattr(inputs.args, "match", None)
+    if pattern is not None:
+        # a malformed query fails before any write
+        profiling.match_code((), pattern, which=inputs.args.match_which)
     profiles = profiling.build_profiles(inputs.table, cfg.role_percentile, cfg.tie_rank)
     # the table is finite (MetricsTable refuses anything else), so every
     # normalized value is too, but authority x hub can overflow
     bad = np.flatnonzero(~np.isfinite(profiles.trader_score))
     if bad.size:
         raise ValueError(f"non-finite trader_score for user {profiles.users[bad[0]]!r}")
-    # canonical user order, independent of the metrics-table row order
-    by_id, _ = _id_order(profiles.users)
-    writer.jsonl(PROFILES_JSONL, _profile_lines(profiles, by_id))
+    writer.jsonl(PROFILES_JSONL, _profile_lines(profiles))
     lines = []
-    pattern = getattr(inputs.args, "match", None)
     if pattern is not None:
         matched = set(profiling.match_code(profiles, pattern, which=inputs.args.match_which))
         rows = [
             [p.user_id, p.role.value, p.artist_code, p.collector_code]
-            for p in map(profiles.__getitem__, by_id.tolist())
+            for p in profiles
             if p.user_id in matched
         ]
         writer.csv(MATCHES_CSV, ("user", "role", "artist_code", "collector_code"), rows)

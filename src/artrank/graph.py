@@ -48,11 +48,11 @@ class CollectorArtistNetwork:
     """Directed endorsement network over the active users of a marketplace.
 
     Nodes are every user that minted, sold, or bought at least once; indices
-    follow first appearance in the event log. Edge ``k`` runs from node
+    are the log's user codes, in user-id order. Edge ``k`` runs from node
     ``collector[k]`` to node ``artist[k]`` and aggregates ``sale_count[k]``
     sales worth exactly ``total_usd[k]`` (a ``Decimal``); edges are sorted by
-    (collector, artist) index. Exported results always key by the opaque
-    user id, never by index.
+    (collector, artist) index, which is (collector id, artist id) order.
+    Exported results always key by the opaque user id, never by index.
     """
 
     users: tuple[str, ...]
@@ -170,8 +170,7 @@ class AdjacencyView:
 def active_users(log: EventLog) -> dict[str, RoleFlags]:
     """Users that made at least one sale, purchase, or mint, with role flags.
 
-    Ordered by first appearance in the log (seller, buyer, then creator
-    within one event).
+    Ordered by user id, as the log's ``users`` are.
     """
     n = len(log.users)
     flags = zip(

@@ -1,7 +1,7 @@
 """Sale-event ingestion: parsing, validation, and ETH to USD conversion.
 
 Raw rows (CSV or JSON) are validated record by record into a columnar
-``EventLog``: interned user codes, UTC epoch seconds, exact ``Decimal``
+``EventLog``: user codes in user-id order, UTC epoch seconds, exact ``Decimal``
 prices and artwork ids, one array per field. Bad rows never abort a run;
 they are returned as ``RejectReport`` entries with a row number and reason.
 Input is decoded as it is read: CSV a buffer at a time, one-object-per-line
@@ -43,9 +43,11 @@ from decimal import (
 )
 from functools import cached_property, partial
 from itertools import islice
-from typing import BinaryIO, Callable, Iterable, Iterator, Mapping, Sequence, TextIO
+from typing import BinaryIO, Callable, Iterable, Iterator, Mapping, Sequence, TextIO, TypeVar
 
 import numpy as np
+
+_T = TypeVar("_T")
 
 PRIMARY = "primary"
 SECONDARY = "secondary"
@@ -163,26 +165,30 @@ class RateTable:
     @classmethod
     def from_csv(cls, stream: BinaryIO | bytes) -> "RateTable":
         """Load a two-column ``date,usd_per_eth`` CSV with ISO dates."""
-        text = _decode(stream)
-        reader = csv.reader(io.StringIO(text, newline=""))
-        header = next(reader, None)
-        if header is None or [h.strip().lower() for h in header[:2]] != ["date", "usd_per_eth"]:
-            raise ValueError("rate table must start with a 'date,usd_per_eth' header row")
-        rates: dict[date, Decimal] = {}
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            try:
-                day = date.fromisoformat(row[0].strip())
-                rate = Decimal(row[1].strip())
-            except (ValueError, IndexError, InvalidOperation) as exc:
-                raise ValueError(f"rate table line {lineno}: {exc}") from None
-            if not rate.is_finite():
-                raise ValueError(f"rate table line {lineno}: non-finite rate {rate}")
-            if day in rates:
-                raise ValueError(f"rate table line {lineno}: duplicate date {day.isoformat()}")
-            rates[day] = rate
-        return cls(rates)
+        return cls(_read_text(stream, _rate_rows))
+
+
+def _rate_rows(text: TextIO) -> dict[date, Decimal]:
+    """The rates of a ``date,usd_per_eth`` CSV, by date."""
+    reader = csv.reader(text)
+    header = next(reader, None)
+    if header is None or [h.strip().lower() for h in header[:2]] != ["date", "usd_per_eth"]:
+        raise ValueError("rate table must start with a 'date,usd_per_eth' header row")
+    rates: dict[date, Decimal] = {}
+    for lineno, row in enumerate(reader, start=2):
+        if not row or all(not cell.strip() for cell in row):
+            continue
+        try:
+            day = date.fromisoformat(row[0].strip())
+            rate = Decimal(row[1].strip())
+        except (ValueError, IndexError, InvalidOperation) as exc:
+            raise ValueError(f"rate table line {lineno}: {exc}") from None
+        if not rate.is_finite():
+            raise ValueError(f"rate table line {lineno}: non-finite rate {rate}")
+        if day in rates:
+            raise ValueError(f"rate table line {lineno}: duplicate date {day.isoformat()}")
+        rates[day] = rate
+    return rates
 
 
 # ---------------------------------------------------------------------------
@@ -223,9 +229,10 @@ class EventLog:
     creator ``users[creator[i]]``, sold at ``timestamp[i]`` (UTC epoch
     seconds) for the exact prices ``price_eth[i]`` and ``price_usd[i]``
     (``Decimal`` or None) of artwork ``artwork[i]`` (str or None). ``users``
-    lists every user of the log once, in order of first appearance (seller,
-    buyer, then creator within one event), so a user's code is its node
-    index in the network built from the log.
+    lists every user of the log once, in strictly increasing id order (the
+    code-point order of ``sorted``), so a user's code is its place in id
+    order and its node index in the network built from the log; the order
+    of the input rows does not change it.
     """
 
     users: tuple[str, ...]
@@ -256,6 +263,8 @@ class EventLog:
             raise ValueError("accepted + rejected must equal total input records")
         if np.any(self.timestamp[1:] < self.timestamp[:-1]):
             raise ValueError("events must be sorted by non-decreasing timestamp")
+        if not all(map(str.__lt__, self.users, self.users[1:])):
+            raise ValueError("users must be in strictly increasing id order")
 
     def __eq__(self, other: object) -> bool:
         """Logs are equal when their metadata and their events are."""
@@ -348,10 +357,10 @@ class EventLog:
 class _Records:
     """Validated records as columns in input order, plus the rejected ones.
 
-    A user's code is its index in ``users``, given at first sight, so codes
-    number users by first appearance in input order (seller, buyer, then
-    creator within one record). ``memo`` maps each user id, and each raw
-    ``str`` id cell seen so far, to the code of the id it names.
+    While records are read, a user's code is its index in ``users``, given
+    at first sight; ``log`` renumbers the codes into id order. ``memo`` maps
+    each user id, and each raw ``str`` id cell seen so far, to the code of
+    the id it names.
     """
 
     def __init__(self) -> None:
@@ -406,26 +415,21 @@ class _Records:
         self.artwork.append(artwork)
 
     def log(self, source: str, total: int) -> EventLog:
-        """The kept records as a log, stably sorted by timestamp."""
+        """The kept records as a log, stably sorted by timestamp, users coded in id order."""
         timestamp = _array(self.timestamp, np.int64)
-        codes = _array(self.codes, np.int64).reshape(-1, 3)
+        by_id = id_order(self.users)
+        renumber = np.empty_like(by_id)
+        renumber[by_id] = np.arange(by_id.size)
+        codes = renumber[_array(self.codes, np.int64).reshape(-1, 3)]
         columns = [_array(column, object) for column in (self.price_eth, self.price_usd, self.artwork)]
-        users = self.users
-        # in sorted input, codes already number users by first appearance in event order
         if np.any(timestamp[1:] < timestamp[:-1]):
             order = np.argsort(timestamp, kind="stable")  # input order breaks ties
             timestamp, codes = timestamp[order], codes[order]
             columns = [column[order] for column in columns]
-            present, first = np.unique(codes, return_index=True)
-            by_first = present[np.argsort(first)]
-            renumber = np.empty(len(users), dtype=np.int64)
-            renumber[by_first] = np.arange(by_first.size)
-            codes = renumber[codes]
-            users = list(map(users.__getitem__, by_first.tolist()))
         seller, buyer, creator = codes.T.copy()
         price_eth, price_usd, artwork = columns
         return EventLog(
-            users=tuple(users),
+            users=tuple(map(self.users.__getitem__, by_id.tolist())),
             seller=seller,
             buyer=buyer,
             creator=creator,
@@ -437,6 +441,11 @@ class _Records:
             total_records=total,
             rejected_count=len(self.rejects),
         )
+
+
+def id_order(users: Sequence[str]) -> np.ndarray:
+    """The indices that put ``users`` in id order, the code-point order of ``sorted``."""
+    return np.array(sorted(range(len(users)), key=users.__getitem__), dtype=np.int64)
 
 
 def _array(values: list, dtype) -> np.ndarray:
@@ -601,21 +610,7 @@ def _timestamp_text(epoch: np.ndarray) -> list[str]:
 # ---------------------------------------------------------------------------
 
 
-def _decode(stream: BinaryIO | bytes) -> str:
-    data = stream if isinstance(stream, (bytes, bytearray)) else stream.read()
-    if isinstance(data, str):
-        return data
-    try:
-        return data.decode("utf-8-sig")
-    except UnicodeDecodeError as exc:
-        raise _not_utf8(exc) from None
-
-
-def _not_utf8(exc: UnicodeDecodeError) -> ValueError:
-    return ValueError(f"input is not valid UTF-8: {exc}")
-
-
-def _read_text(stream: BinaryIO | bytes, read: Callable[[TextIO], int]) -> int:
+def _read_text(stream: BinaryIO | bytes, read: Callable[[TextIO], _T]) -> _T:
     """``read(text)`` of the UTF-8 text of ``stream``; returns what it returns.
 
     A binary input is decoded as ``read`` asks for it, so its bytes and its
@@ -629,7 +624,7 @@ def _read_text(stream: BinaryIO | bytes, read: Callable[[TextIO], int]) -> int:
     try:
         return read(text)
     except UnicodeDecodeError as exc:
-        raise _not_utf8(exc) from None
+        raise ValueError(f"input is not valid UTF-8: {exc}") from None
     finally:
         text.detach()
 

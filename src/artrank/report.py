@@ -7,6 +7,7 @@ left to external tools.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from decimal import Decimal
 
@@ -58,14 +59,15 @@ class MarketSummary:
         return self._fraction(self.buyers)
 
     def to_dict(self) -> dict:
+        """The summary as JSON values; refuses a volume total beyond the float range."""
         return {
             "tokenized_artworks": {
                 "count": self.tokenized_count,
                 "lower_bound": self.tokenized_is_lower_bound,
             },
             "sold_artworks": self.sold_count,
-            "sale_volume_usd": float(self.sale_volume_usd),
-            "sale_volume_eth": float(self.sale_volume_eth),
+            "sale_volume_usd": _float_total(self.sale_volume_usd, "USD"),
+            "sale_volume_eth": _float_total(self.sale_volume_eth, "ETH"),
             "active_users": self.active_users,
             "creators": {"count": self.creators, "fraction": self.creators_fraction},
             "sellers": {"count": self.sellers, "fraction": self.sellers_fraction},
@@ -87,6 +89,13 @@ class MarketSummary:
             f" ({round(self.buyers_fraction * 100)}%)",
         ]
         return "\n".join(lines) + "\n"
+
+
+def _float_total(total: Decimal, unit: str) -> float:
+    value = float(total)
+    if not math.isfinite(value):
+        raise ValueError(f"sale volume totals {total:.6E} {unit}, beyond the float range")
+    return value
 
 
 def summarize(log: EventLog, net: CollectorArtistNetwork) -> MarketSummary:

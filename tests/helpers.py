@@ -117,7 +117,10 @@ def parse_json_whole(data: bytes, field_map=None):
     ``parse_events`` raises.
     """
     remap = dict(field_map or {})
-    text = ingest._decode(data)
+    try:
+        text = data.decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"input is not valid UTF-8: {exc}") from None
     stripped = text.lstrip()
     if not stripped:
         raise ValueError("JSON input is empty")

@@ -700,3 +700,78 @@ def test_rankings_with_non_finite_cell_is_an_error(fixture_dir, capsys, command,
     assert run_cli(command, rankings, "--out", target) == 1
     assert f"error: non-finite in_strength for user {cells[0]!r}" in capsys.readouterr().err
     assert not target.exists() or not any(target.glob("*.json*"))
+
+
+@pytest.mark.parametrize(
+    "rows, total, unit",
+    [
+        (("a,b,a,,1E+308,100", "c,d,c,,1E+308,200"), "2.000000E+308", "USD"),
+        (("a,b,a,1E+308,1,100", "c,d,c,1E+308,2,200"), "2.000000E+308", "ETH"),
+    ],
+)
+def test_report_refuses_sale_volume_beyond_float_range(tmp_path, capsys, rows, total, unit):
+    # every price is a finite float; the total of two is not
+    sales = tmp_path / "huge.csv"
+    sales.write_text(
+        "seller,buyer,creator,price_eth,price_usd,timestamp\n" + "".join(f"{r}\n" for r in rows),
+        encoding="utf-8",
+    )
+    out = tmp_path / "out"
+    assert run_cli("ingest", sales, "--out", out) == 0
+    assert run_cli("rank", out / "events.csv", "--out", out) == 0
+    capsys.readouterr()
+    assert run_cli("report", out / "events.csv", out / "rankings.csv", "--out", out) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: sale volume totals {total} {unit}, beyond the float range\n"
+    assert not (out / "summary.json").exists()
+    assert not (out / "summary.txt").exists()
+
+
+def test_profile_checks_match_pattern_before_writing(fixture_dir, capsys):
+    out = fixture_dir / "out"
+    assert run_cli(
+        "run", fixture_dir / "sales.csv", "--rates", fixture_dir / "rates.csv", "--out", out
+    ) == 0
+    assert run_cli("profile", out / "rankings.csv", "--out", out, "--match", "C***") == 0
+    before = {name: (out / name).read_bytes() for name in ("profiles.jsonl", "matches.csv")}
+    other = write_log(fixture_dir / "other.csv", "x,y,x,10,100", "y,z,x,5,200")
+    assert run_cli("run", other, "--out", fixture_dir / "o2") == 0
+    capsys.readouterr()
+    for pattern, which in (("Z***", "artist"), ("C***", "full")):
+        status = run_cli(
+            "profile", fixture_dir / "o2" / "rankings.csv", "--out", out,
+            "--match", pattern, "--match-which", which,
+        )
+        assert status == 1
+        assert capsys.readouterr().err == f"error: malformed pattern: {pattern!r}\n"
+        assert {name: (out / name).read_bytes() for name in before} == before
+
+
+def test_rankings_csv_with_byte_order_mark(fixture_dir):
+    out = fixture_dir / "out"
+    assert run_cli(
+        "run", fixture_dir / "sales.csv", "--rates", fixture_dir / "rates.csv", "--out", out
+    ) == 0
+    marked = fixture_dir / "marked.csv"
+    marked.write_bytes(b"\xef\xbb\xbf" + (out / "rankings.csv").read_bytes())
+    assert run_cli("profile", marked, "--out", fixture_dir / "p") == 0
+    assert (fixture_dir / "p" / "profiles.jsonl").read_bytes() == (
+        out / "profiles.jsonl"
+    ).read_bytes()
+
+
+def test_rankings_load_in_user_id_order(fixture_dir):
+    out = fixture_dir / "out"
+    assert run_cli(
+        "run", fixture_dir / "sales.csv", "--rates", fixture_dir / "rates.csv", "--out", out
+    ) == 0
+    with open(out / "rankings.csv", encoding="utf-8", newline="") as handle:
+        rows = list(csv.reader(handle))
+    header, body = rows[0], rows[1:]
+    assert [row[0] for row in body] != sorted(row[0] for row in body)  # authority order
+    table = cli.load_rankings_csv(out / "rankings.csv")
+    assert table.users == tuple(sorted(row[0] for row in body))
+    columns = [header.index(name) for name in cli.METRIC_NAMES]
+    for user, values in zip(table.users, table.values.tolist()):
+        (row,) = [row for row in body if row[0] == user]
+        assert values == [float(row[i]) for i in columns]

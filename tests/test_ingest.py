@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import sys
+from dataclasses import replace
 from datetime import date, datetime, timezone
 from decimal import Decimal
 from unittest import mock
@@ -410,7 +411,7 @@ def _check_against_full_validator(log, rejects, rows):
     assert rejects == expected_rejects
     assert _columns(log) == _columns(expected)
     assert [a.dtype for a in (log.seller, log.buyer, log.creator, log.timestamp)] == [np.int64] * 4
-    # sorted stably by timestamp, users numbered by first appearance in that order
+    # sorted stably by timestamp, users numbered in id order
     users = log.users
     events = list(
         zip(
@@ -424,7 +425,7 @@ def _check_against_full_validator(log, rejects, rows):
         )
     )
     assert [tuple(map(repr, e)) for e in events] == [tuple(map(repr, e)) for e in expected_events]
-    assert list(users) == list(dict.fromkeys(u for e in events for u in e[:3]))
+    assert list(users) == sorted({u for e in events for u in e[:3]})
 
 
 @settings(max_examples=300, deadline=None)
@@ -470,6 +471,53 @@ def test_json_records_keep_what_the_full_validator_keeps(rows):
     log, rejects = parse_events(f"[{records}]".encode(), "json")
     cells = [[json.loads(cell, parse_float=Decimal) for cell in row] for row in rows]
     _check_against_full_validator(log, rejects, cells)
+
+
+# ---------------------------------------------------------------------------
+# Users coded in id order
+# ---------------------------------------------------------------------------
+
+
+def test_event_log_refuses_users_out_of_id_order():
+    log, _ = parse_events(CSV_3ROWS, "csv")
+    assert log.users == ("alice", "bob", "carol", "dan")
+    for users in (("bob", "alice", "carol", "dan"), ("alice", "alice", "carol", "dan")):
+        with pytest.raises(ValueError, match="^users must be in strictly increasing id order$"):
+            replace(log, users=users)
+
+
+# ids whose code-point order differs from their first appearance
+_order_id = st.text(alphabet="aAbB0_é中,", min_size=1, max_size=3)
+_distinct_pair = st.tuples(_order_id, _order_id).filter(lambda pair: pair[0] != pair[1])
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.tuples(_distinct_pair, _order_id, st.sampled_from(["1", "2.50", "1E+3"])), max_size=30),
+    st.data(),
+)
+def test_users_are_coded_in_id_order_whatever_the_row_order(rows, data):
+    # row i is sold at second i, so a shuffle changes the input order but not the events
+    rows = [(s, b, c, usd, str(i)) for i, ((s, b), c, usd) in enumerate(rows)]
+    shuffled = data.draw(st.permutations(rows))
+    logs = []
+    for ordering in (rows, shuffled):
+        text = io.StringIO()
+        writer = csv.writer(text, lineterminator="\n")
+        writer.writerow(("seller", "buyer", "creator", "price_usd", "timestamp"))
+        writer.writerows(ordering)
+        log, rejects = parse_events(text.getvalue().encode(), "csv")
+        assert rejects == []
+        logs.append(log)
+    ids = {user for row in rows for user in row[:3]}
+    written = []
+    for log in logs:
+        assert log.users == tuple(sorted(ids))
+        out = io.StringIO()
+        write_events_csv(log, out)
+        written.append(out.getvalue())
+    assert _columns(logs[0]) == _columns(logs[1])
+    assert written[0] == written[1]
 
 
 def test_parse_leaves_a_binary_stream_open():

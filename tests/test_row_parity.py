@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from artrank import METRIC_NAMES, MetricsTable, Role, UserProfile, cli, match_code, profiling
-from artrank.ingest import write_csv_rows
+from artrank.ingest import id_order, write_csv_rows
 
 # ---------------------------------------------------------------------------
 # Row-by-row references
@@ -161,6 +161,12 @@ def tables(draw):
     return MetricsTable(users=tuple(users), values=values)
 
 
+def in_id_order(table: MetricsTable) -> MetricsTable:
+    """The table with its rows in user-id order, as the pipeline builds and loads it."""
+    order = id_order(table.users)
+    return MetricsTable(users=tuple(table.users[i] for i in order), values=table.values[order])
+
+
 # ---------------------------------------------------------------------------
 # Tests
 # ---------------------------------------------------------------------------
@@ -169,8 +175,9 @@ def tables(draw):
 @settings(max_examples=100, deadline=None)
 @given(tables(), st.sampled_from(cli.SORT_KEYS))
 def test_rankings_csv_matches_row_reference(table, sort_by):
+    table = in_id_order(table)
     trader = table.column("authority") * table.column("hub")
-    rows = cli._rankings_rows(table, trader, sort_by, cli._id_order(table.users))
+    rows = cli._rankings_rows(table, trader, sort_by)
     expected = csv_text(cli.RANKINGS_HEADER, reference_rankings_rows(table, trader, sort_by))
     assert written_text(cli.RANKINGS_HEADER, rows) == expected
 
@@ -178,6 +185,7 @@ def test_rankings_csv_matches_row_reference(table, sort_by):
 @settings(max_examples=100, deadline=None)
 @given(tables())
 def test_figure5_csv_matches_row_reference(table):
+    table = in_id_order(table)
     header = ("user",) + cli.report.FIGURE_MEASURES
     expected = csv_text(header, reference_figure5_rows(table))
     assert written_text(header, cli._figure5_rows(table)) == expected
@@ -190,11 +198,11 @@ def test_figure5_csv_matches_row_reference(table):
     st.sampled_from([0.05, 0.5, 0.9, 0.95]),
 )
 def test_profiles_match_row_reference(table, tie_rank, threshold):
+    table = in_id_order(table)
     profiles = profiling.build_profiles(table, threshold, tie_rank)
     reference = reference_profiles(table, threshold, tie_rank)
 
-    by_id, _ = cli._id_order(profiles.users)
-    assert "".join(cli._profile_lines(profiles, by_id)) == reference_profiles_jsonl(reference)
+    assert "".join(cli._profile_lines(profiles)) == reference_profiles_jsonl(reference)
 
     assert len(profiles) == len(reference)
     assert [profiles[i] for i in range(len(profiles))] == reference
