@@ -29,12 +29,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from decimal import Decimal
 
 import numpy as np
 
 from .graph import AdjacencyView, CollectorArtistNetwork, CSRMatrix
-from .ingest import sum_by
+from .ingest import DecimalColumn, sum_by
 
 DEFAULT_TOLERANCE = 1e-10
 DEFAULT_MAX_ITERATIONS = 1000
@@ -83,8 +82,8 @@ class DegreeMetrics:
     users: tuple[str, ...]
     in_degree: np.ndarray
     out_degree: np.ndarray
-    in_strength: tuple[Decimal, ...]
-    out_strength: tuple[Decimal, ...]
+    in_strength: DecimalColumn
+    out_strength: DecimalColumn
 
 
 def hits(view: AdjacencyView, cfg: HitsConfig | None = None) -> HitsScores:
@@ -164,8 +163,8 @@ def degree_metrics(net: CollectorArtistNetwork) -> DegreeMetrics:
         users=net.users,
         in_degree=in_degree,
         out_degree=out_degree,
-        in_strength=tuple(sum_by(net.total_usd, net.artist, n).tolist()),
-        out_strength=tuple(sum_by(net.total_usd, net.collector, n).tolist()),
+        in_strength=sum_by(net.total_usd, net.artist, n),
+        out_strength=sum_by(net.total_usd, net.collector, n),
     )
 
 

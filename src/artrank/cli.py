@@ -45,6 +45,7 @@ import argparse
 import configparser
 import csv
 import hashlib
+import io
 import json
 import logging
 import math
@@ -52,12 +53,14 @@ import os
 import platform
 import sys
 from collections.abc import Callable, Iterable, Iterator, Sequence
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from decimal import Decimal
-from functools import cached_property, partial
+from functools import cached_property
 from itertools import chain
 from pathlib import Path
+from typing import TextIO
 
 import numpy as np
 
@@ -94,7 +97,6 @@ HIST_SALES_CSV = "hist_sales.csv"
 HIST_PURCHASES_CSV = "hist_purchases.csv"
 FIGURE5_CSV = "figure5.csv"
 MANIFEST_JSON = "manifest.json"
-_HASH_BLOCK_BYTES = 1 << 20  # bytes of an artifact read at a time to hash it
 
 RANKINGS_HEADER = (
     "user",
@@ -266,63 +268,75 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
 
 
 class ArtifactWriter:
-    """Writes named files under one directory and records their hashes."""
+    """Writes named files under one directory, hashing each one's bytes as they
+    are written.
+
+    ``digests`` maps each name written to the sha256 and size of its last
+    write, so the manifest reads no artifact back.
+    """
 
     def __init__(self, out_dir: Path):
         self.out_dir = out_dir
         self.out_dir.mkdir(parents=True, exist_ok=True)
-        self.written: list[str] = []
+        self.digests: dict[str, tuple[str, int]] = {}
 
-    def _register(self, name: str) -> Path:
-        if name not in self.written:
-            self.written.append(name)
-        return self.out_dir / name
+    @contextmanager
+    def _open(self, name: str) -> Iterator[TextIO]:
+        """A UTF-8 text handle on ``out_dir / name`` whose bytes are hashed as written."""
+        raw = _HashedFile(self.out_dir / name)
+        with io.TextIOWrapper(io.BufferedWriter(raw), encoding="utf-8", newline="") as handle:
+            yield handle
+        self.digests[name] = (raw.sha256.hexdigest(), raw.size)
 
     def csv(self, name: str, header, rows) -> None:
-        path = self._register(name)
-        with path.open("w", encoding="utf-8", newline="") as handle:
+        with self._open(name) as handle:
             write_csv_rows(handle, chain([header], rows))
 
     def json(self, name: str, payload) -> None:
-        path = self._register(name)
         # NaN and infinities have no JSON form; json.dumps raises ValueError on them
-        path.write_text(json.dumps(payload, indent=2, allow_nan=False) + "\n", encoding="utf-8")
+        text = json.dumps(payload, indent=2, allow_nan=False) + "\n"
+        with self._open(name) as handle:
+            handle.write(text)
 
     def text(self, name: str, content: str) -> None:
-        path = self._register(name)
-        path.write_text(content, encoding="utf-8")
+        with self._open(name) as handle:
+            handle.write(content)
 
     def jsonl(self, name: str, chunks: Iterable[str]) -> None:
         """Write JSON lines given as chunks of formatted lines, one chunk at a time.
 
         The caller formats the lines and must keep NaN and infinities out of them.
         """
-        path = self._register(name)
-        with path.open("w", encoding="utf-8", newline="") as handle:
+        with self._open(name) as handle:
             handle.writelines(chunks)
 
     def events(self, name: str, log: EventLog) -> None:
-        path = self._register(name)
-        with path.open("w", encoding="utf-8", newline="") as handle:
+        with self._open(name) as handle:
             write_events_csv(log, handle)
 
     def manifest(self) -> dict:
-        entries = []
-        for name in sorted(self.written):
-            path = self.out_dir / name
-            entries.append({"name": name, "sha256": _sha256(path), "size": path.stat().st_size})
+        entries = [
+            {"name": name, "sha256": digest, "size": size}
+            for name, (digest, size) in sorted(self.digests.items())
+        ]
         payload = {"files": entries}
         self.json(MANIFEST_JSON, payload)
         return payload
 
 
-def _sha256(path: Path) -> str:
-    """Hex sha256 of a file, read a block at a time."""
-    digest = hashlib.sha256()
-    with path.open("rb") as handle:
-        for block in iter(partial(handle.read, _HASH_BLOCK_BYTES), b""):
-            digest.update(block)
-    return digest.hexdigest()
+class _HashedFile(io.FileIO):
+    """A file opened for writing that hashes the bytes written to it."""
+
+    def __init__(self, path: Path):
+        super().__init__(path, "w")
+        self.sha256 = hashlib.sha256()
+        self.size = 0
+
+    def write(self, data) -> int:
+        written = super().write(data)
+        self.sha256.update(memoryview(data)[:written])
+        self.size += written
+        return written
 
 
 class _OutputLock:
@@ -435,7 +449,7 @@ def _edge_rows(net: CollectorArtistNetwork):
     return zip(
         users[net.collector].tolist(),
         users[net.artist].tolist(),
-        map(str, net.total_usd.tolist()),
+        net.total_usd.text(),
         map(str, net.sale_count.tolist()),
     )
 

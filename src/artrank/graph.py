@@ -20,7 +20,7 @@ from enum import Enum
 
 import numpy as np
 
-from .ingest import EventLog, exact_sum, sum_by
+from .ingest import DecimalColumn, EventLog, sum_by
 
 logger = logging.getLogger(__name__)
 
@@ -50,15 +50,17 @@ class CollectorArtistNetwork:
     Nodes are every user that minted, sold, or bought at least once; indices
     are the log's user codes, in user-id order. Edge ``k`` runs from node
     ``collector[k]`` to node ``artist[k]`` and aggregates ``sale_count[k]``
-    sales worth exactly ``total_usd[k]`` (a ``Decimal``); edges are sorted by
-    (collector, artist) index, which is (collector id, artist id) order.
+    sales worth exactly ``total_usd[k]``, a value of the ``DecimalColumn``
+    ``total_usd`` (integer coefficients and exponents, a ``Decimal`` when
+    indexed); edges are sorted by (collector, artist) index, which is
+    (collector id, artist id) order.
     Exported results always key by the opaque user id, never by index.
     """
 
     users: tuple[str, ...]
     collector: np.ndarray
     artist: np.ndarray
-    total_usd: np.ndarray
+    total_usd: DecimalColumn
     sale_count: np.ndarray
     dropped_buybacks: int = 0
     dropped_usd: Decimal = Decimal(0)
@@ -73,7 +75,7 @@ class CollectorArtistNetwork:
 
     @property
     def total_volume_usd(self) -> Decimal:
-        return exact_sum(self.total_usd.tolist())
+        return self.total_usd.total()
 
     @property
     def total_sale_count(self) -> int:
@@ -195,7 +197,7 @@ def build_network(log: EventLog) -> CollectorArtistNetwork:
     buyback = log.buyer == log.creator
     keep = ~buyback
     dropped = int(np.count_nonzero(buyback))
-    dropped_usd = exact_sum(log.price_usd[buyback].tolist())
+    dropped_usd = log.price_usd[buyback].total()
     pairs, edge_of_sale, counts = np.unique(
         log.buyer[keep] * n + log.creator[keep], return_inverse=True, return_counts=True
     )
@@ -228,13 +230,13 @@ def adjacency(net: CollectorArtistNetwork, weighting: Weighting) -> AdjacencyVie
     if np.any(net.collector == net.artist):
         raise ValueError("self-loop edge found; network invariant violated")
     if weighting is Weighting.WEIGHTED_USD:
-        vals = np.array([float(total) for total in net.total_usd.tolist()], dtype=np.float64)
+        vals = net.total_usd.to_float()
         overflow = np.flatnonzero(np.isinf(vals))
         if overflow.size:
             k = overflow[0]
             raise ValueError(
                 f"edge {net.users[net.collector[k]]!r} -> {net.users[net.artist[k]]!r} "
-                f"totals {net.total_usd[k]} USD, beyond the float range"
+                f"totals {net.total_usd[k]:.6E} USD, beyond the float range"
             )
     elif weighting is Weighting.UNWEIGHTED_BINARY:
         vals = np.ones(net.edge_count)

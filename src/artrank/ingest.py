@@ -1,8 +1,8 @@
 """Sale-event ingestion: parsing, validation, and ETH to USD conversion.
 
 Raw rows (CSV or JSON) are validated record by record into a columnar
-``EventLog``: user codes in user-id order, UTC epoch seconds, exact ``Decimal``
-prices and artwork ids, one array per field. Bad rows never abort a run;
+``EventLog``: user codes in user-id order, UTC epoch seconds, exact prices
+and artwork ids, one array per field. Bad rows never abort a run;
 they are returned as ``RejectReport`` entries with a row number and reason.
 Input is decoded as it is read: CSV a buffer at a time, one-object-per-line
 JSON a block of lines at a time; only a JSON array is decoded whole. CSV
@@ -10,11 +10,18 @@ rows and JSON records alike pass one validating loop, whose inline fast
 path keeps what the full validator would keep for the common record; every
 other record goes through the full validator. ``events.csv`` is written a
 chunk of rows at a time, column by column.
-Prices stay exact ``Decimal`` values, and every sum over them is computed
-without rounding, so that re-exported logs are byte-identical to their
-source; conversion to binary floats happens only inside the numeric
-analysis modules. ``SaleEvent`` is the row view of the log, built on
-demand by ``EventLog.events``.
+Prices stay exact. Each price column is a ``DecimalColumn``: an integer
+coefficient array, an integer exponent array and a missing mask, so value
+``i`` is exactly ``coef[i] * 10**exp[i]``, with no ``Decimal`` object per
+sale. A plain price cell (ASCII digits with at most one ".", at most 18
+digits) is read straight into coefficient and exponent; any other cell is
+read as a ``Decimal`` by the full validator. Sums, ETH to USD products and
+price text follow ``Decimal`` arithmetic exactly, so that re-exported logs
+are byte-identical to their source; conversion to binary floats is
+correctly rounded and happens only where the numeric analysis needs it.
+``SaleEvent`` is the row view of the log, built on demand by
+``EventLog.events``; it and ``DecimalColumn.tolist()`` give ``Decimal``
+prices.
 
 Canonical input field names: ``seller``, ``buyer``, ``creator``,
 ``price_eth``, ``price_usd``, ``timestamp`` (ISO-8601 or integer Unix
@@ -27,9 +34,11 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import operator
 import re
 import sys
+from array import array
 from dataclasses import dataclass, replace
 from datetime import date, datetime, timedelta, timezone
 from decimal import (
@@ -69,6 +78,19 @@ _EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN)
 _ZERO = Decimal(0)
 # prices above this become inf in the float adjacency, so ingest rejects them
 _MAX_FLOAT = Decimal(sys.float_info.max)
+# exact powers of ten: int64 up to 10**18, float64 up to 10**22
+_POW10 = 10 ** np.arange(19, dtype=np.int64)
+_POW10_FLOAT = np.array([float(10**k) for k in range(23)])
+_FLOAT_EXACT_INT = 2**53  # every int up to this magnitude is an exact double
+# a float bound on magnitudes under which int64 arithmetic cannot overflow;
+# half of 2**63 leaves room for the rounding of the bound itself
+_INT64_SAFE = 2.0**62
+_INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
+# the buffer exponent of a missing value, outside Decimal's exponent range
+_NO_VALUE = _INT64_MIN
+# records whose integers are appended to lists before they move into int64
+# buffers; a list append is cheaper than an array append
+_BLOCK_RECORDS = 1 << 13
 _EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 _SECOND = timedelta(seconds=1)
 _DAY_S = 86_400
@@ -192,7 +214,7 @@ def _rate_rows(text: TextIO) -> dict[date, Decimal]:
 
 
 # ---------------------------------------------------------------------------
-# Exact decimal folds
+# Exact decimal columns
 # ---------------------------------------------------------------------------
 
 
@@ -202,18 +224,320 @@ def exact_sum(values: Iterable[Decimal]) -> Decimal:
         return sum(values, _ZERO)
 
 
-def sum_by(values: np.ndarray, groups: np.ndarray, n: int) -> np.ndarray:
-    """Exact per-group sums of an object array of decimals.
+@dataclass(frozen=True, eq=False)
+class DecimalColumn:
+    """Exact decimals, some perhaps missing, as columns: value ``i`` is ``coef[i] * 10**exp[i]``.
 
-    ``groups[i]`` in ``[0, n)`` names the group of ``values[i]``. Every group
-    starts from ``Decimal(0)``, so a group's exponent is that of the same
-    sum written out by hand, and an empty group sums to ``Decimal(0)``.
+    ``coef`` is int64, or an object array of Python ints once a value or a
+    sum of values could pass 2**63; the same code runs on both. ``exp`` is
+    int64. ``missing`` marks the absent values (None), whose coefficient and
+    exponent are 0. ``neg_zero`` marks the zeros written with a minus sign
+    (``-0``, ``-0.00``): they keep it in text, as ``Decimal`` does, and add
+    as +0. An integer index, iteration and ``tolist()`` give ``Decimal``
+    values (or None); every fold, product and format works on the integer
+    columns.
     """
-    sums = np.empty(n, dtype=object)
-    sums.fill(_ZERO)
-    with localcontext(_EXACT):
-        np.add.at(sums, groups, values)
-    return sums
+
+    coef: np.ndarray
+    exp: np.ndarray
+    missing: np.ndarray
+    neg_zero: np.ndarray
+
+    def __post_init__(self) -> None:
+        n = len(self.coef)
+        if any(len(column) != n for column in (self.exp, self.missing, self.neg_zero)):
+            raise ValueError("decimal column parts must have equal length")
+
+    @classmethod
+    def from_values(cls, values: Iterable[Decimal | None]) -> "DecimalColumn":
+        """The column of finite ``Decimal`` values and Nones."""
+        buffer = _DecimalBuffer()
+        for value in values:
+            buffer.append(value)
+        return buffer.column
+
+    def __len__(self) -> int:
+        return len(self.coef)
+
+    def __getitem__(self, key):
+        """The ``Decimal`` (or None) at an integer index; a column for a slice, mask or index array."""
+        if isinstance(key, (int, np.integer)):
+            i = range(len(self))[key]
+            return self[i : i + 1].tolist()[0]
+        return DecimalColumn(self.coef[key], self.exp[key], self.missing[key], self.neg_zero[key])
+
+    def __iter__(self) -> Iterator[Decimal | None]:
+        return iter(self.tolist())
+
+    def tolist(self) -> list[Decimal | None]:
+        return [Decimal(text) if text else None for text in self.text()]
+
+    def text(self) -> list[str]:
+        """Each value as ``str`` of its ``Decimal`` writes it, "" where missing.
+
+        Non-negative int64 values with an exponent in ``[-18, 0]`` that
+        ``Decimal`` writes without an exponent are formatted as byte rows,
+        a group of equal exponents at a time; every other value is written
+        one at a time by ``_decimal_text``.
+        """
+        n = len(self)
+        coef, exp = self.coef, self.exp
+        plain = ~(self.missing | self.neg_zero) & (exp <= 0) & (exp >= -18)
+        if coef.dtype == object:
+            plain[:] = False
+        else:
+            # Decimal writes an exponent once the adjusted exponent is below
+            # -6: for an exponent below -6, a coefficient below 10**(-exp - 6)
+            plain &= (coef >= 0) & ((exp >= -6) | (coef >= _POW10[np.clip(-exp - 6, 0, 18)]))
+        if n and plain.all() and exp.min() == exp.max():
+            return _plain_text(coef, int(-exp[0]))
+        if self.missing.all():
+            return [""] * n
+        texts = np.full(n, "", dtype=object)
+        for scale in (-np.unique(exp[plain])).tolist():
+            rows = np.flatnonzero(plain & (exp == -scale))
+            texts[rows] = _plain_text(coef[rows], scale)
+        rows = np.flatnonzero(~plain & ~self.missing)
+        texts[rows] = [
+            _decimal_text(int(c), e, negative_zero)
+            for c, e, negative_zero in zip(
+                coef[rows].tolist(), exp[rows].tolist(), self.neg_zero[rows].tolist()
+            )
+        ]
+        return texts.tolist()
+
+    def to_float(self) -> np.ndarray:
+        """``float`` of each value's ``Decimal``: correctly rounded, inf beyond the
+        float range, NaN where missing.
+
+        A coefficient of at most 2**53 in magnitude and a power of ten up to
+        10**22 are both exact doubles, so one IEEE division or product of the
+        two rounds correctly; any other value is converted through Python
+        int true division or ``float`` of an exact int, which round
+        correctly too.
+        """
+        coef, exp = self.coef, self.exp
+        out = np.empty(len(self))
+        fast = (exp >= -22) & (exp <= 22)
+        if coef.dtype == object:
+            fast[:] = False
+        else:
+            fast &= (coef >= -_FLOAT_EXACT_INT) & (coef <= _FLOAT_EXACT_INT)
+        exact, scale = coef[fast].astype(np.float64), exp[fast]
+        out[fast] = np.where(
+            scale < 0, exact / _POW10_FLOAT[-scale.clip(max=0)], exact * _POW10_FLOAT[scale.clip(min=0)]
+        )
+        rows = np.flatnonzero(~fast)
+        out[rows] = [_int_float(int(c), e) for c, e in zip(coef[rows].tolist(), exp[rows].tolist())]
+        out[self.neg_zero] = -0.0
+        out[self.missing] = np.nan
+        return out
+
+    def total(self) -> Decimal:
+        """The exact sum of the present values, as ``Decimal(0) + ...`` gives it."""
+        return sum_by(self, np.zeros(len(self), dtype=np.int64), 1)[0]
+
+    def times(self, other: "DecimalColumn") -> "DecimalColumn":
+        """Exact element-wise products: coefficients multiply and exponents add.
+
+        A product is missing where either factor is, and a zero product
+        takes the sign of the factors, as ``Decimal`` gives it.
+        """
+        if self.coef.dtype == other.coef.dtype == np.int64 and np.all(
+            np.abs(self.coef.astype(np.float64)) * np.abs(other.coef.astype(np.float64))
+            < _INT64_SAFE
+        ):
+            coef = self.coef * other.coef
+        else:
+            coef = self.coef.astype(object) * other.coef.astype(object)
+        missing = self.missing | other.missing
+        coef[missing] = 0
+        exp = np.where(missing, 0, self.exp + other.exp)
+        negative = self._negative() != other._negative()
+        return DecimalColumn(coef, exp, missing, negative & (coef == 0).astype(bool) & ~missing)
+
+    def put(self, rows: np.ndarray, values: "DecimalColumn") -> "DecimalColumn":
+        """A copy with the values at ``rows`` replaced by ``values``."""
+        dtype = object if object in (self.coef.dtype, values.coef.dtype) else np.int64
+        parts = [self.coef.astype(dtype), self.exp.copy(), self.missing.copy(), self.neg_zero.copy()]
+        for part, new in zip(parts, (values.coef, values.exp, values.missing, values.neg_zero)):
+            part[rows] = new
+        return DecimalColumn(*parts)
+
+    def _negative(self) -> np.ndarray:
+        return self.neg_zero | (self.coef < 0).astype(bool)
+
+
+def sum_by(values: DecimalColumn, groups: np.ndarray, n: int) -> DecimalColumn:
+    """Exact per-group sums of the present values of a decimal column.
+
+    ``groups[i]`` in ``[0, n)`` names the group of ``values[i]``. Every
+    group sums as ``Decimal(0) + ...`` written out by hand does: its
+    exponent is ``min(0, least exponent in the group)``, an empty group sums
+    to ``Decimal(0)``, and a negative zero adds as +0. Each value's
+    coefficient is scaled to its group's exponent and the integers added.
+    """
+    present = ~values.missing
+    if not present.all():
+        values, groups = values[present], groups[present]
+    exp = np.zeros(n, dtype=np.int64)
+    np.minimum.at(exp, groups, values.exp)
+    terms = _scaled(values.coef, values.exp - exp[groups], groups, n)
+    sums = np.zeros(n, dtype=terms.dtype)
+    np.add.at(sums, groups, terms)
+    return DecimalColumn(sums, exp, np.zeros(n, dtype=bool), np.zeros(n, dtype=bool))
+
+
+def _scaled(coef: np.ndarray, shift: np.ndarray, groups: np.ndarray, n: int) -> np.ndarray:
+    """``coef * 10**shift`` for ``shift >= 0``: int64 while the magnitudes of every
+    group's terms sum below 2**62, else Python ints."""
+    if coef.dtype == np.int64 and (not shift.size or shift.max() <= 18):
+        magnitude = np.abs(coef.astype(np.float64)) * _POW10_FLOAT[shift]
+        if np.all(np.bincount(groups, weights=magnitude, minlength=n) < _INT64_SAFE):
+            return coef * _POW10[shift]
+    powers = np.array([10**s for s in shift.tolist()], dtype=object)
+    return coef.astype(object) * powers
+
+
+def _plain_text(coef: np.ndarray, scale: int) -> list[str]:
+    """``str(Decimal)`` of each ``coef * 10**-scale``, for int64 ``coef >= 0`` and
+    ``0 <= scale <= 18`` where ``Decimal`` writes no exponent.
+
+    The digits, zero-padded to ``scale + 1`` and with a point ``scale``
+    digits from the right, are written into one byte row per value.
+    """
+    n = len(coef)
+    if not n:
+        return []
+    digits = []  # digit columns, least significant first
+    ndigits = np.ones(n, dtype=np.int64)
+    rest = coef
+    while True:
+        quotient = rest // 10
+        digits.append(rest - quotient * 10)
+        if len(digits) > scale and not quotient.any():
+            break
+        ndigits += quotient > 0
+        rest = quotient
+    width = len(digits)
+    point = width - scale  # integer digits
+    dot = int(scale > 0)
+    text = np.empty((width + dot + 1, n), dtype=np.uint8)  # one row per character
+    for row, digit in enumerate(reversed(digits[scale:])):
+        text[row] = digit
+    for row, digit in enumerate(reversed(digits[:scale]), start=point + dot):
+        text[row] = digit
+    text[:-1] += ord("0")
+    text[point] = ord(".")  # overwritten by the line break when scale is 0
+    text[-1] = ord("\n")
+    keep = np.ones(text.shape, dtype=bool)
+    # no leading zeros before the last scale + 1 digits
+    keep[:point] = np.arange(point)[:, None] >= width - np.maximum(ndigits, scale + 1)
+    lines = text.T[keep.T].tobytes().decode("ascii").split("\n")
+    lines.pop()  # the text ends with a line break
+    return lines
+
+
+def _decimal_text(coef: int, exp: int, negative_zero: bool) -> str:
+    """``str(Decimal)`` of ``coef * 10**exp`` (``-0`` forms where ``negative_zero``):
+    the to-scientific-string rule of the decimal specification."""
+    digits = str(abs(coef))
+    left = exp + len(digits)  # the adjusted exponent plus one
+    point = left if exp <= 0 and left > -6 else 1
+    if point <= 0:
+        body = "0." + "0" * -point + digits
+    elif point >= len(digits):
+        body = digits + "0" * (point - len(digits))
+    else:
+        body = digits[:point] + "." + digits[point:]
+    if left != point:
+        body += "E%+d" % (left - point)
+    return "-" + body if coef < 0 or negative_zero else body
+
+
+def _int_float(coef: int, exp: int) -> float:
+    """``float(Decimal)`` of ``coef * 10**exp``, through exact Python ints."""
+    sign = -1.0 if coef < 0 else 1.0
+    # 2**(bits - 1) <= |coef| < 2**bits bounds log10 of the value's magnitude
+    # (log10(2) = 0.30103), so that 10**-exp is never huge
+    bits = abs(coef).bit_length()
+    if not coef or exp + 0.302 * bits < -330:  # below half the least subnormal
+        return sign * 0.0
+    if exp + 0.301 * (bits - 1) > 309:  # above the largest double
+        return sign * math.inf
+    try:
+        return float(coef * 10**exp) if exp >= 0 else coef / 10**-exp
+    except OverflowError:
+        return sign * math.inf
+
+
+class _DecimalBuffer:
+    """A ``DecimalColumn`` while records are read: coefficients and exponents in
+    int64 buffers.
+
+    The latest values are appended to the lists ``new_coef`` and
+    ``new_exp``, which ``flush`` moves into the buffers. A missing value is
+    kept as coefficient 0 and the exponent ``_NO_VALUE``, which lies outside
+    ``Decimal``'s exponent range. A coefficient beyond int64 is kept in
+    ``big`` by position, with 0 in its slot, and the position of each
+    negative zero in ``neg_zero``.
+    """
+
+    def __init__(self) -> None:
+        self.coef = array("q")
+        self.exp = array("q")
+        self.new_coef: list[int] = []
+        self.new_exp: list[int] = []
+        self.big: dict[int, int] = {}
+        self.neg_zero: list[int] = []
+
+    def append(self, value: Decimal | None) -> None:
+        if value is None:
+            self.new_coef.append(0)
+            self.new_exp.append(_NO_VALUE)
+            return
+        if not value.is_finite():
+            raise ValueError(f"decimal column values must be finite, not {value}")
+        sign, _, exp = value.as_tuple()
+        coef = int(value.scaleb(-exp, _EXACT))
+        position = len(self.coef) + len(self.new_coef)
+        if sign and not coef:
+            self.neg_zero.append(position)
+        if not _INT64_MIN <= coef <= _INT64_MAX:
+            self.big[position] = coef
+            coef = 0
+        self.new_coef.append(coef)
+        self.new_exp.append(exp)
+
+    def flush(self) -> None:
+        """Move the latest values into the int64 buffers."""
+        for buffer, new in ((self.coef, self.new_coef), (self.exp, self.new_exp)):
+            buffer.fromlist(new)
+            new.clear()
+
+    @cached_property
+    def column(self) -> DecimalColumn:
+        """The values as a column whose int64 parts are views of the buffers,
+        which then take no more values."""
+        self.flush()
+        coef = np.frombuffer(self.coef, dtype=np.int64)
+        exp = np.frombuffer(self.exp, dtype=np.int64)
+        missing = exp == _NO_VALUE
+        exp[missing] = 0
+        if self.big:
+            coef = coef.astype(object)
+            coef[list(self.big)] = list(self.big.values())
+        neg_zero = np.zeros(len(coef), dtype=bool)
+        neg_zero[self.neg_zero] = True
+        return DecimalColumn(coef, exp, missing, neg_zero)
+
+
+class _JsonNumber(str):
+    """The text of a JSON number with a fraction or an exponent, as ``json``
+    hands it to ``parse_float``: the fast path reads it as price text, and
+    ``_Records.add`` reads the ``Decimal`` it names."""
+
+    __slots__ = ()
 
 
 # ---------------------------------------------------------------------------
@@ -228,11 +552,12 @@ class EventLog:
     Event ``i`` is seller ``users[seller[i]]``, buyer ``users[buyer[i]]``,
     creator ``users[creator[i]]``, sold at ``timestamp[i]`` (UTC epoch
     seconds) for the exact prices ``price_eth[i]`` and ``price_usd[i]``
-    (``Decimal`` or None) of artwork ``artwork[i]`` (str or None). ``users``
-    lists every user of the log once, in strictly increasing id order (the
-    code-point order of ``sorted``), so a user's code is its place in id
-    order and its node index in the network built from the log; the order
-    of the input rows does not change it.
+    (each price column a ``DecimalColumn``; indexed, a ``Decimal`` or None)
+    of artwork ``artwork[i]`` (str or None). ``users`` lists every user of the
+    log once, in strictly increasing id order (the code-point order of
+    ``sorted``), so a user's code is its place in id order and its node
+    index in the network built from the log; the order of the input rows
+    does not change it.
     """
 
     users: tuple[str, ...]
@@ -240,8 +565,8 @@ class EventLog:
     buyer: np.ndarray
     creator: np.ndarray
     timestamp: np.ndarray
-    price_eth: np.ndarray
-    price_usd: np.ndarray
+    price_eth: DecimalColumn
+    price_usd: DecimalColumn
     artwork: np.ndarray
     source: str = ""
     total_records: int = 0
@@ -283,10 +608,10 @@ class EventLog:
     def accepted_count(self) -> int:
         return len(self.timestamp)
 
-    @cached_property
+    @property
     def needs_conversion(self) -> np.ndarray:
         """Mask of the events without a USD price."""
-        return np.array([price is None for price in self.price_usd.tolist()], dtype=bool)
+        return self.price_usd.missing
 
     @property
     def needs_conversion_count(self) -> int:
@@ -294,8 +619,8 @@ class EventLog:
 
     @property
     def zero_price_count(self) -> int:
-        priced = np.where(self.needs_conversion, self.price_eth, self.price_usd)
-        return int(np.count_nonzero(priced == 0))
+        priced = np.where(self.needs_conversion, self.price_eth.coef, self.price_usd.coef)
+        return int(np.count_nonzero((priced == 0).astype(bool)))
 
     def require_usd(self) -> None:
         """Raise ValueError unless every event carries a USD price."""
@@ -360,21 +685,32 @@ class _Records:
     While records are read, a user's code is its index in ``users``, given
     at first sight; ``log`` renumbers the codes into id order. ``memo`` maps
     each user id, and each raw ``str`` id cell seen so far, to the code of
-    the id it names.
+    the id it names. The user codes (seller, buyer and creator of each
+    record) and epoch seconds of the latest records are appended to the
+    lists ``new_codes`` and ``new_timestamps``, which ``flush`` moves into
+    the int64 buffers ``codes`` and ``timestamp``.
     """
 
     def __init__(self) -> None:
         self.memo: dict[str, int] = {}
         self.users: list[str] = []
-        self.codes: list[int] = []  # seller, buyer and creator of each record
-        self.price_eth: list[Decimal | None] = []
-        self.price_usd: list[Decimal | None] = []
-        self.timestamp: list[int] = []
+        self.codes = array("q")
+        self.timestamp = array("q")
+        self.new_codes: list[int] = []
+        self.new_timestamps: list[int] = []
+        self.price_eth = _DecimalBuffer()
+        self.price_usd = _DecimalBuffer()
         self.artwork: list[str | None] = []
         self.rejects: list[RejectReport] = []
 
-    def add(self, row, seller, buyer, creator, price_eth, price_usd, timestamp, artwork) -> None:
-        """Validate one raw record; keep it, or record why it was rejected."""
+    def add(self, row, *cells) -> None:
+        """Validate one raw record's seven cells; keep it, or record why it was rejected.
+
+        A JSON number cell is read as the ``Decimal`` it names.
+        """
+        seller, buyer, creator, price_eth, price_usd, timestamp, artwork = (
+            Decimal(cell) if type(cell) is _JsonNumber else cell for cell in cells
+        )
         try:
             seller_id = _require_id(seller, "seller")
             buyer_id = _require_id(buyer, "buyer")
@@ -407,27 +743,47 @@ class _Records:
         return code
 
     def append(self, seller: int, buyer: int, creator: int, eth, usd, epoch: int, artwork) -> None:
-        """Keep one validated record."""
-        self.codes += (seller, buyer, creator)
+        """Keep one validated record; ``eth`` and ``usd`` are ``Decimal`` or None."""
+        self.new_codes += (seller, buyer, creator)
         self.price_eth.append(eth)
         self.price_usd.append(usd)
-        self.timestamp.append(epoch)
+        self.new_timestamps.append(epoch)
         self.artwork.append(artwork)
 
+    def flush(self) -> None:
+        """Move the latest records' integers into the int64 buffers."""
+        for buffer, new in ((self.codes, self.new_codes), (self.timestamp, self.new_timestamps)):
+            buffer.fromlist(new)
+            new.clear()
+        self.price_eth.flush()
+        self.price_usd.flush()
+
     def log(self, source: str, total: int) -> EventLog:
-        """The kept records as a log, stably sorted by timestamp, users coded in id order."""
-        timestamp = _array(self.timestamp, np.int64)
+        """The kept records as a log, stably sorted by timestamp, users coded in id order.
+
+        The timestamps and prices of input already in time order are views of
+        the record buffers, which then take no more records.
+        """
+        self.flush()
+        timestamp = np.frombuffer(self.timestamp, dtype=np.int64)
         by_id = id_order(self.users)
         renumber = np.empty_like(by_id)
         renumber[by_id] = np.arange(by_id.size)
-        codes = renumber[_array(self.codes, np.int64).reshape(-1, 3)]
-        columns = [_array(column, object) for column in (self.price_eth, self.price_usd, self.artwork)]
+        codes = np.frombuffer(self.codes, dtype=np.int64).reshape(-1, 3)
+        seller, buyer, creator = (renumber[codes[:, k]] for k in range(3))
+        columns = [
+            seller,
+            buyer,
+            creator,
+            self.price_eth.column,
+            self.price_usd.column,
+            _array(self.artwork, object),
+        ]
         if np.any(timestamp[1:] < timestamp[:-1]):
             order = np.argsort(timestamp, kind="stable")  # input order breaks ties
-            timestamp, codes = timestamp[order], codes[order]
+            timestamp = timestamp[order]
             columns = [column[order] for column in columns]
-        seller, buyer, creator = codes.T.copy()
-        price_eth, price_usd, artwork = columns
+        seller, buyer, creator, price_eth, price_usd, artwork = columns
         return EventLog(
             users=tuple(map(self.users.__getitem__, by_id.tolist())),
             seller=seller,
@@ -499,7 +855,9 @@ def convert_currency(log: EventLog, rates: RateTable) -> EventLog:
 
     Already-priced events pass through untouched, so the operation is
     idempotent. Products are exact. Raises ``MissingRateError`` listing
-    every uncovered date.
+    every uncovered date, and ``ValueError`` naming the date of the first
+    sale whose product lies beyond the float range, which ingest would
+    reject on reading it back.
     """
     rows = np.flatnonzero(log.needs_conversion)
     if not rows.size:
@@ -510,10 +868,22 @@ def convert_currency(log: EventLog, rates: RateTable) -> EventLog:
     missing = [day for day, rate in zip(dates, day_rates) if rate is None]
     if missing:
         raise MissingRateError(missing)
-    price_usd = log.price_usd.copy()
-    with localcontext(_EXACT):
-        price_usd[rows] = log.price_eth[rows] * np.array(day_rates, dtype=object)[day_of_row]
-    return replace(log, price_usd=price_usd)
+    usd = log.price_eth[rows].times(DecimalColumn.from_values(day_rates)[day_of_row])
+    beyond = _beyond_float(usd)
+    if beyond:
+        k = beyond[0]
+        raise ValueError(
+            f"the sale of {dates[day_of_row[k]].isoformat()} converts to {usd[k]:.6E} USD,"
+            " beyond the float range"
+        )
+    return replace(log, price_usd=log.price_usd.put(rows, usd))
+
+
+def _beyond_float(values: DecimalColumn) -> list[int]:
+    """Positions of the values above ``_MAX_FLOAT``; only those that round to
+    at least the largest double are compared exactly."""
+    near = np.flatnonzero(values.to_float() >= sys.float_info.max).tolist()
+    return [k for k in near if values[k] > _MAX_FLOAT]
 
 
 def write_events_csv(log: EventLog, stream) -> None:
@@ -536,8 +906,8 @@ def write_events_csv(log: EventLog, stream) -> None:
             names[log.seller[part]].tolist(),
             names[log.buyer[part]].tolist(),
             names[log.creator[part]].tolist(),
-            _price_text(log.price_eth[part]),
-            _price_text(log.price_usd[part]),
+            log.price_eth[part].text(),
+            log.price_usd[part].text(),
             _timestamp_text(log.timestamp[part]),
             artwork,
         )
@@ -570,10 +940,6 @@ def write_csv_rows(stream, rows: Iterable[Sequence[str]]) -> None:
             stream.write(body + "\n")
         else:
             writer.writerows(chunk)
-
-
-def _price_text(prices: np.ndarray) -> list[str]:
-    return ["" if price is None else str(price) for price in prices.tolist()]
 
 
 def _timestamp_text(epoch: np.ndarray) -> list[str]:
@@ -689,7 +1055,7 @@ def _json_records(text: TextIO) -> Iterable[object]:
     if not block.lstrip().startswith("["):
         return _ndjson_records(text, head)
     try:
-        records = json.loads(head + text.read(), parse_float=Decimal)
+        records = json.loads(head + text.read(), parse_float=_JsonNumber)
     except json.JSONDecodeError as exc:
         raise ValueError(f"invalid JSON input: {exc}") from None
     if not isinstance(records, list):
@@ -706,7 +1072,7 @@ def _ndjson_records(text: TextIO, head: str) -> Iterator[object]:
     one long line costs linear time. A ``\r\n`` that two blocks split ends
     a line at the ``\r`` and adds an empty one, which takes no number.
     """
-    decoder = json.JSONDecoder(parse_float=Decimal)
+    decoder = json.JSONDecoder(parse_float=_JsonNumber)
     row_num = 0
     tail = head
     while True:
@@ -731,25 +1097,30 @@ def _validate(rows: Iterable[tuple], records: _Records) -> int:
 
     The common record takes a fast path inline: its three id cells are
     ``str`` cells in the memo, seller and buyer differ, each price is
-    absent or a ``str`` or ``Decimal`` decimal in ``[0, _MAX_FLOAT]``, its
-    timestamp is a ``str`` of ASCII digits or one of the UTC forms
-    ``...+00:00`` (25 characters, as ``events.csv`` writes it) or ``...Z``
-    (20 characters) with no other "Z", and its artwork is absent or a
-    ``str``. It keeps exactly what ``_Records.add`` would keep. Any other
-    record goes to ``add``, the one source of reject reasons; no unhashable
-    cell reaches the memo.
+    absent or plain ASCII text (a ``str`` or JSON number of digits with at
+    most one ".", at most 18 digits, so within ``[0, _MAX_FLOAT]``) read
+    straight into coefficient and exponent, its timestamp is a ``str`` of
+    ASCII digits or one of the UTC forms ``...+00:00`` (25 characters, as
+    ``events.csv`` writes it) or ``...Z`` (20 characters) with no other
+    "Z", and its artwork is absent or a ``str``. It keeps exactly what
+    ``_Records.add`` would keep. Any other record goes to ``add``, the one
+    source of reject reasons; no unhashable cell reaches the memo.
     """
     add = records.add
     code_of = records.memo.get
-    codes = records.codes
-    keep_eth = records.price_eth.append
-    keep_usd = records.price_usd.append
-    keep_timestamp = records.timestamp.append
+    codes = records.new_codes
+    keep_eth_coef = records.price_eth.new_coef.append
+    keep_eth_exp = records.price_eth.new_exp.append
+    keep_usd_coef = records.price_usd.new_coef.append
+    keep_usd_exp = records.price_usd.new_exp.append
+    keep_timestamp = records.new_timestamps.append
     keep_artwork = records.artwork.append
     fromisoformat = datetime.fromisoformat
     row_num = 0
     for cells in rows:
         row_num += 1
+        if not row_num % _BLOCK_RECORDS:
+            records.flush()
         seller, buyer, creator, eth, usd, when, artwork = cells
         if (
             type(seller) is not str
@@ -766,38 +1137,59 @@ def _validate(rows: Iterable[tuple], records: _Records) -> int:
         if s is None or b is None or c is None or s == b or not when or not when.isascii():
             add(row_num, *cells)
             continue
-        try:
-            if type(eth) is str:
-                eth = Decimal(eth) if eth else None
-            if type(usd) is str:
-                usd = Decimal(usd) if usd else None
-            # comparing a NaN raises InvalidOperation
-            fast = (
-                (eth is not None or usd is not None)
-                and (eth is None or type(eth) is Decimal and _ZERO <= eth <= _MAX_FLOAT)
-                and (usd is None or type(usd) is Decimal and _ZERO <= usd <= _MAX_FLOAT)
-            )
-            if when.isdigit():
-                epoch = int(when)
-                fast = fast and epoch <= _MAX_EPOCH
-            elif (len(when) == 25 and when.endswith("+00:00") and "Z" not in when) or (
-                len(when) == 20 and when.find("Z") == 19
-            ):
-                # ``add`` reads every "Z" as "+00:00", so a "Z" elsewhere (a
-                # date-time separator to fromisoformat) takes ``add``, as does
-                # the final "Z" before Python 3.11, which fromisoformat rejects
+        if eth is None or eth == "":
+            eth_coef, eth_exp = 0, _NO_VALUE
+        elif (type(eth) is str or type(eth) is _JsonNumber) and eth.isascii():
+            head, _, tail = eth.partition(".")
+            digits = head + tail
+            if not (digits.isdigit() and len(digits) <= 18):
+                add(row_num, *cells)
+                continue
+            eth_coef, eth_exp = int(digits), -len(tail)
+        else:
+            add(row_num, *cells)
+            continue
+        if usd is None or usd == "":
+            if eth_exp == _NO_VALUE:
+                add(row_num, *cells)
+                continue
+            usd_coef, usd_exp = 0, _NO_VALUE
+        elif (type(usd) is str or type(usd) is _JsonNumber) and usd.isascii():
+            head, _, tail = usd.partition(".")
+            digits = head + tail
+            if not (digits.isdigit() and len(digits) <= 18):
+                add(row_num, *cells)
+                continue
+            usd_coef, usd_exp = int(digits), -len(tail)
+        else:
+            add(row_num, *cells)
+            continue
+        if when.isdigit() and len(when) <= 12:
+            epoch = int(when)
+            fast = epoch <= _MAX_EPOCH
+        elif (len(when) == 25 and when.endswith("+00:00") and "Z" not in when) or (
+            len(when) == 20 and when.find("Z") == 19
+        ):
+            # ``add`` reads every "Z" as "+00:00", so a "Z" elsewhere (a
+            # date-time separator to fromisoformat) takes ``add``, as does
+            # the final "Z" before Python 3.11, which fromisoformat rejects
+            try:
                 since_epoch = fromisoformat(when) - _EPOCH
-                epoch = since_epoch.days * _DAY_S + since_epoch.seconds
-            else:
-                fast = False
-        except (InvalidOperation, ValueError):
+            except ValueError:
+                add(row_num, *cells)
+                continue
+            epoch = since_epoch.days * _DAY_S + since_epoch.seconds
+            fast = True
+        else:
             fast = False
         if not fast:
             add(row_num, *cells)
             continue
         codes += (s, b, c)
-        keep_eth(eth)
-        keep_usd(usd)
+        keep_eth_coef(eth_coef)
+        keep_eth_exp(eth_exp)
+        keep_usd_coef(usd_coef)
+        keep_usd_exp(usd_exp)
         keep_timestamp(epoch)
         keep_artwork(None if artwork is None else artwork.strip() or None)
     return row_num

@@ -166,11 +166,11 @@ def build_metrics_table(
         [
             unweighted.authority,
             weighted.authority,
-            np.array([float(s) for s in degrees.in_strength]),
+            degrees.in_strength.to_float(),
             degrees.in_degree.astype(np.float64),
             unweighted.hub,
             weighted.hub,
-            np.array([float(s) for s in degrees.out_strength]),
+            degrees.out_strength.to_float(),
             degrees.out_degree.astype(np.float64),
         ]
     )

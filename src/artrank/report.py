@@ -14,7 +14,7 @@ from decimal import Decimal
 import numpy as np
 
 from .graph import CollectorArtistNetwork
-from .ingest import EventLog, exact_sum, sum_by
+from .ingest import EventLog, sum_by
 from .profiling import METRIC_NAMES, MetricsTable, normalize_metrics
 
 DIMENSION_SALES = "sales"
@@ -102,8 +102,8 @@ def summarize(log: EventLog, net: CollectorArtistNetwork) -> MarketSummary:
     """Counts and volumes for a log and the network built from it."""
     log.require_usd()
     artwork_ids = {a for a in log.artwork.tolist() if a is not None}
-    usd = exact_sum(log.price_usd.tolist())
-    eth = exact_sum(p for p in log.price_eth.tolist() if p is not None)
+    usd = log.price_usd.total()
+    eth = log.price_eth.total()
     return MarketSummary(
         tokenized_count=len(artwork_ids),
         tokenized_is_lower_bound=True,
@@ -174,6 +174,6 @@ def figure5_data(table: MetricsTable) -> list[tuple[str, tuple[float, ...]]]:
 def _volume_by(log: EventLog, users: np.ndarray) -> dict[str, Decimal]:
     log.require_usd()
     n = len(log.users)
-    totals = sum_by(log.price_usd, users, n).tolist()
-    active = np.flatnonzero(np.bincount(users, minlength=n)).tolist()
-    return {log.users[i]: totals[i] for i in active}
+    active = np.flatnonzero(np.bincount(users, minlength=n))
+    totals = sum_by(log.price_usd, users, n)[active].tolist()
+    return dict(zip(map(log.users.__getitem__, active.tolist()), totals))

@@ -345,19 +345,39 @@ def test_help_lists_subcommands(capsys):
 
 
 def test_manifest_hashes_a_file_larger_than_one_block(tmp_path):
+    block = 1 << 20  # one MiB
     writer = cli.ArtifactWriter(tmp_path)
-    content = "".join(f"{i:07d}\n" for i in range(cli._HASH_BLOCK_BYTES // 4 + 3))
+    content = "".join(f"{i:07d}\n" for i in range(block // 4 + 3))
     writer.text("big.txt", content)
     writer.text("small.txt", "x\n")
     manifest = writer.manifest()
     path = tmp_path / "big.txt"
-    assert path.stat().st_size > 2 * cli._HASH_BLOCK_BYTES
+    assert path.stat().st_size > 2 * block
     assert manifest["files"][0] == {
         "name": "big.txt",
         "sha256": hashlib.sha256(path.read_bytes()).hexdigest(),
         "size": path.stat().st_size,
     }
     assert manifest["files"][1]["sha256"] == hashlib.sha256(b"x\n").hexdigest()
+
+
+def test_manifest_hashes_the_last_write_as_written(tmp_path):
+    writer = cli.ArtifactWriter(tmp_path)
+    writer.text("a.txt", "first\n")
+    writer.csv("a.txt", ("x", "y"), [("1", "é")])
+    writer.jsonl("b.jsonl", ['{"k": 1}\n', '{"k": 2}\n'])
+    # the manifest hashes the bytes as they were written; it reads nothing back
+    (tmp_path / "a.txt").write_text("changed afterwards\n", encoding="utf-8")
+    files = writer.manifest()["files"]
+    written = "x,y\n1,é\n".encode()
+    assert files == [
+        {"name": "a.txt", "sha256": hashlib.sha256(written).hexdigest(), "size": len(written)},
+        {
+            "name": "b.jsonl",
+            "sha256": hashlib.sha256(b'{"k": 1}\n{"k": 2}\n').hexdigest(),
+            "size": 18,
+        },
+    ]
 
 
 def test_failed_run_leaves_no_stale_manifest(fixture_dir, capsys):
@@ -532,6 +552,25 @@ def test_price_beyond_float_range_rejected_at_ingest(tmp_path):
     assert report["rejects"] == [{"row": 1, "reason": "bad price: price_usd is out of range"}]
     rankings = (out / "rankings.csv").read_text(encoding="utf-8").lower()
     assert "nan" not in rankings and "inf" not in rankings
+
+
+@pytest.mark.parametrize("command", ["ingest", "run"])
+def test_rates_refuse_usd_price_beyond_float_range_before_writing(tmp_path, capsys, command):
+    sales = tmp_path / "eth.csv"
+    sales.write_text(
+        "seller,buyer,creator,price_eth,timestamp\n"
+        "a,b,a,2,2021-04-20T10:00:00Z\n"
+        "a,c,a,1E+305,2021-04-21T10:00:00Z\n",
+        encoding="utf-8",
+    )
+    rates = tmp_path / "rates.csv"
+    rates.write_text("date,usd_per_eth\n2021-04-20,2300\n2021-04-21,10000\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert run_cli(command, sales, "--rates", rates, "--out", out) == 1
+    assert capsys.readouterr().err == (
+        "error: the sale of 2021-04-21 converts to 1.000000E+309 USD, beyond the float range\n"
+    )
+    assert list(out.iterdir()) == []
 
 
 def test_report_refuses_rankings_of_another_log(tmp_path, capsys):

@@ -137,6 +137,18 @@ def test_adjacency_rejects_edge_total_beyond_float_range():
     assert adjacency(net, Weighting.UNWEIGHTED_BINARY).matrix.nnz == 2
 
 
+def test_adjacency_overflow_message_writes_the_total_in_six_digits():
+    log = log_of(
+        ev("a1", "c1", "a1", usd="1.23456789E+308", ts=0),
+        ev("a1", "c1", "a1", usd="1E+308", ts=1),
+    )
+    with pytest.raises(ValueError) as excinfo:
+        adjacency(build_network(log), Weighting.WEIGHTED_USD)
+    assert str(excinfo.value) == (
+        "edge 'c1' -> 'a1' totals 2.234568E+308 USD, beyond the float range"
+    )
+
+
 def test_empty_network_adjacency_is_all_zero():
     net = build_network(log_of())
     view = adjacency(net, Weighting.WEIGHTED_USD)

@@ -244,6 +244,24 @@ def test_convert_idempotent():
     assert once == twice
 
 
+def test_convert_refuses_products_beyond_the_float_range():
+    largest = Decimal(sys.float_info.max)
+    rates = RateTable({date(2021, 4, 21): Decimal(1), date(2021, 4, 22): Decimal("1.0000000000000001")})
+
+    def eth_sale(day: int) -> SaleEvent:
+        when = datetime(2021, 4, day, 12, 0, tzinfo=timezone.utc)
+        return SaleEvent("a", "b", "a", largest, None, when)
+
+    # the largest double itself converts; a product above it, which still
+    # rounds to that double, is refused as ingest refuses such a price
+    assert convert_currency(log_of(eth_sale(21)), rates).events[0].price_usd == largest
+    with pytest.raises(ValueError) as excinfo:
+        convert_currency(log_of(eth_sale(21), eth_sale(22)), rates)
+    assert str(excinfo.value) == (
+        "the sale of 2021-04-22 converts to 1.797693E+308 USD, beyond the float range"
+    )
+
+
 def test_rate_table_rejects_bad_rows():
     with pytest.raises(ValueError, match="header"):
         RateTable.from_csv(b"day,rate\n2021-01-01,10\n")
@@ -375,14 +393,15 @@ def _full_validator(rows):
     records = ingest._Records()
     for row_num, cells in enumerate(rows, start=1):
         records.add(row_num, *cells)
+    records.flush()
     ids = list(map(records.users.__getitem__, records.codes))
     expected_events = sorted(
         zip(
             ids[0::3],
             ids[1::3],
             ids[2::3],
-            records.price_eth,
-            records.price_usd,
+            records.price_eth.column.tolist(),
+            records.price_usd.column.tolist(),
             records.timestamp,
             records.artwork,
         ),
