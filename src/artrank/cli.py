@@ -479,13 +479,18 @@ def load_rankings_csv(path: Path) -> MetricsTable:
     """Rebuild the metrics table from a rankings artifact, its rows in user-id order.
 
     Columns are found by header name, so their order and any extra columns
-    do not matter; of duplicate names the last column wins.
+    do not matter; of duplicate names the last column wins. A user listed
+    twice is refused.
     """
     with open(path, "rb") as handle:
         users, values = _read_text(handle, _rankings_cells)
     by_id = id_order(users)
+    ordered = tuple(map(users.__getitem__, by_id.tolist()))
+    for earlier, later in zip(ordered, ordered[1:]):
+        if earlier == later:
+            raise ValueError(f"rankings file lists user {earlier!r} more than once")
     values = np.array(values, dtype=np.float64).reshape(len(users), len(METRIC_NAMES))
-    return MetricsTable(users=tuple(map(users.__getitem__, by_id.tolist())), values=values[by_id])
+    return MetricsTable(users=ordered, values=values[by_id])
 
 
 def _rankings_cells(text: Iterable[str]) -> tuple[list[str], list[list[float]]]:
@@ -617,7 +622,7 @@ def _profile(inputs: _Inputs, writer: ArtifactWriter) -> str:
     pattern = getattr(inputs.args, "match", None)
     if pattern is not None:
         # a malformed query fails before any write
-        profiling.match_code((), pattern, which=inputs.args.match_which)
+        profiling._check_pattern(pattern, inputs.args.match_which)
     profiles = profiling.build_profiles(inputs.table, cfg.role_percentile, cfg.tie_rank)
     # the table is finite (MetricsTable refuses anything else), so every
     # normalized value is too, but authority x hub can overflow
@@ -627,11 +632,14 @@ def _profile(inputs: _Inputs, writer: ArtifactWriter) -> str:
     writer.jsonl(PROFILES_JSONL, _profile_lines(profiles))
     lines = []
     if pattern is not None:
-        matched = set(profiling.match_code(profiles, pattern, which=inputs.args.match_which))
         rows = [
-            [p.user_id, p.role.value, p.artist_code, p.collector_code]
-            for p in profiles
-            if p.user_id in matched
+            [
+                profiles.users[i],
+                profiling.ROLES[profiles.role[i]].value,
+                profiles.artist_code[i],
+                profiles.collector_code[i],
+            ]
+            for i in profiling._matching_rows(profiles, pattern, inputs.args.match_which)
         ]
         writer.csv(MATCHES_CSV, ("user", "role", "artist_code", "collector_code"), rows)
         lines.append(f"{len(rows)} user(s) match {pattern!r} -> {writer.out_dir / MATCHES_CSV}")

@@ -81,19 +81,6 @@ class CollectorArtistNetwork:
     def total_sale_count(self) -> int:
         return int(self.sale_count.sum())
 
-    def edges_by_id(self) -> dict[tuple[str, str], tuple[Decimal, int]]:
-        """Edge data keyed by (collector id, artist id), for comparisons and export."""
-        users = self.users
-        return {
-            (users[c], users[a]): (total, count)
-            for c, a, total, count in zip(
-                self.collector.tolist(),
-                self.artist.tolist(),
-                self.total_usd.tolist(),
-                self.sale_count.tolist(),
-            )
-        }
-
 
 @dataclass(frozen=True, eq=False)
 class CSRMatrix:

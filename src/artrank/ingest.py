@@ -5,11 +5,13 @@ Raw rows (CSV or JSON) are validated record by record into a columnar
 and artwork ids, one array per field. Bad rows never abort a run;
 they are returned as ``RejectReport`` entries with a row number and reason.
 Input is decoded as it is read: CSV a buffer at a time, one-object-per-line
-JSON a block of lines at a time; only a JSON array is decoded whole. CSV
-rows and JSON records alike pass one validating loop, whose inline fast
-path keeps what the full validator would keep for the common record; every
-other record goes through the full validator. ``events.csv`` is written a
-chunk of rows at a time, column by column.
+JSON a line at a time, where a line ends at ``\\n``, ``\\r\\n`` or ``\\r`` only;
+only a JSON array is decoded whole. CSV rows and JSON records alike pass
+one validating loop, whose inline fast path keeps what the full validator
+would keep for the common record; every other record goes through the full
+validator. Logs come only from ``parse_events`` (and ``convert_currency``
+of one), so the validator alone decides what a log holds. ``events.csv``
+is written a chunk of rows at a time, column by column.
 Prices stay exact. Each price column is a ``DecimalColumn``: an integer
 coefficient array, an integer exponent array and a missing mask, so value
 ``i`` is exactly ``coef[i] * 10**exp[i]``, with no ``Decimal`` object per
@@ -19,8 +21,7 @@ read as a ``Decimal`` by the full validator. Sums, ETH to USD products and
 price text follow ``Decimal`` arithmetic exactly, so that re-exported logs
 are byte-identical to their source; conversion to binary floats is
 correctly rounded and happens only where the numeric analysis needs it.
-``SaleEvent`` is the row view of the log, built on demand by
-``EventLog.events``; it and ``DecimalColumn.tolist()`` give ``Decimal``
+Indexing a price column, iterating it or ``tolist()`` gives ``Decimal``
 prices.
 
 Canonical input field names: ``seller``, ``buyer``, ``creator``,
@@ -50,16 +51,13 @@ from decimal import (
     InvalidOperation,
     localcontext,
 )
-from functools import cached_property, partial
-from itertools import islice
+from functools import cached_property
+from itertools import chain, islice
 from typing import BinaryIO, Callable, Iterable, Iterator, Mapping, Sequence, TextIO, TypeVar
 
 import numpy as np
 
 _T = TypeVar("_T")
-
-PRIMARY = "primary"
-SECONDARY = "secondary"
 
 CANONICAL_FIELDS = (
     "seller",
@@ -92,14 +90,9 @@ _NO_VALUE = _INT64_MIN
 # buffers; a list append is cheaper than an array append
 _BLOCK_RECORDS = 1 << 13
 _EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
-_SECOND = timedelta(seconds=1)
 _DAY_S = 86_400
 _CSV_SPECIAL = re.compile('[,"\r\n]')  # characters the csv writer may quote for
 _CSV_CHUNK_ROWS = 1 << 13
-# characters of one-object-per-line JSON read at a time
-_JSON_BLOCK_CHARS = 1 << 20
-# the characters at which str.splitlines() ends a line ("\r\n" ends one line)
-_LINE_BREAKS = frozenset("\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029")
 # events.csv timestamp text, and the two-digit fields within it
 _STAMP = np.frombuffer(b"0000-00-00T00:00:00+00:00\n", dtype=np.uint8)
 _STAMP_FIELDS = (0, 2, 5, 8, 11, 14, 17)
@@ -128,44 +121,6 @@ class RejectReport:
 
     row: int
     reason: str
-
-
-@dataclass(frozen=True)
-class SaleEvent:
-    """One validated market transaction.
-
-    ``creator_id`` is the original artist of the sold token, which differs
-    from ``seller_id`` on secondary-market resales. ``price_usd`` is None
-    until currency conversion runs for ETH-only records.
-    """
-
-    seller_id: str
-    buyer_id: str
-    creator_id: str
-    price_eth: Decimal | None
-    price_usd: Decimal | None
-    timestamp: datetime
-    artwork_id: str | None = None
-
-    def __post_init__(self) -> None:
-        if self.buyer_id == self.seller_id:
-            raise ValueError("self-sale: buyer equals seller")
-        if self.price_eth is None and self.price_usd is None:
-            raise ValueError("event carries neither an ETH nor a USD price")
-        for label, price in (("price_eth", self.price_eth), ("price_usd", self.price_usd)):
-            if price is not None and price < 0:
-                raise ValueError(f"{label} must be non-negative")
-        if self.timestamp.tzinfo is None:
-            raise ValueError("timestamp must be timezone-aware")
-
-    @property
-    def market(self) -> str:
-        """``primary`` when the artist sells their own creation, else ``secondary``."""
-        return PRIMARY if self.seller_id == self.creator_id else SECONDARY
-
-    @property
-    def needs_conversion(self) -> bool:
-        return self.price_usd is None
 
 
 @dataclass(frozen=True)
@@ -591,19 +546,6 @@ class EventLog:
         if not all(map(str.__lt__, self.users, self.users[1:])):
             raise ValueError("users must be in strictly increasing id order")
 
-    def __eq__(self, other: object) -> bool:
-        """Logs are equal when their metadata and their events are."""
-        if not isinstance(other, EventLog):
-            return NotImplemented
-        return (self.source, self.total_records, self.rejected_count, self.events) == (
-            other.source,
-            other.total_records,
-            other.rejected_count,
-            other.events,
-        )
-
-    __hash__ = None  # type: ignore[assignment]
-
     @property
     def accepted_count(self) -> int:
         return len(self.timestamp)
@@ -629,54 +571,6 @@ class EventLog:
             raise ValueError(
                 f"{unconverted} event(s) lack a USD price; apply convert_currency first"
             )
-
-    @cached_property
-    def events(self) -> tuple[SaleEvent, ...]:
-        """The log as ``SaleEvent`` rows, built on first access."""
-        users = self.users
-        return tuple(
-            SaleEvent(
-                seller_id=users[s],
-                buyer_id=users[b],
-                creator_id=users[c],
-                price_eth=eth,
-                price_usd=usd,
-                timestamp=datetime.fromtimestamp(ts, tz=timezone.utc),
-                artwork_id=artwork,
-            )
-            for s, b, c, eth, usd, ts, artwork in zip(
-                self.seller.tolist(),
-                self.buyer.tolist(),
-                self.creator.tolist(),
-                self.price_eth.tolist(),
-                self.price_usd.tolist(),
-                self.timestamp.tolist(),
-                self.artwork.tolist(),
-            )
-        )
-
-    @classmethod
-    def from_events(cls, events: Iterable[SaleEvent], source: str = "") -> "EventLog":
-        """Build a log from in-memory events (sorted here; counts set to match).
-
-        ``events`` of the result are the caller's objects, in sorted order.
-        """
-        ordered = tuple(sorted(events, key=lambda e: e.timestamp))
-        records = _Records()
-        user = records.user
-        for e in ordered:
-            records.append(
-                user(e.seller_id),
-                user(e.buyer_id),
-                user(e.creator_id),
-                e.price_eth,
-                e.price_usd,
-                (e.timestamp - _EPOCH) // _SECOND,
-                e.artwork_id,
-            )
-        log = records.log(source, total=len(ordered))
-        object.__setattr__(log, "events", ordered)
-        return log
 
 
 class _Records:
@@ -732,7 +626,11 @@ class _Records:
             # only str cells: True == 1 as a key, and a JSON list is unhashable
             if type(cell) is str:
                 self.memo[cell] = code
-        self.append(*codes, eth, usd, epoch, artwork)
+        self.new_codes += codes
+        self.price_eth.append(eth)
+        self.price_usd.append(usd)
+        self.new_timestamps.append(epoch)
+        self.artwork.append(artwork)
 
     def user(self, user_id: str) -> int:
         """The code of a (stripped) user id, given here at its first sight."""
@@ -741,14 +639,6 @@ class _Records:
             code = self.memo[user_id] = len(self.users)
             self.users.append(user_id)
         return code
-
-    def append(self, seller: int, buyer: int, creator: int, eth, usd, epoch: int, artwork) -> None:
-        """Keep one validated record; ``eth`` and ``usd`` are ``Decimal`` or None."""
-        self.new_codes += (seller, buyer, creator)
-        self.price_eth.append(eth)
-        self.price_usd.append(usd)
-        self.new_timestamps.append(epoch)
-        self.artwork.append(artwork)
 
     def flush(self) -> None:
         """Move the latest records' integers into the int64 buffers."""
@@ -1042,18 +932,19 @@ def _json_cells(text: TextIO, remap: Mapping[str, str]) -> Iterator[tuple]:
 def _json_records(text: TextIO) -> Iterable[object]:
     """The records of an array of objects, decoded whole, or of one object per line.
 
-    The first character that is not whitespace tells them apart; reading
-    stops at the block that holds it.
+    The first non-blank line tells them apart. Lines end at ``\\n``, ``\\r\\n``
+    or ``\\r`` only, so any other line-break character stays inside its record.
     """
-    head = ""
-    for block in iter(partial(text.read, _JSON_BLOCK_CHARS), ""):
-        head += block
-        if not block.isspace():
+    lines = iter(text)
+    head = ""  # the text up to the first non-blank line's end
+    for line in lines:
+        head += line
+        if line.strip():
             break
     else:
         raise ValueError("JSON input is empty")
-    if not block.lstrip().startswith("["):
-        return _ndjson_records(text, head)
+    if not line.lstrip().startswith("["):
+        return _ndjson_records(chain((line,), lines))
     try:
         records = json.loads(head + text.read(), parse_float=_JsonNumber)
     except json.JSONDecodeError as exc:
@@ -1063,33 +954,18 @@ def _json_records(text: TextIO) -> Iterable[object]:
     return records
 
 
-def _ndjson_records(text: TextIO, head: str) -> Iterator[object]:
-    """Decode each non-blank line of ``head`` and the rest of ``text``.
-
-    Lines are split and numbered as ``str.splitlines()`` of the whole text
-    splits them. Each block read is joined to the unfinished line the
-    previous block ended with; a read is at least as long as that line, so
-    one long line costs linear time. A ``\r\n`` that two blocks split ends
-    a line at the ``\r`` and adds an empty one, which takes no number.
-    """
+def _ndjson_records(lines: Iterable[str]) -> Iterator[object]:
+    """Decode each non-blank line, without its line end; blank lines take no record number."""
     decoder = json.JSONDecoder(parse_float=_JsonNumber)
     row_num = 0
-    tail = head
-    while True:
-        block = text.read(max(_JSON_BLOCK_CHARS, len(tail)))
-        buffer = tail + block
-        lines = buffer.splitlines()
-        tail = lines.pop() if block and buffer[-1] not in _LINE_BREAKS else ""
-        for line in lines:
-            if not line.strip():
-                continue
-            row_num += 1
-            try:
-                yield decoder.decode(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"invalid JSON on record {row_num}: {exc}") from None
-        if not block:
-            return
+    for line in lines:
+        if not line.strip():
+            continue
+        row_num += 1
+        try:
+            yield decoder.decode(line.rstrip("\r\n"))
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"invalid JSON on record {row_num}: {exc}") from None
 
 
 def _validate(rows: Iterable[tuple], records: _Records) -> int:

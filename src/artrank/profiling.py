@@ -10,16 +10,14 @@ wildcard pattern queries such as ``AC**``.
 
 Profiles are columns: one cut of the (n, 8) percentile matrix gives every
 level, the codes are those levels read as base-3 numbers, and the roles come
-from two boolean columns. ``UserProfile`` rows are built only when read.
+from two boolean columns. ``match_code`` queries the code columns.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
 from itertools import product
 
 import numpy as np
@@ -89,27 +87,14 @@ class MetricsTable:
         return self.values[:, METRIC_NAMES.index(name)]
 
 
-@dataclass(frozen=True)
-class UserProfile:
-    """Role label, both level codes, max-normalized metrics, trader score."""
-
-    user_id: str
-    role: Role
-    artist_code: str
-    collector_code: str
-    normalized: tuple[float, ...]  # 8 values in METRIC_NAMES order, each in [0, 1]
-    trader_score: float
-
-
 @dataclass(frozen=True, eq=False)
-class Profiles(Sequence[UserProfile]):
+class Profiles:
     """Every user's profile as columns, aligned to the metrics table's rows.
 
     User ``i`` has role ``ROLES[role[i]]``, the 4-letter codes
     ``artist_code[i]`` and ``collector_code[i]``, the max-normalized metrics
     ``normalized[i]`` (8 values in ``METRIC_NAMES`` order) and
-    ``trader_score[i]``. As a sequence it reads as ``UserProfile`` rows,
-    built on first access.
+    ``trader_score[i]``.
     """
 
     users: tuple[str, ...]
@@ -121,34 +106,6 @@ class Profiles(Sequence[UserProfile]):
 
     def __len__(self) -> int:
         return len(self.users)
-
-    def __getitem__(self, index):
-        return self.rows[index]
-
-    def __iter__(self):
-        return iter(self.rows)
-
-    @cached_property
-    def rows(self) -> tuple[UserProfile, ...]:
-        """The profiles as ``UserProfile`` rows, built on first access."""
-        return tuple(
-            UserProfile(
-                user_id=user,
-                role=ROLES[role],
-                artist_code=artist,
-                collector_code=collector,
-                normalized=tuple(normalized),
-                trader_score=trader,
-            )
-            for user, role, artist, collector, normalized, trader in zip(
-                self.users,
-                self.role.tolist(),
-                self.artist_code.tolist(),
-                self.collector_code.tolist(),
-                self.normalized.tolist(),
-                self.trader_score.tolist(),
-            )
-        )
 
 
 def build_metrics_table(
@@ -249,17 +206,35 @@ def build_profiles(
     )
 
 
-def match_code(
-    profiles: Iterable[UserProfile],
-    pattern: str,
-    which: str = "artist",
-) -> list[str]:
-    """Users whose stored code matches the pattern position-wise.
+def match_code(profiles: Profiles, pattern: str, which: str = "artist") -> list[str]:
+    """Users whose stored code matches the pattern position-wise, in table order.
 
     ``which`` selects the artist code, the collector code, or the 8-symbol
     concatenation (``full``). ``*`` matches any level; stored codes never
     contain wildcards.
     """
+    return [profiles.users[i] for i in _matching_rows(profiles, pattern, which)]
+
+
+def _matching_rows(profiles: Profiles, pattern: str, which: str) -> list[int]:
+    """The rows of the users whose ``which`` code matches ``pattern``, in table order."""
+    _check_pattern(pattern, which)
+    codes = {
+        "artist": (profiles.artist_code,),
+        "collector": (profiles.collector_code,),
+        "full": (profiles.artist_code, profiles.collector_code),
+    }[which]
+    # one column of letters per code position
+    letters = np.hstack([np.asarray(code, dtype="U4").view("U1").reshape(-1, 4) for code in codes])
+    keep = np.ones(len(profiles), dtype=bool)
+    for position, symbol in enumerate(pattern):
+        if symbol != WILDCARD:
+            keep &= letters[:, position] == symbol
+    return np.flatnonzero(keep).tolist()
+
+
+def _check_pattern(pattern: str, which: str) -> None:
+    """Raise ValueError unless ``pattern`` is a well-formed query of the ``which`` code."""
     expected = {"artist": 4, "collector": 4, "full": 8}.get(which)
     if expected is None:
         raise ValueError(f"unknown code selector: {which!r}")
@@ -267,17 +242,6 @@ def match_code(
         c not in LEVEL_SYMBOLS and c != WILDCARD for c in pattern
     ):
         raise ValueError(f"malformed pattern: {pattern!r}")
-    matched = []
-    for profile in profiles:
-        if which == "artist":
-            code = profile.artist_code
-        elif which == "collector":
-            code = profile.collector_code
-        else:
-            code = profile.artist_code + profile.collector_code
-        if all(p == WILDCARD or p == c for p, c in zip(pattern, code)):
-            matched.append(profile.user_id)
-    return matched
 
 
 def _level_index(percentile: np.ndarray) -> np.ndarray:

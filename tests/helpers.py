@@ -10,12 +10,14 @@ from __future__ import annotations
 import csv
 import io
 import json
+import re
 from datetime import datetime, timezone
 from decimal import Decimal
+from typing import NamedTuple
 
 import numpy as np
 
-from artrank import EventLog, SaleEvent, ingest
+from artrank import EventLog, ingest, parse_events
 
 T0 = 1_600_000_000  # arbitrary epoch base for generated timestamps
 
@@ -28,21 +30,75 @@ def ev(
     eth=None,
     ts: int = 0,
     artwork: str | None = None,
-) -> SaleEvent:
-    """Terse SaleEvent constructor for fixtures."""
-    return SaleEvent(
-        seller_id=seller,
-        buyer_id=buyer,
-        creator_id=creator,
-        price_eth=None if eth is None else Decimal(str(eth)),
-        price_usd=None if usd is None else Decimal(str(usd)),
-        timestamp=datetime.fromtimestamp(T0 + ts, tz=timezone.utc),
-        artwork_id=artwork,
+) -> tuple[str, ...]:
+    """The canonical CSV cells of one fixture sale, in ``CANONICAL_FIELDS`` order."""
+    return (
+        seller,
+        buyer,
+        creator,
+        "" if eth is None else str(eth),
+        "" if usd is None else str(usd),
+        str(T0 + ts),
+        artwork or "",
     )
 
 
-def log_of(*events: SaleEvent, source: str = "fixture") -> EventLog:
-    return EventLog.from_events(events, source=source)
+def log_of(*events: tuple[str, ...], source: str = "fixture") -> EventLog:
+    """The log ``parse_events`` makes of fixture sales written as a CSV.
+
+    Raises ValueError naming the reason when the validator rejects a sale.
+    """
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(ingest.CANONICAL_FIELDS)
+    writer.writerows(events)
+    log, rejects = parse_events(buffer.getvalue().encode(), "csv", source=source)
+    if rejects:
+        raise ValueError(f"fixture sale {rejects[0].row} rejected: {rejects[0].reason}")
+    return log
+
+
+class Sale(NamedTuple):
+    """One event of a log, read from its columns."""
+
+    seller_id: str
+    buyer_id: str
+    creator_id: str
+    price_eth: Decimal | None
+    price_usd: Decimal | None
+    timestamp: datetime
+    artwork_id: str | None
+
+
+def sales(log: EventLog) -> list[Sale]:
+    """The events of ``log`` in log order, one ``Sale`` each."""
+    users = log.users
+    return [
+        Sale(users[s], users[b], users[c], eth, usd, datetime.fromtimestamp(ts, timezone.utc), art)
+        for s, b, c, eth, usd, ts, art in zip(
+            log.seller.tolist(),
+            log.buyer.tolist(),
+            log.creator.tolist(),
+            log.price_eth.tolist(),
+            log.price_usd.tolist(),
+            log.timestamp.tolist(),
+            log.artwork.tolist(),
+        )
+    ]
+
+
+def edge_totals(net) -> dict[tuple[str, str], tuple[Decimal, int]]:
+    """Each edge's (total USD, sale count), keyed by (collector id, artist id)."""
+    users = net.users
+    return {
+        (users[c], users[a]): (total, count)
+        for c, a, total, count in zip(
+            net.collector.tolist(),
+            net.artist.tolist(),
+            net.total_usd.tolist(),
+            net.sale_count.tolist(),
+        )
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -111,9 +167,9 @@ def random_sparse_digraph(
 def parse_json_whole(data: bytes, field_map=None):
     """``parse_events(data, "json")`` read the whole-text way, through the full validator.
 
-    The input is decoded at once, one-object-per-line input is split with
-    ``str.splitlines()`` of the whole text, and every record goes to
-    ``_Records.add``. Returns ``(log, rejects)``; raises the ValueError that
+    The input is decoded at once, one-object-per-line input is split into
+    lines at every ``\\n``, ``\\r\\n`` and ``\\r`` of the whole text, and every
+    record goes to ``_Records.add``. Returns ``(log, rejects)``; raises the ValueError that
     ``parse_events`` raises.
     """
     remap = dict(field_map or {})
@@ -134,7 +190,7 @@ def parse_json_whole(data: bytes, field_map=None):
     else:
         decoder = json.JSONDecoder(parse_float=Decimal)
         items = []
-        for line in text.splitlines():
+        for line in re.split(r"\r\n|\r|\n", text):
             if not line.strip():
                 continue
             try:

@@ -22,7 +22,15 @@ from artrank import (
     trader_score,
 )
 from artrank.centrality import _RowSums
-from helpers import cosine, dense_hits_oracle, ev, log_of, market_csv, random_sparse_digraph
+from helpers import (
+    cosine,
+    dense_hits_oracle,
+    ev,
+    log_of,
+    market_csv,
+    random_sparse_digraph,
+    sales,
+)
 
 
 def view_of(dense: np.ndarray) -> AdjacencyView:
@@ -239,7 +247,9 @@ def test_degree_metrics_match_event_recount():
         ev("a2", "c1", "a2", usd=10, ts=3),
         ev("a2", "c1", "a2", usd=5, ts=4),
     ]
-    net = build_network(log_of(*events))
+    log = log_of(*events)
+    events = sales(log)
+    net = build_network(log)
     metrics = degree_metrics(net)
     for user in net.users:
         i = net.users.index(user)

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from artrank import SaleEvent, cli
+from artrank import cli
 
 FIXTURE_CSV = """seller,buyer,creator,price_eth,price_usd,timestamp,artwork_id
 ann,bob,ann,1.0,2300,2021-04-20T10:00:00Z,a1
@@ -429,23 +429,6 @@ def test_converged_run_logs_no_hits_warning(fixture_dir, caplog):
     assert not [r for r in caplog.records if "did not converge" in r.getMessage()]
 
 
-def test_run_builds_no_sale_event(fixture_dir, monkeypatch):
-    plain = fixture_dir / "plain"
-    assert run_cli(
-        "run", fixture_dir / "sales.csv", "--rates", fixture_dir / "rates.csv", "--out", plain
-    ) == 0
-
-    def refuse(self):
-        raise AssertionError("run built a SaleEvent")
-
-    monkeypatch.setattr(SaleEvent, "__post_init__", refuse)
-    columnar = fixture_dir / "columnar"
-    assert run_cli(
-        "run", fixture_dir / "sales.csv", "--rates", fixture_dir / "rates.csv", "--out", columnar
-    ) == 0
-    assert read_tree(columnar) == read_tree(plain)
-
-
 def test_lock_file_blocks_stage_command(fixture_dir, capsys):
     staged = fixture_dir / "staged"
     assert run_cli(
@@ -784,6 +767,28 @@ def test_profile_checks_match_pattern_before_writing(fixture_dir, capsys):
         assert status == 1
         assert capsys.readouterr().err == f"error: malformed pattern: {pattern!r}\n"
         assert {name: (out / name).read_bytes() for name in before} == before
+
+
+@pytest.mark.parametrize("command", ["profile", "correlate", "report"])
+def test_rankings_with_a_repeated_user_refused_before_writing(fixture_dir, capsys, command):
+    inputs = ["events.csv", "rankings.csv"] if command == "report" else ["rankings.csv"]
+    out = fixture_dir / "out"
+    assert run_cli(
+        "run", fixture_dir / "sales.csv", "--rates", fixture_dir / "rates.csv", "--out", out
+    ) == 0
+    rankings = out / "rankings.csv"
+    lines = rankings.read_text(encoding="utf-8").splitlines(keepends=True)
+    rankings.write_text("".join(lines + lines[2:3]), encoding="utf-8")
+    user = lines[2].split(",")[0]
+    capsys.readouterr()
+    target = fixture_dir / "target"
+    assert run_cli(command, *(out / name for name in inputs), "--out", target) == 1
+    assert capsys.readouterr().err == (
+        f"error: rankings file lists user {user!r} more than once\n"
+    )
+    assert read_tree(target) == {}
+    with pytest.raises(ValueError, match="more than once"):
+        cli.load_rankings_csv(rankings)
 
 
 def test_rankings_csv_with_byte_order_mark(fixture_dir):

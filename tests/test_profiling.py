@@ -184,8 +184,8 @@ def test_classify_role_threshold_validated():
 def test_match_code_universal_wildcard_and_full():
     table = make_rank_table({}, 10)  # ranks 1..10: only rank 10 clears 0.9
     profiles = build_profiles(table)
-    assert match_code(profiles, "****", which="artist") == [p.user_id for p in profiles]
-    assert match_code(profiles, "********", which="full") == [p.user_id for p in profiles]
+    assert match_code(profiles, "****", which="artist") == list(profiles.users)
+    assert match_code(profiles, "********", which="full") == list(profiles.users)
     assert match_code(profiles, "AAAA", which="collector") == ["u9"]
 
 
@@ -249,9 +249,9 @@ def test_shape_vectors_flag_archetypes():
     columns["w_authority"][3] = 1.0
     table = table_with(**columns)
     profiles = build_profiles(table)
-    assert profiles[0].artist_code == "AAAA"
-    assert profiles[1].artist_code[0] == "C"  # low in-degree
-    assert profiles[1].artist_code[2] == "A"  # high unweighted authority
+    assert profiles.artist_code[0] == "AAAA"
+    assert profiles.artist_code[1][0] == "C"  # low in-degree
+    assert profiles.artist_code[1][2] == "A"  # high unweighted authority
 
 
 # ---------------------------------------------------------------------------
@@ -292,5 +292,5 @@ def test_build_metrics_table_wires_columns():
     np.testing.assert_array_equal(table.column("w_hub"), weighted.hub)
     profiles = build_profiles(table)
     trader = unweighted.authority * unweighted.hub
-    for p, expected in zip(profiles, trader):
-        assert p.trader_score == pytest.approx(float(expected))
+    for score, expected in zip(profiles.trader_score.tolist(), trader):
+        assert score == pytest.approx(float(expected))

@@ -2,23 +2,28 @@
 
 Each reference below builds one Python object per user, the way the
 pipeline did before its per-user layer became columnar: a level string per
-percentile, a ``UserProfile`` per user, a dict and a ``json.dumps`` call
-per ``profiles.jsonl`` line, a list of ``str`` cells per CSV row. The
-columnar code must write the same text for any metrics table.
+percentile, a ``ReferenceProfile`` tuple per user, a dict and a
+``json.dumps`` call per ``profiles.jsonl`` line, a list of ``str`` cells
+per CSV row, and a pattern matched one user at a time. The columnar code
+must write the same text for any metrics table.
 """
 
 import csv
+import hashlib
 import io
 import json
 import math
 from itertools import chain
+from typing import NamedTuple
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from artrank import METRIC_NAMES, MetricsTable, Role, UserProfile, cli, match_code, profiling
+from artrank import METRIC_NAMES, MetricsTable, Role, cli, match_code, profiling
 from artrank.ingest import id_order, write_csv_rows
+from helpers import market_csv
 
 # ---------------------------------------------------------------------------
 # Row-by-row references
@@ -33,7 +38,16 @@ def reference_level(percentile: float) -> str:
     return "C"
 
 
-def reference_profiles(table, threshold, tie_rank) -> list[UserProfile]:
+class ReferenceProfile(NamedTuple):
+    user_id: str
+    role: Role
+    artist_code: str
+    collector_code: str
+    normalized: tuple[float, ...]  # 8 values in METRIC_NAMES order
+    trader_score: float
+
+
+def reference_profiles(table, threshold, tie_rank) -> list[ReferenceProfile]:
     def codes(metrics):
         columns = [
             [reference_level(p) for p in profiling.percentiles(table.column(m), tie_rank)]
@@ -63,7 +77,7 @@ def reference_profiles(table, threshold, tie_rank) -> list[UserProfile]:
     normalized = table.values / np.where(maxima > 0, maxima, 1.0)
     trader = table.column("authority") * table.column("hub")
     return [
-        UserProfile(
+        ReferenceProfile(
             user_id=user,
             role=roles[i],
             artist_code=artist[i],
@@ -75,7 +89,21 @@ def reference_profiles(table, threshold, tie_rank) -> list[UserProfile]:
     ]
 
 
-def reference_profiles_jsonl(profiles: list[UserProfile]) -> str:
+def reference_matches(profiles: list[ReferenceProfile], pattern: str, which: str) -> list[str]:
+    matched = []
+    for profile in profiles:
+        if which == "artist":
+            code = profile.artist_code
+        elif which == "collector":
+            code = profile.collector_code
+        else:
+            code = profile.artist_code + profile.collector_code
+        if all(p == "*" or p == c for p, c in zip(pattern, code)):
+            matched.append(profile.user_id)
+    return matched
+
+
+def reference_profiles_jsonl(profiles: list[ReferenceProfile]) -> str:
     records = (
         {
             "user": p.user_id,
@@ -205,11 +233,45 @@ def test_profiles_match_row_reference(table, tie_rank, threshold):
     assert "".join(cli._profile_lines(profiles)) == reference_profiles_jsonl(reference)
 
     assert len(profiles) == len(reference)
-    assert [profiles[i] for i in range(len(profiles))] == reference
-    assert profiles[-1] == reference[-1]
-    assert list(profiles[1:3]) == reference[1:3]
-    assert list(profiles) == reference
-    assert list(profiles) == reference  # a second pass reads the same rows
+    assert profiles.users == tuple(p.user_id for p in reference)
+    assert [profiling.ROLES[i] for i in profiles.role.tolist()] == [p.role for p in reference]
+    assert profiles.artist_code.tolist() == [p.artist_code for p in reference]
+    assert profiles.collector_code.tolist() == [p.collector_code for p in reference]
+    assert list(map(tuple, profiles.normalized.tolist())) == [p.normalized for p in reference]
+    assert profiles.trader_score.tolist() == [p.trader_score for p in reference]
     for pattern, which in (("****", "artist"), ("A***", "artist"), ("*B*C", "collector"),
                            ("C*******", "full")):
-        assert match_code(profiles, pattern, which) == match_code(reference, pattern, which)
+        assert match_code(profiles, pattern, which) == reference_matches(reference, pattern, which)
+
+
+# sha256 of the matches.csv each query wrote when profiles were built and
+# matched one row at a time. No user of this market is AC** (a high sale
+# count comes with a high strength here), so AA** checks artist-code rows.
+@pytest.mark.parametrize(
+    "pattern,which,digest",
+    [
+        ("AC**", "artist", "520b11464d731ef15bc8cd6b2fe88804a0c0d33477d3cfe6ad05f764ee885874"),
+        ("AA**", "artist", "10c75dbc26f556e855c6bdd765b70d472a8646e0ba31892f4c2e082fd54d10d9"),
+        ("A***", "collector", "b698510552cc0beaee0f7c93bc3e453d43e9f8be25ab5e111de4501af1fa1bcc"),
+        ("********", "full", "f6aae58a34c7eb6d93a702e6352b610326c1425d0cb2d50d2b7fbba78179ed24"),
+    ],
+)
+def test_profile_match_writes_the_row_reference(tmp_path, pattern, which, digest):
+    (tmp_path / "sales.csv").write_text(market_csv(5, 3000), encoding="utf-8")
+    out = tmp_path / "out"
+    assert cli.main(["run", str(tmp_path / "sales.csv"), "--out", str(out)]) == 0
+    query = ["--match", pattern, "--match-which", which]
+    assert cli.main(["profile", str(out / "rankings.csv"), "--out", str(out), *query]) == 0
+    reference = reference_profiles(
+        cli.load_rankings_csv(out / "rankings.csv"), 0.95, profiling.TIE_RANK_MAX
+    )
+    matched = set(reference_matches(reference, pattern, which))
+    rows = [
+        [p.user_id, p.role.value, p.artist_code, p.collector_code]
+        for p in reference
+        if p.user_id in matched
+    ]
+    assert bool(rows) == (pattern != "AC**")
+    written = (out / "matches.csv").read_bytes()
+    assert written.decode() == csv_text(("user", "role", "artist_code", "collector_code"), rows)
+    assert hashlib.sha256(written).hexdigest() == digest
