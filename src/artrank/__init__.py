@@ -57,7 +57,6 @@ from .profiling import (
     classify_role,
     match_code,
     normalize_metrics,
-    percentile_levels,
     percentiles,
     role_codes,
 )
@@ -118,7 +117,6 @@ __all__ = [
     "match_code",
     "normalize_metrics",
     "parse_events",
-    "percentile_levels",
     "percentiles",
     "role_codes",
     "summarize",

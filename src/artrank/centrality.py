@@ -79,7 +79,6 @@ class DegreeMetrics:
     original creator, matching the endorsement edges.
     """
 
-    users: tuple[str, ...]
     in_degree: np.ndarray
     out_degree: np.ndarray
     in_strength: DecimalColumn
@@ -160,7 +159,6 @@ def degree_metrics(net: CollectorArtistNetwork) -> DegreeMetrics:
     np.add.at(in_degree, net.artist, net.sale_count)
     np.add.at(out_degree, net.collector, net.sale_count)
     return DegreeMetrics(
-        users=net.users,
         in_degree=in_degree,
         out_degree=out_degree,
         in_strength=sum_by(net.total_usd, net.artist, n),

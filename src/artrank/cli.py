@@ -56,7 +56,6 @@ from collections.abc import Callable, Iterable, Iterator, Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from decimal import Decimal
 from functools import cached_property
 from itertools import chain
 from pathlib import Path
@@ -71,7 +70,6 @@ from .ingest import (
     RateTable,
     _read_text,
     convert_currency,
-    exact_sum,
     id_order,
     parse_events,
     write_csv_rows,
@@ -578,32 +576,35 @@ def _rank(inputs: _Inputs, writer: ArtifactWriter) -> str:
 
 
 def _concentration(inputs: _Inputs, writer: ArtifactWriter) -> str:
-    for stem, side, volume_by in (
-        ("lorenz_sellers", "seller", report.volume_by_seller),
-        ("lorenz_buyers", "buyer", report.volume_by_buyer),
+    log = inputs.log
+    for stem, side, users in (
+        ("lorenz_sellers", "seller", log.seller),
+        ("lorenz_buyers", "buyer", log.buyer),
     ):
-        volumes = volume_by(inputs.log)
-        floats, total = _float_volumes(volumes, side)
+        floats, total = _float_volumes(log, users, side)
         curve = econometrics.lorenz(floats)
         writer.csv(
             f"{stem}.csv",
             ("pop_share", "vol_share"),
             zip(_texts(curve.population_shares), _texts(curve.volume_shares)),
         )
-        writer.json(f"{stem}.json", {"gini": curve.gini, "n": len(volumes), "total": total})
+        writer.json(f"{stem}.json", {"gini": curve.gini, "n": len(floats), "total": total})
     return f"wrote Lorenz/Gini files to {writer.out_dir}"
 
 
-def _float_volumes(volumes: dict[str, Decimal], side: str) -> tuple[np.ndarray, float]:
-    """Each user's volume and the exact total as floats; refuses any beyond the float range."""
-    floats = np.array([float(v) for v in volumes.values()])
+def _float_volumes(log: EventLog, users: np.ndarray, side: str) -> tuple[np.ndarray, float]:
+    """The USD volume of each user in the ``side`` column ``users`` and their exact total,
+    as floats; refuses any beyond the float range."""
+    codes, volumes = report.user_volumes(log, users)
+    floats = volumes.to_float()
     bad = np.flatnonzero(~np.isfinite(floats))
     if bad.size:
-        user = list(volumes)[bad[0]]
+        k = bad[0]
         raise ValueError(
-            f"{side} {user!r} has {volumes[user]:.6E} USD of volume, beyond the float range"
+            f"{side} {log.users[codes[k]]!r} has {volumes[k]:.6E} USD of volume,"
+            " beyond the float range"
         )
-    exact = exact_sum(volumes.values())
+    exact = volumes.total()
     total = float(exact)
     if not (math.isfinite(total) and math.isfinite(np.sum(floats))):
         raise ValueError(f"{side} volumes total {exact:.6E} USD, beyond the float range")
@@ -620,10 +621,18 @@ def _correlate(inputs: _Inputs, writer: ArtifactWriter) -> str:
 def _profile(inputs: _Inputs, writer: ArtifactWriter) -> str:
     cfg = inputs.cfg
     pattern = getattr(inputs.args, "match", None)
+    profiles = profiling.build_profiles(inputs.table, cfg.role_percentile, cfg.tie_rank)
     if pattern is not None:
         # a malformed query fails before any write
-        profiling._check_pattern(pattern, inputs.args.match_which)
-    profiles = profiling.build_profiles(inputs.table, cfg.role_percentile, cfg.tie_rank)
+        matches = [
+            [
+                profiles.users[i],
+                profiling.ROLES[profiles.role[i]].value,
+                profiles.artist_code[i],
+                profiles.collector_code[i],
+            ]
+            for i in profiling.matching_rows(profiles, pattern, inputs.args.match_which)
+        ]
     # the table is finite (MetricsTable refuses anything else), so every
     # normalized value is too, but authority x hub can overflow
     bad = np.flatnonzero(~np.isfinite(profiles.trader_score))
@@ -632,17 +641,8 @@ def _profile(inputs: _Inputs, writer: ArtifactWriter) -> str:
     writer.jsonl(PROFILES_JSONL, _profile_lines(profiles))
     lines = []
     if pattern is not None:
-        rows = [
-            [
-                profiles.users[i],
-                profiling.ROLES[profiles.role[i]].value,
-                profiles.artist_code[i],
-                profiles.collector_code[i],
-            ]
-            for i in profiling._matching_rows(profiles, pattern, inputs.args.match_which)
-        ]
-        writer.csv(MATCHES_CSV, ("user", "role", "artist_code", "collector_code"), rows)
-        lines.append(f"{len(rows)} user(s) match {pattern!r} -> {writer.out_dir / MATCHES_CSV}")
+        writer.csv(MATCHES_CSV, ("user", "role", "artist_code", "collector_code"), matches)
+        lines.append(f"{len(matches)} user(s) match {pattern!r} -> {writer.out_dir / MATCHES_CSV}")
     else:
         # a query result of an earlier profile must not outlive it
         (writer.out_dir / MATCHES_CSV).unlink(missing_ok=True)

@@ -73,14 +73,6 @@ class CollectorArtistNetwork:
     def edge_count(self) -> int:
         return len(self.collector)
 
-    @property
-    def total_volume_usd(self) -> Decimal:
-        return self.total_usd.total()
-
-    @property
-    def total_sale_count(self) -> int:
-        return int(self.sale_count.sum())
-
 
 @dataclass(frozen=True, eq=False)
 class CSRMatrix:

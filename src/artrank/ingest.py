@@ -46,10 +46,11 @@ from decimal import (
     MAX_EMAX,
     MAX_PREC,
     MIN_EMIN,
+    Clamped,
     Context,
     Decimal,
     InvalidOperation,
-    localcontext,
+    Rounded,
 )
 from functools import cached_property
 from itertools import chain, islice
@@ -73,9 +74,22 @@ EVENT_CSV_HEADER = CANONICAL_FIELDS
 
 # Sums and products of finite decimals are exact under this context.
 _EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN)
-_ZERO = Decimal(0)
 # prices above this become inf in the float adjacency, so ingest rejects them
 _MAX_FLOAT = Decimal(sys.float_info.max)
+# the most significant digits and the exponent range of an admitted price or
+# rate: they keep every exact sum and product to about 1,200 digits, and admit
+# the exact value of every double from 2**-348 up (the largest has 309 digits)
+_MAX_DIGITS = 400
+_MAX_EXPONENT = 400
+# rounding to this context keeps exactly the values within those bounds: more
+# digits signal Rounded, an exponent beyond either end Clamped
+_BOUNDS = Context(
+    prec=_MAX_DIGITS,
+    Emax=_MAX_EXPONENT + _MAX_DIGITS - 1,
+    Emin=_MAX_DIGITS - _MAX_EXPONENT - 1,
+    clamp=1,
+    traps=[Rounded, Clamped],
+)
 # exact powers of ten: int64 up to 10**18, float64 up to 10**22
 _POW10 = 10 ** np.arange(19, dtype=np.int64)
 _POW10_FLOAT = np.array([float(10**k) for k in range(23)])
@@ -135,6 +149,8 @@ class RateTable:
                 raise ValueError(f"non-finite exchange rate for {day.isoformat()}")
             if rate <= 0:
                 raise ValueError(f"non-positive exchange rate for {day.isoformat()}")
+            if not _bounded(rate):
+                raise ValueError(f"exchange rate for {day.isoformat()} is out of range")
 
     def get(self, day: date) -> Decimal | None:
         return self.rates.get(day)
@@ -171,12 +187,6 @@ def _rate_rows(text: TextIO) -> dict[date, Decimal]:
 # ---------------------------------------------------------------------------
 # Exact decimal columns
 # ---------------------------------------------------------------------------
-
-
-def exact_sum(values: Iterable[Decimal]) -> Decimal:
-    """Sum of decimals without rounding, starting from ``Decimal(0)``."""
-    with localcontext(_EXACT):
-        return sum(values, _ZERO)
 
 
 @dataclass(frozen=True, eq=False)
@@ -746,8 +756,9 @@ def convert_currency(log: EventLog, rates: RateTable) -> EventLog:
     Already-priced events pass through untouched, so the operation is
     idempotent. Products are exact. Raises ``MissingRateError`` listing
     every uncovered date, and ``ValueError`` naming the date of the first
-    sale whose product lies beyond the float range, which ingest would
-    reject on reading it back.
+    sale whose product ingest would reject on reading it back: one beyond
+    the float range, or with more than ``_MAX_DIGITS`` significant digits
+    or an exponent outside ``[-_MAX_EXPONENT, _MAX_EXPONENT]``.
     """
     rows = np.flatnonzero(log.needs_conversion)
     if not rows.size:
@@ -766,6 +777,13 @@ def convert_currency(log: EventLog, rates: RateTable) -> EventLog:
             f"the sale of {dates[day_of_row[k]].isoformat()} converts to {usd[k]:.6E} USD,"
             " beyond the float range"
         )
+    unbounded = _unbounded(usd)
+    if unbounded:
+        k = unbounded[0]
+        raise ValueError(
+            f"the sale of {dates[day_of_row[k]].isoformat()} converts to {usd[k]:.6E} USD,"
+            f" beyond {_MAX_DIGITS} significant digits or an exponent of ±{_MAX_EXPONENT}"
+        )
     return replace(log, price_usd=log.price_usd.put(rows, usd))
 
 
@@ -774,6 +792,15 @@ def _beyond_float(values: DecimalColumn) -> list[int]:
     at least the largest double are compared exactly."""
     near = np.flatnonzero(values.to_float() >= sys.float_info.max).tolist()
     return [k for k in near if values[k] > _MAX_FLOAT]
+
+
+def _unbounded(values: DecimalColumn) -> list[int]:
+    """Positions of the values that ``_bounded`` rejects; an int64 coefficient
+    has at most 19 digits."""
+    wide = (values.exp < -_MAX_EXPONENT) | (values.exp > _MAX_EXPONENT)
+    if values.coef.dtype == object:
+        wide |= (np.abs(values.coef) >= 10**_MAX_DIGITS).astype(bool)
+    return np.flatnonzero(wide).tolist()
 
 
 def write_events_csv(log: EventLog, stream) -> None:
@@ -881,6 +908,8 @@ def _read_text(stream: BinaryIO | bytes, read: Callable[[TextIO], _T]) -> _T:
         return read(text)
     except UnicodeDecodeError as exc:
         raise ValueError(f"input is not valid UTF-8: {exc}") from None
+    except csv.Error as exc:
+        raise ValueError(f"input is not valid CSV: {exc}") from None
     finally:
         text.detach()
 
@@ -1047,8 +1076,7 @@ def _validate(rows: Iterable[tuple], records: _Records) -> int:
             len(when) == 20 and when.find("Z") == 19
         ):
             # ``add`` reads every "Z" as "+00:00", so a "Z" elsewhere (a
-            # date-time separator to fromisoformat) takes ``add``, as does
-            # the final "Z" before Python 3.11, which fromisoformat rejects
+            # date-time separator to fromisoformat) takes ``add``
             try:
                 since_epoch = fromisoformat(when) - _EPOCH
             except ValueError:
@@ -1119,9 +1147,19 @@ def _parse_price(value: object, label: str) -> Decimal | None:
         raise _Reject(f"bad price: {label} is not finite")
     if price < 0:
         raise _Reject("negative price")
-    if price > _MAX_FLOAT:
+    if price > _MAX_FLOAT or not _bounded(price):
         raise _Reject(f"bad price: {label} is out of range")
     return price
+
+
+def _bounded(value: Decimal) -> bool:
+    """Whether a finite decimal has at most ``_MAX_DIGITS`` significant digits and
+    an exponent in ``[-_MAX_EXPONENT, _MAX_EXPONENT]``."""
+    try:
+        _BOUNDS.plus(value)
+    except (Rounded, Clamped):
+        return False
+    return True
 
 
 def _parse_timestamp(value: object) -> int:
@@ -1143,6 +1181,9 @@ def _epoch_seconds(value: object) -> int:
     if isinstance(value, int):
         return value
     if isinstance(value, Decimal):
+        # int() of a huge exponent would build the whole integer first
+        if not _MIN_EPOCH <= value <= _MAX_EPOCH:
+            raise ValueError("epoch timestamp out of range")
         if value != value.to_integral_value():
             raise ValueError("fractional epoch timestamp")
         return int(value)

@@ -10,7 +10,8 @@ wildcard pattern queries such as ``AC**``.
 
 Profiles are columns: one cut of the (n, 8) percentile matrix gives every
 level, the codes are those levels read as base-3 numbers, and the roles come
-from two boolean columns. ``match_code`` queries the code columns.
+from two boolean columns. ``matching_rows`` queries the code columns, and
+``match_code`` names the users it finds.
 """
 
 from __future__ import annotations
@@ -153,11 +154,6 @@ def percentiles(scores, tie_rank: str = TIE_RANK_MAX) -> np.ndarray:
     return ranks / v.size
 
 
-def percentile_levels(scores, tie_rank: str = TIE_RANK_MAX) -> list[str]:
-    """A/B/C level per score: C for percentile <= 0.5, B <= 0.9, A above."""
-    return _LEVELS[_level_index(percentiles(scores, tie_rank))].tolist()
-
-
 def role_codes(table: MetricsTable, tie_rank: str = TIE_RANK_MAX) -> tuple[list[str], list[str]]:
     """Per-user artist and collector 4-letter codes, aligned to table order."""
     artist, collector = _code_columns(table, tie_rank)
@@ -213,11 +209,14 @@ def match_code(profiles: Profiles, pattern: str, which: str = "artist") -> list[
     concatenation (``full``). ``*`` matches any level; stored codes never
     contain wildcards.
     """
-    return [profiles.users[i] for i in _matching_rows(profiles, pattern, which)]
+    return [profiles.users[i] for i in matching_rows(profiles, pattern, which)]
 
 
-def _matching_rows(profiles: Profiles, pattern: str, which: str) -> list[int]:
-    """The rows of the users whose ``which`` code matches ``pattern``, in table order."""
+def matching_rows(profiles: Profiles, pattern: str, which: str = "artist") -> list[int]:
+    """The rows of the users whose ``which`` code matches ``pattern``, in table order.
+
+    Raises ValueError on a malformed pattern or an unknown ``which``.
+    """
     _check_pattern(pattern, which)
     codes = {
         "artist": (profiles.artist_code,),

@@ -14,7 +14,7 @@ from decimal import Decimal
 import numpy as np
 
 from .graph import CollectorArtistNetwork
-from .ingest import EventLog, sum_by
+from .ingest import DecimalColumn, EventLog, sum_by
 from .profiling import METRIC_NAMES, MetricsTable, normalize_metrics
 
 DIMENSION_SALES = "sales"
@@ -28,13 +28,12 @@ FIGURE_MEASURES = ("in_degree", "authority", "hub", "out_degree")
 class MarketSummary:
     """Marketplace-level counts and volumes.
 
-    ``tokenized_count`` needs mint events; a sales-only log yields the
-    distinct artwork-id count instead, flagged as a lower bound. Fractions
-    are exact; percentage rounding happens only in the text rendering.
+    ``tokenized_count`` needs mint events; logs hold sales only, so it is
+    the distinct artwork-id count, always a lower bound. Fractions are
+    exact; percentage rounding happens only in the text rendering.
     """
 
     tokenized_count: int
-    tokenized_is_lower_bound: bool
     sold_count: int
     sale_volume_usd: Decimal
     sale_volume_eth: Decimal
@@ -63,7 +62,7 @@ class MarketSummary:
         return {
             "tokenized_artworks": {
                 "count": self.tokenized_count,
-                "lower_bound": self.tokenized_is_lower_bound,
+                "lower_bound": True,
             },
             "sold_artworks": self.sold_count,
             "sale_volume_usd": _float_total(self.sale_volume_usd, "USD"),
@@ -75,9 +74,8 @@ class MarketSummary:
         }
 
     def to_text(self) -> str:
-        bound = " (lower bound: sales-only input)" if self.tokenized_is_lower_bound else ""
         lines = [
-            f"Tokenized artworks: {self.tokenized_count}{bound}",
+            f"Tokenized artworks: {self.tokenized_count} (lower bound: sales-only input)",
             f"Sold artworks: {self.sold_count}",
             f"Sale volume: {self.sale_volume_usd:,.2f} USD / {self.sale_volume_eth:,.4f} ETH",
             f"Active users: {self.active_users}",
@@ -106,7 +104,6 @@ def summarize(log: EventLog, net: CollectorArtistNetwork) -> MarketSummary:
     eth = log.price_eth.total()
     return MarketSummary(
         tokenized_count=len(artwork_ids),
-        tokenized_is_lower_bound=True,
         sold_count=log.accepted_count,
         sale_volume_usd=usd,
         sale_volume_eth=eth,
@@ -117,14 +114,23 @@ def summarize(log: EventLog, net: CollectorArtistNetwork) -> MarketSummary:
     )
 
 
+def user_volumes(log: EventLog, users: np.ndarray) -> tuple[np.ndarray, DecimalColumn]:
+    """The codes of the users in a user-code column of ``log`` (such as
+    ``log.seller``), in id order, and each one's exact USD volume over it."""
+    log.require_usd()
+    n = len(log.users)
+    active = np.flatnonzero(np.bincount(users, minlength=n))
+    return active, sum_by(log.price_usd, users, n)[active]
+
+
 def volume_by_seller(log: EventLog) -> dict[str, Decimal]:
     """USD proceeds per selling user (the transacting seller, not the creator)."""
-    return _volume_by(log, log.seller)
+    return _by_id(log, *user_volumes(log, log.seller))
 
 
 def volume_by_buyer(log: EventLog) -> dict[str, Decimal]:
     """USD spend per buying user."""
-    return _volume_by(log, log.buyer)
+    return _by_id(log, *user_volumes(log, log.buyer))
 
 
 def histogram_data(
@@ -171,9 +177,5 @@ def figure5_data(table: MetricsTable) -> list[tuple[str, tuple[float, ...]]]:
     return list(zip(table.users, map(tuple, figure5_values(table).tolist())))
 
 
-def _volume_by(log: EventLog, users: np.ndarray) -> dict[str, Decimal]:
-    log.require_usd()
-    n = len(log.users)
-    active = np.flatnonzero(np.bincount(users, minlength=n))
-    totals = sum_by(log.price_usd, users, n)[active].tolist()
-    return dict(zip(map(log.users.__getitem__, active.tolist()), totals))
+def _by_id(log: EventLog, codes: np.ndarray, volumes: DecimalColumn) -> dict[str, Decimal]:
+    return dict(zip(map(log.users.__getitem__, codes.tolist()), volumes.tolist()))

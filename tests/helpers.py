@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from artrank import EventLog, ingest, parse_events
+from artrank import EventLog, ingest, parse_events, percentiles
 
 T0 = 1_600_000_000  # arbitrary epoch base for generated timestamps
 
@@ -111,6 +111,12 @@ def dense_hits_oracle(dense: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     _, v_auth = np.linalg.eigh(dense.T @ dense)
     _, v_hub = np.linalg.eigh(dense @ dense.T)
     return v_auth[:, -1], v_hub[:, -1]
+
+
+def percentile_levels(scores, tie_rank: str = "max") -> list[str]:
+    """A/B/C level per score, one value at a time: C for a percentile <= 0.5,
+    B for <= 0.9, A above."""
+    return ["C" if p <= 0.5 else "B" if p <= 0.9 else "A" for p in percentiles(scores, tie_rank)]
 
 
 def cosine(u: np.ndarray, v: np.ndarray) -> float:

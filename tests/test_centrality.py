@@ -261,9 +261,9 @@ def test_degree_metrics_match_event_recount():
         assert metrics.out_degree[i] == expect_out
         assert metrics.in_strength[i] == expect_in_usd
         assert metrics.out_strength[i] == expect_out_usd
-    assert metrics.in_degree.sum() == metrics.out_degree.sum() == net.total_sale_count
-    assert sum(metrics.in_strength, Decimal(0)) == net.total_volume_usd
-    assert sum(metrics.out_strength, Decimal(0)) == net.total_volume_usd
+    assert metrics.in_degree.sum() == metrics.out_degree.sum() == int(net.sale_count.sum())
+    assert sum(metrics.in_strength, Decimal(0)) == net.total_usd.total()
+    assert sum(metrics.out_strength, Decimal(0)) == net.total_usd.total()
 
 
 def test_trader_score_products():

@@ -9,11 +9,14 @@ import platform
 import subprocess
 import sys
 from datetime import datetime, timedelta, timezone
+from decimal import Decimal, localcontext
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from artrank import cli
+from artrank import cli, econometrics, parse_events, volume_by_buyer, volume_by_seller
+from helpers import market_csv
 
 FIXTURE_CSV = """seller,buyer,creator,price_eth,price_usd,timestamp,artwork_id
 ann,bob,ann,1.0,2300,2021-04-20T10:00:00Z,a1
@@ -556,6 +559,37 @@ def test_rates_refuse_usd_price_beyond_float_range_before_writing(tmp_path, caps
     assert list(out.iterdir()) == []
 
 
+@pytest.mark.parametrize("command", ["ingest", "run"])
+@pytest.mark.parametrize(
+    "eth, rate, usd",
+    [
+        ("1E-300", "1E-200", "1.000000E-500"),
+        ("1" * 150 + "." + "1" * 150, "1" * 100 + "." + "1" * 50, "1.234568E+248"),
+    ],
+    ids=["exponent-below-bounds", "449-digits"],
+)
+def test_rates_refuse_usd_price_beyond_the_digit_and_exponent_bounds(
+    tmp_path, capsys, command, eth, rate, usd
+):
+    # each factor is admitted, but events.csv could not be read back with the product
+    sales = tmp_path / "eth.csv"
+    sales.write_text(
+        "seller,buyer,creator,price_eth,timestamp\n"
+        "a,b,a,2,2021-04-20T10:00:00Z\n"
+        f"a,c,a,{eth},2021-04-21T10:00:00Z\n",
+        encoding="utf-8",
+    )
+    rates = tmp_path / "rates.csv"
+    rates.write_text(f"date,usd_per_eth\n2021-04-20,2300\n2021-04-21,{rate}\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert run_cli(command, sales, "--rates", rates, "--out", out) == 1
+    assert capsys.readouterr().err == (
+        f"error: the sale of 2021-04-21 converts to {usd} USD,"
+        " beyond 400 significant digits or an exponent of ±400\n"
+    )
+    assert list(out.iterdir()) == []
+
+
 def test_report_refuses_rankings_of_another_log(tmp_path, capsys):
     one = write_log(tmp_path / "one.csv", "a,b,a,10,100", "c,d,c,5,200")
     two = write_log(tmp_path / "two.csv", "x,y,x,10,100", "y,z,x,5,200", "b,z,x,1,300")
@@ -819,3 +853,93 @@ def test_rankings_load_in_user_id_order(fixture_dir):
     for user, values in zip(table.users, table.values.tolist()):
         (row,) = [row for row in body if row[0] == user]
         assert values == [float(row[i]) for i in columns]
+
+
+@pytest.mark.parametrize(
+    "price",
+    ["0E+300000000", "1E-999999999999999999", "1E-100000", "1." + "0" * 5000],
+    ids=["zero-with-huge-exponent", "huge-negative-exponent", "1E-100000", "5001-digits"],
+)
+def test_price_with_too_many_digits_or_too_wide_an_exponent_is_one_reject(tmp_path, price):
+    # each used to hang `run` in the exact sums or end it on Python's int-to-text limit
+    sales = write_log(tmp_path / "sales.csv", "a,b,a,10,100", f"b,c,a,{price},200", "a,c,a,5,300")
+    out = tmp_path / "out"
+    assert run_cli("run", sales, "--out", out) == 0
+    report = json.loads((out / "ingest_report.json").read_text())
+    assert report["rejects"] == [{"row": 2, "reason": "bad price: price_usd is out of range"}]
+    assert {entry["name"] for entry in json.loads((out / "manifest.json").read_text())["files"]} == (
+        RUN_ARTIFACTS
+    )
+
+
+def test_json_timestamp_with_a_huge_exponent_is_one_reject(tmp_path):
+    # int() of the Decimal 1E+300000000 used to run for minutes before the range test
+    sale = '{"seller": "%s", "buyer": "%s", "creator": "a", "price_usd": 10, "timestamp": %s}\n'
+    sales = tmp_path / "sales.ndjson"
+    sales.write_text(
+        sale % ("a", "b", "1600000000") + sale % ("b", "c", "1e300000000") + sale % ("a", "c", "0"),
+        encoding="utf-8",
+    )
+    out = tmp_path / "out"
+    assert run_cli("run", sales, "--format", "json", "--out", out) == 0
+    report = json.loads((out / "ingest_report.json").read_text())
+    assert report["rejects"] == [{"row": 2, "reason": "bad timestamp: Decimal('1E+300000000')"}]
+
+
+def _long_cell_error() -> str:
+    return f"error: input is not valid CSV: field larger than field limit ({csv.field_size_limit()})\n"
+
+
+def test_over_long_csv_cell_in_the_input_is_an_error(tmp_path, capsys):
+    sales = write_log(tmp_path / "sales.csv", "a,b,a,10,100", "b,c," + "x" * 200_000 + ",5,200")
+    out = tmp_path / "out"
+    assert run_cli("ingest", sales, "--out", out) == 1
+    assert capsys.readouterr().err == _long_cell_error()
+    assert not (out / "events.csv").exists()
+
+
+def test_over_long_csv_cell_in_the_rate_table_is_an_error(fixture_dir, capsys):
+    rates = fixture_dir / "long_rates.csv"
+    rates.write_text(RATES_CSV + "2021-04-23," + "9" * 200_000 + "\n", encoding="utf-8")
+    out = fixture_dir / "out"
+    assert run_cli("ingest", fixture_dir / "sales.csv", "--rates", rates, "--out", out) == 1
+    assert capsys.readouterr().err == _long_cell_error()
+    assert not (out / "events.csv").exists()
+
+
+def test_over_long_csv_cell_in_rankings_is_an_error(fixture_dir, capsys):
+    out = fixture_dir / "out"
+    assert run_cli(
+        "run", fixture_dir / "sales.csv", "--rates", fixture_dir / "rates.csv", "--out", out
+    ) == 0
+    rankings = out / "rankings.csv"
+    with open(rankings, "a", encoding="utf-8") as handle:
+        handle.write("x" * 200_000 + "\n")
+    capsys.readouterr()
+    target = fixture_dir / "target"
+    assert run_cli("profile", rankings, "--out", target) == 1
+    assert capsys.readouterr().err == _long_cell_error()
+    assert read_tree(target) == {}
+
+
+def test_lorenz_artifacts_equal_the_volume_dicts_byte_for_byte(tmp_path):
+    sales = tmp_path / "sales.csv"
+    sales.write_text(market_csv(3, 5000, n_artists=300, n_collectors=400), encoding="utf-8")
+    out = tmp_path / "out"
+    assert run_cli("ingest", sales, "--out", out) == 0
+    assert run_cli("concentration", out / "events.csv", "--out", out) == 0
+    with open(out / "events.csv", "rb") as handle:
+        log, _ = parse_events(handle)
+    for stem, volume_by in (("lorenz_sellers", volume_by_seller), ("lorenz_buyers", volume_by_buyer)):
+        volumes = volume_by(log)
+        curve = econometrics.lorenz(np.array([float(v) for v in volumes.values()]))
+        with localcontext() as exact:
+            exact.prec = 1000
+            total = float(sum(volumes.values(), Decimal(0)))
+        rows = zip(curve.population_shares.tolist(), curve.volume_shares.tolist())
+        expected_csv = "pop_share,vol_share\n" + "".join(f"{p!r},{v!r}\n" for p, v in rows)
+        expected_json = json.dumps(
+            {"gini": curve.gini, "n": len(volumes), "total": total}, indent=2
+        ) + "\n"
+        assert (out / f"{stem}.csv").read_text(encoding="utf-8") == expected_csv
+        assert (out / f"{stem}.json").read_text(encoding="utf-8") == expected_json

@@ -73,8 +73,8 @@ def test_volume_and_count_conservation():
     )
     net = build_network(log)
     event_usd = sum(log.price_usd.tolist())
-    assert net.total_volume_usd == event_usd - net.dropped_usd
-    assert net.total_sale_count + net.dropped_buybacks == log.accepted_count
+    assert net.total_usd.total() == event_usd - net.dropped_usd
+    assert int(net.sale_count.sum()) + net.dropped_buybacks == log.accepted_count
 
 
 def test_isolated_minted_only_user_is_a_node():

@@ -96,6 +96,47 @@ def test_price_at_largest_float_accepted():
     assert log.price_usd.tolist() == [largest]
 
 
+@pytest.mark.parametrize(
+    "price, kept",
+    [
+        ("1E-400", True),
+        ("1E-401", False),
+        ("0E+400", True),
+        ("0E+401", False),
+        pytest.param("1" * 308, True, id="308-digit-integer"),
+        pytest.param("1." + "0" * 399, True, id="400-digit-one"),
+        pytest.param("1." + "0" * 400, False, id="401-digit-one"),
+        pytest.param("1" * 400 + "E-100", True, id="400-digit-exponent"),
+        pytest.param("1" * 401 + "E-100", False, id="401-digit-exponent"),
+        ("4.9E-324", True),
+        ("2.4703282292062328E-324", True),
+        ("12345678901234567890123456", True),
+    ],
+)
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_price_digits_and_exponent_bounds(price, kept, fmt):
+    if fmt == "csv":
+        payload = f"seller,buyer,creator,price_usd,timestamp\nalice,bob,alice,{price},0\n"
+    else:
+        sale = {"seller": "alice", "buyer": "bob", "creator": "alice", "timestamp": 0}
+        payload = json.dumps(sale)[:-1] + f', "price_usd": {price}}}\n'
+    log, rejects = parse_events(payload.encode(), fmt)
+    if kept:
+        assert rejects == []
+        assert log.price_usd.tolist() == [Decimal(price)]
+    else:
+        assert [(r.row, r.reason) for r in rejects] == [(1, "bad price: price_usd is out of range")]
+
+
+def test_rate_table_refuses_a_rate_beyond_the_digit_and_exponent_bounds():
+    assert RateTable.from_csv(b"date,usd_per_eth\n2021-01-01,1E-400\n").get(date(2021, 1, 1))
+    for rate in ("1E-401", "1" * 401):
+        with pytest.raises(ValueError, match="exchange rate for 2021-01-02 is out of range"):
+            RateTable.from_csv(f"date,usd_per_eth\n2021-01-01,10\n2021-01-02,{rate}\n".encode())
+        with pytest.raises(ValueError, match="exchange rate for 2021-01-02 is out of range"):
+            RateTable({date(2021, 1, 2): Decimal(rate)})
+
+
 def test_needs_conversion_flag_roundtrips():
     payload = (
         b"seller,buyer,creator,price_eth,price_usd,timestamp,artwork_id\n"
@@ -237,6 +278,17 @@ def test_convert_refuses_products_beyond_the_float_range():
     assert str(excinfo.value) == (
         "the sale of 2021-04-22 converts to 1.797693E+308 USD, beyond the float range"
     )
+
+
+def test_convert_admits_products_at_the_digit_and_exponent_bounds():
+    rates = RateTable({date(2021, 4, 21): Decimal("1E-200"), date(2021, 4, 22): Decimal("1" * 100 + "." + "1" * 100)})
+    at_bounds = log_of(
+        ev("a", "b", "a", eth=Decimal("1E-200"), ts=at(2021, 4, 21, 12, 0)),
+        ev("a", "c", "a", eth=Decimal("9" * 100 + "." + "9" * 100), ts=at(2021, 4, 22, 12, 0)),
+    )
+    usd = convert_currency(at_bounds, rates).price_usd
+    assert usd[0].as_tuple().exponent == -400
+    assert len(usd[1].as_tuple().digits) == 400
 
 
 def test_rate_table_rejects_bad_rows():

@@ -21,11 +21,10 @@ from artrank import (
     hits,
     match_code,
     normalize_metrics,
-    percentile_levels,
     percentiles,
     role_codes,
 )
-from helpers import ev, log_of
+from helpers import ev, log_of, percentile_levels
 
 
 def table_with(**columns) -> MetricsTable:
@@ -36,6 +35,13 @@ def table_with(**columns) -> MetricsTable:
     return MetricsTable(users=tuple(f"u{i}" for i in range(n)), values=values)
 
 
+def code_levels(scores, tie_rank: str = "max") -> list[str]:
+    """The level ``role_codes`` gives each score: the first letter of the artist
+    code of a table whose in-degree column holds the scores."""
+    artist, _ = role_codes(table_with(in_degree=np.asarray(scores, dtype=float)), tie_rank)
+    return [code[0] for code in artist]
+
+
 # ---------------------------------------------------------------------------
 # Percentiles and levels
 # ---------------------------------------------------------------------------
@@ -43,21 +49,21 @@ def table_with(**columns) -> MetricsTable:
 
 def test_levels_for_distinct_scores():
     scores = list(range(1, 11))  # percentiles 0.1 .. 1.0
-    assert percentile_levels(scores) == list("CCCCC" "BBBB" "A")
+    assert percentile_levels(scores) == code_levels(scores) == list("CCCCC" "BBBB" "A")
 
 
 def test_levels_all_equal_scores_take_max_rank():
-    assert percentile_levels([7, 7, 7]) == ["A", "A", "A"]
+    assert percentile_levels([7, 7, 7]) == code_levels([7, 7, 7]) == ["A", "A", "A"]
 
 
 def test_level_single_user():
-    assert percentile_levels([0.0]) == ["A"]
+    assert percentile_levels([0.0]) == code_levels([0.0]) == ["A"]
 
 
 def test_ties_min_convention_keeps_zeros_low():
     scores = [0, 0, 0, 5]
-    assert percentile_levels(scores, tie_rank="max") == ["B", "B", "B", "A"]
-    assert percentile_levels(scores, tie_rank="min") == ["C", "C", "C", "A"]
+    for tie_rank, expected in (("max", ["B", "B", "B", "A"]), ("min", ["C", "C", "C", "A"])):
+        assert percentile_levels(scores, tie_rank) == code_levels(scores, tie_rank) == expected
     with pytest.raises(ValueError, match="tie_rank"):
         percentiles(scores, tie_rank="median")
 
@@ -65,7 +71,8 @@ def test_ties_min_convention_keeps_zeros_low():
 def test_level_monotone_in_score():
     rng = np.random.default_rng(11)
     scores = rng.integers(0, 6, 40).astype(float)
-    levels = percentile_levels(scores)
+    levels = code_levels(scores)
+    assert levels == percentile_levels(scores)
     rank = {"C": 0, "B": 1, "A": 2}
     for i in range(len(scores)):
         for j in range(len(scores)):

@@ -55,7 +55,7 @@ def test_summarize_single_primary_sale():
     assert summary.sale_volume_usd == Decimal(100)
     assert summary.sale_volume_eth == Decimal("0.05")
     assert summary.tokenized_count == 1
-    assert summary.tokenized_is_lower_bound
+    assert summary.to_dict()["tokenized_artworks"] == {"count": 1, "lower_bound": True}
     assert summary.creators_fraction == 0.5
 
 
