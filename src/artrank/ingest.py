@@ -12,6 +12,20 @@ would keep for the common record; every other record goes through the full
 validator. Logs come only from ``parse_events`` (and ``convert_currency``
 of one), so the validator alone decides what a log holds. ``events.csv``
 is written a chunk of rows at a time, column by column.
+
+A regular file given as ``open(path, "rb")`` is parsed in byte ranges when
+this process may use two or more CPUs and the file holds at least
+``_MIN_RANGE_BYTES`` per range. Each range ends at a line end. The first is
+validated in this process and each other one in a child made by
+``os.fork``, which pipes its columns back; they are merged in input order,
+so the log, its rejects and any error are those of one range. CSV holding
+any ``"`` (a quoted field may span lines), a JSON array, a stream that is
+not a regular file, ``bytes`` and text streams stay one range, as does every
+input where ``os.fork`` is missing. A child's memory belongs to its own
+process. On Python 3.12+ ``os.fork`` warns when the process runs other
+threads, as numpy's OpenBLAS does; the child stays safe because it calls no
+BLAS, takes no logging lock, imports nothing and leaves through ``os._exit``.
+
 Prices stay exact. Each price column is a ``DecimalColumn``: an integer
 coefficient array, an integer exponent array and a missing mask, so value
 ``i`` is exactly ``coef[i] * 10**exp[i]``, with no ``Decimal`` object per
@@ -33,11 +47,15 @@ remapped through a ``field_map`` of source name to canonical name.
 from __future__ import annotations
 
 import csv
+import gc
 import io
 import json
 import math
 import operator
+import os
+import pickle
 import re
+import stat
 import sys
 from array import array
 from dataclasses import dataclass, replace
@@ -114,6 +132,18 @@ _STAMP_FIELDS = (0, 2, 5, 8, 11, 14, 17)
 # range of datetime
 _MIN_EPOCH = -62_135_596_800
 _MAX_EPOCH = 253_402_300_799
+# a log is parsed in byte ranges of at least this many bytes, at most this
+# many: on 2 CPUs two ranges broke even with one at about 256 KiB of input
+# (a fork and a merge against half a parse)
+_MIN_RANGE_BYTES = 1 << 18
+_MAX_RANGES = 8
+# the bytes of one read by the range split, and the items of one message from
+# a range parser: below glibc's 128 KiB mmap threshold, so that freeing them
+# leaves where later allocations go unchanged
+_SCAN_BYTES = 1 << 16
+_PIPE_ITEMS = 1 << 13
+_LINE_END = re.compile(rb"[\r\n]")
+_SIGKILL = 9  # fixed by POSIX; importing signal for it would cost start-up time
 
 
 class MissingRateError(ValueError):
@@ -127,6 +157,15 @@ class MissingRateError(ValueError):
 
 class _Reject(Exception):
     """Internal: per-record validation failure with a stable reason string."""
+
+
+class _JsonLineError(ValueError):
+    """A one-object-per-line JSON record that is not JSON: ``args`` are its
+    1-based record number and the decoder's message."""
+
+    def __str__(self) -> str:
+        row, detail = self.args
+        return f"invalid JSON on record {row}: {detail}"
 
 
 @dataclass(frozen=True)
@@ -505,6 +544,30 @@ class _JsonNumber(str):
     __slots__ = ()
 
 
+def _json_int(text: str) -> int | _JsonNumber:
+    """A JSON integer as ``json`` reads it; one beyond ``int``'s limit on digits
+    (``sys.get_int_max_str_digits``) as the number cell of its text."""
+    try:
+        return int(text)
+    except ValueError:
+        return _JsonNumber(text)
+
+
+_JSON = json.JSONDecoder(parse_float=_JsonNumber)
+_WIDE_JSON = json.JSONDecoder(parse_float=_JsonNumber, parse_int=_json_int)
+
+
+def _json_loads(text: str) -> object:
+    """The JSON value of ``text``; an integer beyond ``int``'s limit on digits is
+    read as a number cell, so that it is validated as ``Decimal`` reads it."""
+    try:
+        return _JSON.decode(text)
+    except json.JSONDecodeError:
+        raise
+    except ValueError:  # only such an integer: decode again, reading every integer apart
+        return _WIDE_JSON.decode(text)
+
+
 # ---------------------------------------------------------------------------
 # The columnar log
 # ---------------------------------------------------------------------------
@@ -734,6 +797,10 @@ def parse_events(
     Returns:
         The event log and the list of per-record rejections. Record numbers
         are 1-based over the input records (header excluded for CSV).
+
+    A regular file opened with ``open(path, "rb")`` is parsed in byte ranges
+    when ``_split`` finds more than one; the log and rejects are those of
+    one range, and the file is left at its end, as one range leaves it.
     """
     if fmt not in ("csv", "json"):
         raise ValueError(f"unsupported input format: {fmt}")
@@ -745,8 +812,14 @@ def parse_events(
         if dst not in CANONICAL_FIELDS:
             raise ValueError(f"field map target {dst!r} is not a canonical field")
     records = _Records()
-    cells = _csv_cells if fmt == "csv" else _json_cells
-    total = _read_text(stream, lambda text: _validate(cells(text, remap), records))
+    cells = _cells_of(fmt, remap)
+    split = _split(stream, fmt)
+    if split is None:
+        total = _read_text(stream, lambda text: _validate(cells(text), records))
+    else:
+        fd, header, bounds = split
+        total = _parse_ranges(fd, bounds, cells, _cells_of(fmt, remap, header), records)
+        stream.seek(bounds[-1])
     return records.log(source, total), records.rejects
 
 
@@ -893,17 +966,19 @@ def _timestamp_text(epoch: np.ndarray) -> list[str]:
 # ---------------------------------------------------------------------------
 
 
-def _read_text(stream: BinaryIO | bytes, read: Callable[[TextIO], _T]) -> _T:
+def _read_text(
+    stream: BinaryIO | bytes, read: Callable[[TextIO], _T], encoding: str = "utf-8-sig"
+) -> _T:
     """``read(text)`` of the UTF-8 text of ``stream``; returns what it returns.
 
     A binary input is decoded as ``read`` asks for it, so its bytes and its
     whole text never exist at once, and a binary file object is left open.
-    A text stream is read as it is.
+    A text stream is read as it is. Only ``utf-8-sig`` strips a leading BOM.
     """
     if isinstance(stream, io.TextIOBase):
         return read(stream)
     raw = io.BytesIO(stream) if isinstance(stream, (bytes, bytearray)) else stream
-    text = io.TextIOWrapper(raw, encoding="utf-8-sig", newline="")
+    text = io.TextIOWrapper(raw, encoding=encoding, newline="")
     try:
         return read(text)
     except UnicodeDecodeError as exc:
@@ -912,6 +987,275 @@ def _read_text(stream: BinaryIO | bytes, read: Callable[[TextIO], _T]) -> _T:
         raise ValueError(f"input is not valid CSV: {exc}") from None
     finally:
         text.detach()
+
+
+# ---------------------------------------------------------------------------
+# Byte ranges
+# ---------------------------------------------------------------------------
+
+
+def _split(stream: BinaryIO | bytes, fmt: str) -> tuple[int, str, list[int]] | None:
+    """The descriptor, head and range bounds of an input parsed in byte ranges.
+
+    Range ``k`` is bytes ``bounds[k]:bounds[k + 1]`` of file descriptor
+    ``fd``, from the stream's position to the end of the file. Each range
+    ends at a line end; one may end inside a ``\\r\\n``, whose ``\\n`` then
+    begins the next as a blank line, which takes no record number. The
+    first range holds the head: the CSV header line, or the JSON lines up to
+    the first non-blank one, as text. There are as many ranges as this
+    process may use CPUs, at most ``_MAX_RANGES`` and at most one per
+    ``_MIN_RANGE_BYTES`` bytes.
+
+    Returns None, for one range, unless the stream is a ``FileIO`` of a
+    regular file or the ``BufferedReader`` of one (``open(path, "rb")``),
+    ``os.fork`` is available, and a line end always ends a record: CSV
+    without any ``"``, whose quoted fields could hold line ends, or
+    one-object-per-line JSON, not an array.
+    """
+    raw = stream.raw if type(stream) is io.BufferedReader else stream
+    if type(raw) is not io.FileIO or not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
+        return None
+    fd = raw.fileno()
+    info = os.fstat(fd)
+    if not stat.S_ISREG(info.st_mode):
+        return None
+    start, size = stream.tell(), info.st_size
+    count = min(len(os.sched_getaffinity(0)), _MAX_RANGES, (size - start) // _MIN_RANGE_BYTES)
+    if count < 2:
+        return None
+    head = _head(os.pread(fd, _SCAN_BYTES, start), fmt)
+    if head is None or (fmt == "csv" and _holds_quote(fd, start, size)):
+        return None
+    head_end, header = head
+    bounds = [start]
+    for k in range(1, count):
+        cut = _line_start(fd, max(start + (size - start) * k // count, start + head_end), size)
+        if bounds[-1] < cut < size:
+            bounds.append(cut)
+    bounds.append(size)
+    return (fd, header, bounds) if len(bounds) > 2 else None
+
+
+def _head(block: bytes, fmt: str) -> tuple[int, str] | None:
+    """The length and text of the head of an input that starts with ``block``: its
+    CSV header line, or its JSON lines up to the first non-blank one.
+
+    None when the head does not end in the block before its last line, which
+    may go on past it, is not UTF-8, or opens a JSON array.
+    """
+    end = 0
+    for line in block.splitlines(keepends=True)[:-1]:
+        end += len(line)
+        try:
+            text = block[:end].decode("utf-8-sig")
+        except UnicodeDecodeError:
+            return None
+        if fmt == "csv" or text.strip():
+            # _json_records tells an array by its first non-blank line the same way
+            opens_array = fmt == "json" and text.lstrip().startswith("[")
+            return None if opens_array else (end, text)
+    return None
+
+
+def _holds_quote(fd: int, start: int, size: int) -> bool:
+    """Whether bytes ``[start, size)`` of ``fd`` hold a ``"``."""
+    return any(b'"' in os.pread(fd, _SCAN_BYTES, at) for at in range(start, size, _SCAN_BYTES))
+
+
+def _line_start(fd: int, position: int, size: int) -> int:
+    """The offset just past the first ``\\r`` or ``\\n`` at or after ``position``; ``size`` if none."""
+    for at in range(position, size, _SCAN_BYTES):
+        found = _LINE_END.search(os.pread(fd, _SCAN_BYTES, at))
+        if found:
+            return at + found.end()
+    return size
+
+
+class _FileRange(io.RawIOBase):
+    """Bytes ``[start, end)`` of a file descriptor, read with ``os.pread``, so that
+    the offset of the file, which forked children share, never moves."""
+
+    def __init__(self, fd: int, start: int, end: int) -> None:
+        self.fd, self.position, self.end = fd, start, end
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int:
+        data = os.pread(self.fd, min(len(buffer), self.end - self.position), self.position)
+        buffer[: len(data)] = data
+        self.position += len(data)
+        return len(data)
+
+
+def _validate_range(
+    fd: int,
+    start: int,
+    end: int,
+    encoding: str,
+    cells: Callable[[TextIO], Iterator[tuple]],
+    records: _Records,
+) -> int:
+    """Validate the records of bytes ``[start, end)`` of ``fd`` into ``records``; returns their count."""
+    stream = io.BufferedReader(_FileRange(fd, start, end))
+    return _read_text(stream, lambda text: _validate(cells(text), records), encoding)
+
+
+def _parse_ranges(
+    fd: int,
+    bounds: list[int],
+    first: Callable[[TextIO], Iterator[tuple]],
+    later: Callable[[TextIO], Iterator[tuple]],
+    records: _Records,
+) -> int:
+    """Validate each byte range of ``fd`` into ``records`` as one input; returns the record count.
+
+    Every range after the first is validated in a forked child, which reads
+    it as plain ``utf-8`` (no BOM is stripped) with ``later``, while this
+    process validates the first with ``first``. The children's records are
+    then merged in input order. An error raises the ``ValueError`` of the
+    earliest range that has one, as one range would; on any exit every child
+    is ended and reaped.
+    """
+    children: list[tuple[int, BinaryIO]] = []
+    try:
+        for start, end in zip(bounds[1:], bounds[2:]):
+            children.append(_fork_range(fd, start, end, later))
+        total = _validate_range(fd, bounds[0], bounds[1], "utf-8-sig", first, records)
+        while children:
+            pid, reader = children[0]
+            with reader:
+                total += _merge(reader, records, total)
+            children.pop(0)
+            os.waitpid(pid, 0)
+        return total
+    finally:
+        for pid, reader in children:
+            reader.close()
+            os.kill(pid, _SIGKILL)
+            os.waitpid(pid, 0)
+
+
+def _fork_range(
+    fd: int, start: int, end: int, cells: Callable[[TextIO], Iterator[tuple]]
+) -> tuple[int, BinaryIO]:
+    """Fork a child that validates bytes ``[start, end)`` of ``fd`` and sends what it
+    kept through a pipe (``_send``); returns its pid and the pipe's read end.
+
+    The child collects no garbage, so it runs no finalizer or ``gc``
+    callback of this process; it imports, logs and calls into BLAS nothing,
+    and it leaves only through ``os._exit``, so it never flushes this
+    process's buffers or runs its exit handlers. That keeps it safe although
+    ``fork`` copies only the calling thread (numpy's BLAS may run others).
+    """
+    reader, writer = os.pipe()
+    try:
+        pid = os.fork()
+    except BaseException:
+        os.close(reader)
+        os.close(writer)
+        raise
+    if pid:
+        os.close(writer)
+        return pid, open(reader, "rb")
+    status = 1
+    try:
+        gc.disable()
+        os.close(reader)
+        with open(writer, "wb") as out:
+            _send(out, fd, start, end, cells)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _send(
+    out: BinaryIO, fd: int, start: int, end: int, cells: Callable[[TextIO], Iterator[tuple]]
+) -> None:
+    """Validate a byte range and pickle to ``out`` what ``_merge`` reads back.
+
+    Each message is ``(part, items)``: the items of one part of the records
+    (``_merge`` lists the parts), at most ``_PIPE_ITEMS`` of them, int64
+    buffers as bytes. The last is ``("end", record count)``, or, on an
+    error, ``("json", (record number, message))`` or ``("error", message)``.
+    """
+    records = _Records()
+    try:
+        rows = _validate_range(fd, start, end, "utf-8", cells, records)
+    except _JsonLineError as exc:
+        pickle.dump(("json", exc.args), out)
+        return
+    except Exception as exc:
+        pickle.dump(("error", str(exc)), out)
+        return
+    records.flush()
+    eth, usd = records.price_eth, records.price_usd
+    parts = (
+        records.users,
+        records.codes,
+        records.timestamp,
+        eth.coef,
+        eth.exp,
+        usd.coef,
+        usd.exp,
+        records.artwork,
+        list(eth.big.items()),
+        eth.neg_zero,
+        list(usd.big.items()),
+        usd.neg_zero,
+        [(reject.row, reject.reason) for reject in records.rejects],
+    )
+    for part, items in enumerate(parts):
+        for at in range(0, len(items), _PIPE_ITEMS):
+            chunk = items[at : at + _PIPE_ITEMS]
+            pickle.dump((part, chunk.tobytes() if type(chunk) is array else chunk), out)
+    pickle.dump(("end", rows), out)
+
+
+def _merge(reader: BinaryIO, records: _Records, rows_before: int) -> int:
+    """Append to ``records`` the records a ``_send`` child pickled; returns their count.
+
+    The child's user codes, given at first sight in its range, are mapped to
+    the codes ``records`` gives its users, and its record numbers and its
+    positions of wide coefficients and negative zeros move past the
+    ``rows_before`` records and the records kept before it.
+    """
+    records.flush()
+    kept = len(records.timestamp)
+    eth, usd = records.price_eth, records.price_usd
+    code = array("q")  # the code in ``records`` of each of the child's users
+    parts = (
+        lambda users: code.extend(map(records.user, users)),
+        lambda codes: records.codes.frombytes(
+            np.frombuffer(code, dtype=np.int64)[np.frombuffer(codes, dtype=np.int64)].tobytes()
+        ),
+        records.timestamp.frombytes,
+        eth.coef.frombytes,
+        eth.exp.frombytes,
+        usd.coef.frombytes,
+        usd.exp.frombytes,
+        records.artwork.extend,
+        lambda big: eth.big.update((at + kept, coef) for at, coef in big),
+        lambda neg_zero: eth.neg_zero.extend(at + kept for at in neg_zero),
+        lambda big: usd.big.update((at + kept, coef) for at, coef in big),
+        lambda neg_zero: usd.neg_zero.extend(at + kept for at in neg_zero),
+        lambda rejects: records.rejects.extend(
+            RejectReport(row + rows_before, reason) for row, reason in rejects
+        ),
+    )
+    while True:
+        try:
+            part, items = pickle.load(reader)
+        except (EOFError, pickle.UnpicklingError):
+            raise ValueError("a range parser ended without sending its records") from None
+        if part == "end":
+            return items
+        if part == "json":
+            row, detail = items
+            raise _JsonLineError(row + rows_before, detail)
+        if part == "error":
+            raise ValueError(items)
+        parts[part](items)
 
 
 def _csv_cells(text: TextIO, remap: Mapping[str, str]) -> Iterator[tuple]:
@@ -942,13 +1286,13 @@ def _csv_cells(text: TextIO, remap: Mapping[str, str]) -> Iterator[tuple]:
         yield pick(row)
 
 
-def _json_cells(text: TextIO, remap: Mapping[str, str]) -> Iterator[tuple]:
+def _json_cells(records: Iterable[object], remap: Mapping[str, str]) -> Iterator[tuple]:
     """The seven canonical cells of each JSON record, None for an absent field.
 
     A record that is not an object has none of the fields.
     """
     keys_by_layout: dict[tuple, list[str | None]] = {}
-    for record in _json_records(text):
+    for record in records:
         if not isinstance(record, dict):
             record = {}
         layout = tuple(record)
@@ -975,7 +1319,7 @@ def _json_records(text: TextIO) -> Iterable[object]:
     if not line.lstrip().startswith("["):
         return _ndjson_records(chain((line,), lines))
     try:
-        records = json.loads(head + text.read(), parse_float=_JsonNumber)
+        records = _json_loads(head + text.read())
     except json.JSONDecodeError as exc:
         raise ValueError(f"invalid JSON input: {exc}") from None
     if not isinstance(records, list):
@@ -985,16 +1329,32 @@ def _json_records(text: TextIO) -> Iterable[object]:
 
 def _ndjson_records(lines: Iterable[str]) -> Iterator[object]:
     """Decode each non-blank line, without its line end; blank lines take no record number."""
-    decoder = json.JSONDecoder(parse_float=_JsonNumber)
     row_num = 0
     for line in lines:
         if not line.strip():
             continue
         row_num += 1
         try:
-            yield decoder.decode(line.rstrip("\r\n"))
+            record = _json_loads(line.rstrip("\r\n"))
         except json.JSONDecodeError as exc:
-            raise ValueError(f"invalid JSON on record {row_num}: {exc}") from None
+            raise _JsonLineError(row_num, str(exc)) from None
+        yield record
+
+
+def _cells_of(
+    fmt: str, remap: Mapping[str, str], header: str | None = None
+) -> Callable[[TextIO], Iterator[tuple]]:
+    """The reader of the seven canonical cells of each record of a text.
+
+    Without ``header`` the text is a whole input. With it, the text is a
+    later byte range of one: one-object-per-line JSON, or CSV rows read
+    under the header line ``header``.
+    """
+    if fmt == "csv":
+        return lambda text: _csv_cells(text if header is None else chain((header,), text), remap)
+    return lambda text: _json_cells(
+        _json_records(text) if header is None else _ndjson_records(text), remap
+    )
 
 
 def _validate(rows: Iterable[tuple], records: _Records) -> int:

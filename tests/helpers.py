@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
 import re
 from datetime import datetime, timezone
 from decimal import Decimal
@@ -280,3 +281,19 @@ def market_csv(seed: int, n_events: int, **kwargs) -> str:
     )
     writer.writerows(market_rows(seed, n_events, **kwargs))
     return buffer.getvalue()
+
+
+def count_forks(patch) -> list[int]:
+    """Make ``os.fork``, through the monkeypatch ``patch``, record the pid of each
+    child this process forks; returns the list it records them in."""
+    forks = []
+    fork = os.fork
+
+    def counted_fork():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    patch.setattr(os, "fork", counted_fork)
+    return forks

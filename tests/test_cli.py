@@ -15,8 +15,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from artrank import cli, econometrics, parse_events, volume_by_buyer, volume_by_seller
-from helpers import market_csv
+from artrank import cli, econometrics, ingest, parse_events, volume_by_buyer, volume_by_seller
+from helpers import count_forks, market_csv
 
 FIXTURE_CSV = """seller,buyer,creator,price_eth,price_usd,timestamp,artwork_id
 ann,bob,ann,1.0,2300,2021-04-20T10:00:00Z,a1
@@ -153,10 +153,29 @@ def test_staged_subcommands_match_run(fixture_dir):
     assert staged_files == run_files
 
 
-def test_cli_import_loads_no_scipy():
-    # numpy is the only runtime dependency; scipy would add about 0.25 s per start-up
+def test_inputs_parsed_in_byte_ranges_give_the_same_artifacts(tmp_path, monkeypatch):
+    (tmp_path / "sales.csv").write_text(market_csv(7, 3000), encoding="utf-8")
+
+    def artifacts(out, min_range_bytes):
+        monkeypatch.setattr(ingest, "_MIN_RANGE_BYTES", min_range_bytes)
+        assert run_cli("run", tmp_path / "sales.csv", "--out", out / "run") == 0
+        assert run_cli("ingest", tmp_path / "sales.csv", "--out", out / "staged") == 0
+        assert run_cli("rank", out / "staged" / "events.csv", "--out", out / "staged") == 0
+        return read_tree(out / "run"), read_tree(out / "staged")
+
+    one = artifacts(tmp_path / "one", 1 << 60)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+    forks = count_forks(monkeypatch)
+    assert artifacts(tmp_path / "ranges", 1) == one
+    assert len(forks) == 3 * 3  # input.csv twice and events.csv once, in four ranges each
+
+
+@pytest.mark.parametrize("package", ["scipy", "multiprocessing", "concurrent"])
+def test_cli_import_loads_no_scipy(package):
+    # numpy is the only runtime dependency; scipy would add about 0.25 s per
+    # start-up, and ranged parsing forks with os.fork and pickle, both loaded
     src = Path(cli.__file__).resolve().parents[1]
-    code = "import sys, artrank.cli; print(sorted(m for m in sys.modules if 'scipy' in m))"
+    code = f"import sys, artrank.cli; print(sorted(m for m in sys.modules if {package!r} in m))"
     result = subprocess.run(
         [sys.executable, "-c", code],
         env={**os.environ, "PYTHONPATH": str(src)},
