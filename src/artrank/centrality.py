@@ -20,9 +20,9 @@ swapping them cannot change a bit. The kernel therefore keeps each row's order
 from the previous half step and re-sorts only the rows whose products moved
 out of order; the sums equal those of a full sort on every call.
 
-The kernel reads the adjacency matrix as its three CSR arrays (``indptr``,
-``indices``, ``data``) and builds the transpose for the authority half step
-by a stable sort of the column indices, so it needs numpy only.
+The kernel sums the adjacency matrix as (row, column, value) triplets
+expanded from its CSR arrays, and the transpose for the authority half step
+as the same triplets stably sorted by column, so it needs numpy only.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import AdjacencyView, CollectorArtistNetwork, CSRMatrix
+from .graph import AdjacencyView, CollectorArtistNetwork
 from .ingest import DecimalColumn, sum_by
 
 DEFAULT_TOLERANCE = 1e-10
@@ -123,11 +123,10 @@ def hits(view: AdjacencyView, cfg: HitsConfig | None = None) -> HitsScores:
     # iteration numerically identical (to rounding) across weight scalings.
     scaled = data.astype(np.float64)
     scaled /= scaled.max()
-    forward = _RowSums(CSRMatrix((n, n), matrix.indptr, matrix.indices, scaled))  # y = A x
-    # A^T in CSR: entries grouped by column, each column's rows kept ascending
+    forward = _RowSums(n, rows, matrix.indices, scaled)  # y = A x
+    # A^T: entries grouped by column, each column's rows kept ascending
     by_col = np.argsort(matrix.indices, kind="stable")
-    transposed = CSRMatrix.from_rows((n, n), matrix.indices[by_col], rows[by_col], scaled[by_col])
-    backward = _RowSums(transposed)  # x = A^T y
+    backward = _RowSums(n, matrix.indices[by_col], rows[by_col], scaled[by_col])  # x = A^T y
 
     x = np.full(n, 1.0 / math.sqrt(n))
     y = x.copy()
@@ -181,25 +180,24 @@ def trader_score(scores: HitsScores) -> np.ndarray:
 class _RowSums:
     """Sparse matrix-vector product with value-ordered accumulation per row.
 
-    ``order`` permutes the stored entries within each row's CSR segment so
-    that each row lists the previous call's products in ascending order. A
-    call re-sorts only the rows where a new product precedes a smaller one,
-    starting from ``arange(nnz)`` on the first call, then sums every row in
-    that order. ``np.bincount`` adds its weights one at a time in index
-    order, and any ascending order of a row presents the same sequence of
-    values, so each result is bitwise the sum after a full sort of the row.
-    The sortedness test needs products that compare, which ``hits`` ensures
-    by refusing non-finite weights.
+    The matrix has ``n`` rows and holds ``data[k]`` at (``rows[k]``,
+    ``cols[k]``), with ``rows`` non-decreasing. ``order`` permutes the
+    entries within each row's segment so that each row lists the previous
+    call's products in ascending order. A call re-sorts only the rows where
+    a new product precedes a smaller one, starting from ``arange(nnz)`` on
+    the first call, then sums every row in that order. ``np.bincount`` adds
+    its weights one at a time in index order, and any ascending order of a
+    row presents the same sequence of values, so each result is bitwise the
+    sum after a full sort of the row. The sortedness test needs products
+    that compare, which ``hits`` ensures by refusing non-finite weights.
     """
 
-    def __init__(self, matrix: CSRMatrix):
-        self.n = matrix.shape[0]
-        self.data = matrix.data
-        self.cols = matrix.indices
-        self.rows = np.repeat(
-            np.arange(self.n, dtype=np.int64), np.diff(matrix.indptr)
-        )
-        self.order = np.arange(matrix.nnz)
+    def __init__(self, n: int, rows: np.ndarray, cols: np.ndarray, data: np.ndarray):
+        self.n = n
+        self.rows = rows
+        self.cols = cols
+        self.data = data
+        self.order = np.arange(len(data))
         # neighbouring positions in one row; a row boundary is never a descent
         self.same_row = self.rows[1:] == self.rows[:-1]
 

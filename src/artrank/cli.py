@@ -173,12 +173,10 @@ class RunConfig:
 # ---------------------------------------------------------------------------
 
 def _parse_bool(raw: str) -> bool:
-    text = raw.strip().lower()
-    if text in ("1", "true", "yes", "on"):
-        return True
-    if text in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"not a boolean: {raw!r}")
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[raw.strip().lower()]
+    except KeyError:
+        raise ValueError(f"not a boolean: {raw!r}") from None
 
 
 def _parse_map_string(raw: str) -> dict[str, str]:
@@ -219,13 +217,7 @@ def _apply_ini(cfg: RunConfig, path: Path) -> None:
     read = parser.read(path)
     if not read:
         raise ValueError(f"cannot read config file: {path}")
-    for (section, key), (attr, convert) in _CONFIG_KEYS.items():
-        if parser.has_option(section, key):
-            raw = parser.get(section, key)
-            try:
-                setattr(cfg, attr, convert(raw))
-            except ValueError as exc:
-                raise ValueError(f"config [{section}] {key}: {exc}") from None
+    _apply_text(cfg, lambda s, k: (f"config [{s}] {k}", parser.get(s, k, fallback=None)))
 
 
 def _env_name(section: str, key: str) -> str:
@@ -233,13 +225,19 @@ def _env_name(section: str, key: str) -> str:
 
 
 def _apply_env(cfg: RunConfig, environ=os.environ) -> None:
+    _apply_text(cfg, lambda s, k: (f"environment {_env_name(s, k)}", environ.get(_env_name(s, k))))
+
+
+def _apply_text(cfg: RunConfig, lookup) -> None:
+    """Set each config attribute whose text ``lookup(section, key)`` finds; it
+    returns where the text came from, for errors, and the text or None."""
     for (section, key), (attr, convert) in _CONFIG_KEYS.items():
-        name = _env_name(section, key)
-        if name in environ:
+        where, raw = lookup(section, key)
+        if raw is not None:
             try:
-                setattr(cfg, attr, convert(environ[name]))
+                setattr(cfg, attr, convert(raw))
             except ValueError as exc:
-                raise ValueError(f"environment {name}: {exc}") from None
+                raise ValueError(f"{where}: {exc}") from None
 
 
 def _apply_args(cfg: RunConfig, args: argparse.Namespace) -> None:
@@ -510,7 +508,17 @@ def _rankings_cells(text: Iterable[str]) -> tuple[list[str], list[list[float]]]:
         if len(row) < width:
             raise ValueError(f"rankings file line {reader.line_num} is missing columns")
         users.append(row[user_at])
-        values.append([float(row[i]) for i in metric_at])
+        try:
+            values.append([float(row[i]) for i in metric_at])
+        except ValueError:
+            for name, i in zip(METRIC_NAMES, metric_at):
+                try:
+                    float(row[i])
+                except ValueError:
+                    raise ValueError(
+                        f"rankings file line {reader.line_num} column {name}: "
+                        f"not a number: {row[i]!r}"
+                    ) from None
     return users, values
 
 

@@ -50,7 +50,6 @@ import csv
 import gc
 import io
 import json
-import math
 import operator
 import os
 import pickle
@@ -281,8 +280,8 @@ class DecimalColumn:
 
         Non-negative int64 values with an exponent in ``[-18, 0]`` that
         ``Decimal`` writes without an exponent are formatted as byte rows,
-        a group of equal exponents at a time; every other value is written
-        one at a time by ``_decimal_text``.
+        a group of equal exponents at a time; every other value is ``str``
+        of its exact ``Decimal``.
         """
         n = len(self)
         coef, exp = self.coef, self.exp
@@ -302,12 +301,7 @@ class DecimalColumn:
             rows = np.flatnonzero(plain & (exp == -scale))
             texts[rows] = _plain_text(coef[rows], scale)
         rows = np.flatnonzero(~plain & ~self.missing)
-        texts[rows] = [
-            _decimal_text(int(c), e, negative_zero)
-            for c, e, negative_zero in zip(
-                coef[rows].tolist(), exp[rows].tolist(), self.neg_zero[rows].tolist()
-            )
-        ]
+        texts[rows] = list(map(str, self._decimals(rows)))
         return texts.tolist()
 
     def to_float(self) -> np.ndarray:
@@ -316,9 +310,8 @@ class DecimalColumn:
 
         A coefficient of at most 2**53 in magnitude and a power of ten up to
         10**22 are both exact doubles, so one IEEE division or product of the
-        two rounds correctly; any other value is converted through Python
-        int true division or ``float`` of an exact int, which round
-        correctly too.
+        two rounds correctly; any other value is ``float`` of its exact
+        ``Decimal``, which rounds once, correctly too.
         """
         coef, exp = self.coef, self.exp
         out = np.empty(len(self))
@@ -332,7 +325,7 @@ class DecimalColumn:
             scale < 0, exact / _POW10_FLOAT[-scale.clip(max=0)], exact * _POW10_FLOAT[scale.clip(min=0)]
         )
         rows = np.flatnonzero(~fast)
-        out[rows] = [_int_float(int(c), e) for c, e in zip(coef[rows].tolist(), exp[rows].tolist())]
+        out[rows] = list(map(float, self._decimals(rows)))
         out[self.neg_zero] = -0.0
         out[self.missing] = np.nan
         return out
@@ -370,6 +363,12 @@ class DecimalColumn:
 
     def _negative(self) -> np.ndarray:
         return self.neg_zero | (self.coef < 0).astype(bool)
+
+    def _decimals(self, rows: np.ndarray) -> list[Decimal]:
+        """The exact ``Decimal`` of the value at each of ``rows``; a missing value reads as 0."""
+        parts = zip(self.coef[rows].tolist(), self.exp[rows].tolist(), self.neg_zero[rows].tolist())
+        values = ((Decimal(c).scaleb(e, _EXACT), negative_zero) for c, e, negative_zero in parts)
+        return [value.copy_negate() if negative_zero else value for value, negative_zero in values]
 
 
 def sum_by(values: DecimalColumn, groups: np.ndarray, n: int) -> DecimalColumn:
@@ -440,39 +439,6 @@ def _plain_text(coef: np.ndarray, scale: int) -> list[str]:
     lines = text.T[keep.T].tobytes().decode("ascii").split("\n")
     lines.pop()  # the text ends with a line break
     return lines
-
-
-def _decimal_text(coef: int, exp: int, negative_zero: bool) -> str:
-    """``str(Decimal)`` of ``coef * 10**exp`` (``-0`` forms where ``negative_zero``):
-    the to-scientific-string rule of the decimal specification."""
-    digits = str(abs(coef))
-    left = exp + len(digits)  # the adjusted exponent plus one
-    point = left if exp <= 0 and left > -6 else 1
-    if point <= 0:
-        body = "0." + "0" * -point + digits
-    elif point >= len(digits):
-        body = digits + "0" * (point - len(digits))
-    else:
-        body = digits[:point] + "." + digits[point:]
-    if left != point:
-        body += "E%+d" % (left - point)
-    return "-" + body if coef < 0 or negative_zero else body
-
-
-def _int_float(coef: int, exp: int) -> float:
-    """``float(Decimal)`` of ``coef * 10**exp``, through exact Python ints."""
-    sign = -1.0 if coef < 0 else 1.0
-    # 2**(bits - 1) <= |coef| < 2**bits bounds log10 of the value's magnitude
-    # (log10(2) = 0.30103), so that 10**-exp is never huge
-    bits = abs(coef).bit_length()
-    if not coef or exp + 0.302 * bits < -330:  # below half the least subnormal
-        return sign * 0.0
-    if exp + 0.301 * (bits - 1) > 309:  # above the largest double
-        return sign * math.inf
-    try:
-        return float(coef * 10**exp) if exp >= 0 else coef / 10**-exp
-    except OverflowError:
-        return sign * math.inf
 
 
 class _DecimalBuffer:

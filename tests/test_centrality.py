@@ -343,7 +343,8 @@ def next_vector(rng: np.random.Generator, previous: np.ndarray, kind: str) -> np
 def test_row_sums_equal_full_sort_on_every_call(seed, data_kind, kinds):
     rng = np.random.default_rng(seed)
     matrix = random_csr(rng, data_kind)
-    kernel = _RowSums(matrix)
+    rows = np.repeat(np.arange(matrix.shape[0]), np.diff(matrix.indptr))
+    kernel = _RowSums(matrix.shape[0], rows, matrix.indices, matrix.data)
     x = rng.random(matrix.shape[1])
     for kind in kinds:
         x = next_vector(rng, x, kind)

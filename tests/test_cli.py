@@ -844,6 +844,29 @@ def test_rankings_with_a_repeated_user_refused_before_writing(fixture_dir, capsy
         cli.load_rankings_csv(rankings)
 
 
+@pytest.mark.parametrize("command", ["profile", "correlate", "report"])
+def test_rankings_with_a_non_numeric_cell_refused_before_writing(fixture_dir, capsys, command):
+    inputs = ["events.csv", "rankings.csv"] if command == "report" else ["rankings.csv"]
+    out = fixture_dir / "out"
+    assert run_cli(
+        "run", fixture_dir / "sales.csv", "--rates", fixture_dir / "rates.csv", "--out", out
+    ) == 0
+    rankings = out / "rankings.csv"
+    with open(rankings, encoding="utf-8", newline="") as handle:
+        rows = list(csv.reader(handle))
+    column = rows[0].index("authority")
+    rows[3][column] = "abc"
+    with open(rankings, "w", encoding="utf-8", newline="") as handle:
+        csv.writer(handle, lineterminator="\n").writerows(rows)
+    capsys.readouterr()
+    target = fixture_dir / "target"
+    assert run_cli(command, *(out / name for name in inputs), "--out", target) == 1
+    assert capsys.readouterr().err == (
+        "error: rankings file line 4 column authority: not a number: 'abc'\n"
+    )
+    assert read_tree(target) == {}
+
+
 def test_rankings_csv_with_byte_order_mark(fixture_dir):
     out = fixture_dir / "out"
     assert run_cli(

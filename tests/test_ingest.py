@@ -96,6 +96,14 @@ def test_price_at_largest_float_accepted():
     assert log.price_usd.tolist() == [largest]
 
 
+def test_float_of_a_long_price_rounds_once():
+    # just below the midpoint of 1 and 1 + 2**-52, so the nearest double is 1;
+    # rounded to 28 digits first, it would land on the midpoint and round up
+    value = Decimal("1.00000000000000011102230246251")
+    column = ingest.DecimalColumn.from_values([value, value.copy_negate()])
+    assert column.to_float().tolist() == [1.0, -1.0]
+
+
 @pytest.mark.parametrize(
     "price, kept",
     [
