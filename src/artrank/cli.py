@@ -68,6 +68,7 @@ from .graph import CollectorArtistNetwork, Weighting, adjacency, build_network
 from .ingest import (
     EventLog,
     RateTable,
+    _chunks,
     _read_text,
     convert_currency,
     id_order,
@@ -414,14 +415,14 @@ def _texts(column: np.ndarray) -> Iterator[str]:
     return map(repr, column.tolist())
 
 
-def _user_rows(users: Iterable[str], columns) -> Iterator[tuple[str, ...]]:
+def _user_rows(users: Sequence[str], columns: Sequence[np.ndarray]) -> Iterator[tuple[str, ...]]:
     """CSV rows: the user id, then the text of each column's cell.
 
-    Columns are formatted one at a time, so only one column's floats exist as
-    Python objects at once.
+    Rows are formatted a chunk at a time as they are taken, so only one
+    chunk's floats and text exist as Python objects at once.
     """
-    cells = [list(_texts(column)) for column in columns]
-    return zip(users, *cells)
+    for part in _chunks(len(users)):
+        yield from zip(users[part], *[_texts(column[part]) for column in columns])
 
 
 def _rankings_rows(table: MetricsTable, trader: np.ndarray, sort_by: str):
@@ -434,20 +435,21 @@ def _rankings_rows(table: MetricsTable, trader: np.ndarray, sort_by: str):
         order = np.argsort(-columns[sort_by], kind="stable")
     for name in COUNT_COLUMNS:
         columns[name] = columns[name].astype(np.int64)  # sale counts, exact in a float
-    users = map(table.users.__getitem__, order.tolist())
+    users = list(map(table.users.__getitem__, order.tolist()))
     return _user_rows(users, [columns[name][order] for name in RANKINGS_HEADER[1:]])
 
 
-def _edge_rows(net: CollectorArtistNetwork):
+def _edge_rows(net: CollectorArtistNetwork) -> Iterator[tuple[str, ...]]:
     """``collector,artist,total_usd,sale_count`` rows in (collector id, artist id) order,
-    the network's own edge order."""
+    the network's own edge order, formatted a chunk at a time as they are taken."""
     users = np.array(net.users, dtype=object)
-    return zip(
-        users[net.collector].tolist(),
-        users[net.artist].tolist(),
-        net.total_usd.text(),
-        map(str, net.sale_count.tolist()),
-    )
+    for part in _chunks(net.edge_count):
+        yield from zip(
+            users[net.collector[part]].tolist(),
+            users[net.artist[part]].tolist(),
+            net.total_usd[part].text(),
+            map(str, net.sale_count[part].tolist()),
+        )
 
 
 def _figure5_rows(table: MetricsTable):

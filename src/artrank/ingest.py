@@ -842,6 +842,13 @@ def _unbounded(values: DecimalColumn) -> list[int]:
     return np.flatnonzero(wide).tolist()
 
 
+def _chunks(rows: int) -> Iterator[slice]:
+    """Slices of ``_CSV_CHUNK_ROWS`` consecutive rows, the last perhaps shorter, that
+    cover ``rows`` rows in order."""
+    for start in range(0, rows, _CSV_CHUNK_ROWS):
+        yield slice(start, start + _CSV_CHUNK_ROWS)
+
+
 def write_events_csv(log: EventLog, stream) -> None:
     """Write the canonical event CSV (re-parsable by ``parse_events``).
 
@@ -855,8 +862,7 @@ def write_events_csv(log: EventLog, stream) -> None:
     writer.writerow(EVENT_CSV_HEADER)
     names = np.array(log.users, dtype=object)
     plain_names = not _CSV_SPECIAL.search("".join(log.users))
-    for start in range(0, log.accepted_count, _CSV_CHUNK_ROWS):
-        part = slice(start, start + _CSV_CHUNK_ROWS)
+    for part in _chunks(log.accepted_count):
         artwork = [text or "" for text in log.artwork[part].tolist()]
         rows = zip(
             names[log.seller[part]].tolist(),
@@ -896,6 +902,8 @@ def write_csv_rows(stream, rows: Iterable[Sequence[str]]) -> None:
             stream.write(body + "\n")
         else:
             writer.writerows(chunk)
+        # the next chunk is taken with none of this one's text alive
+        del chunk, body
 
 
 def _timestamp_text(epoch: np.ndarray) -> list[str]:
@@ -1327,17 +1335,21 @@ def _validate(rows: Iterable[tuple], records: _Records) -> int:
     """Validate each record's seven cells into ``records``; returns the record count.
 
     The common record takes a fast path inline: its three id cells are
-    ``str`` cells in the memo, seller and buyer differ, each price is
+    ``str`` cells, each in the memo or a non-empty id that is its own
+    ``.strip()``, seller and buyer differ, each price is
     absent or plain ASCII text (a ``str`` or JSON number of digits with at
     most one ".", at most 18 digits, so within ``[0, _MAX_FLOAT]``) read
     straight into coefficient and exponent, its timestamp is a ``str`` of
     ASCII digits or one of the UTC forms ``...+00:00`` (25 characters, as
     ``events.csv`` writes it) or ``...Z`` (20 characters) with no other
-    "Z", and its artwork is absent or a ``str``. It keeps exactly what
-    ``_Records.add`` would keep. Any other record goes to ``add``, the one
-    source of reject reasons; no unhashable cell reaches the memo.
+    "Z", and its artwork is absent or a ``str``. Its new ids are coded once
+    every other check has passed, so a rejected record codes no user. It
+    keeps exactly what ``_Records.add`` would keep. Any other record goes to
+    ``add``, the one source of reject reasons; no unhashable cell reaches
+    the memo.
     """
     add = records.add
+    user = records.user
     code_of = records.memo.get
     codes = records.new_codes
     keep_eth_coef = records.price_eth.new_coef.append
@@ -1365,7 +1377,17 @@ def _validate(rows: Iterable[tuple], records: _Records) -> int:
         s = code_of(seller)
         b = code_of(buyer)
         c = code_of(creator)
-        if s is None or b is None or c is None or s == b or not when or not when.isascii():
+        # an id cell not in the memo is a new user's id when it is its own strip
+        new = s is None or b is None or c is None
+        if new and (
+            (s is None and (not seller or seller != seller.strip()))
+            or (b is None and (not buyer or buyer != buyer.strip()))
+            or (c is None and (not creator or creator != creator.strip()))
+        ):
+            add(row_num, *cells)
+            continue
+        # a new id and a known one name different users
+        if (s == b and (s is not None or seller == buyer)) or not when or not when.isascii():
             add(row_num, *cells)
             continue
         if eth is None or eth == "":
@@ -1415,6 +1437,9 @@ def _validate(rows: Iterable[tuple], records: _Records) -> int:
         if not fast:
             add(row_num, *cells)
             continue
+        if new:
+            # coded only now the record is kept, in the order ``add`` codes them
+            s, b, c = user(seller), user(buyer), user(creator)
         codes += (s, b, c)
         keep_eth_coef(eth_coef)
         keep_eth_exp(eth_exp)

@@ -508,6 +508,30 @@ def test_csv_fast_path_keeps_what_the_full_validator_keeps(rows):
     assert _columns(again)[:-2] == _columns(log)[:-2]
 
 
+@pytest.mark.parametrize(
+    "rejected",
+    [
+        ("x", "y", "z", "", "-1", "100", ""),
+        ("x", "y", "z", "", "1", "253402300800", ""),
+        ("x", "x", "z", "", "1", "100", ""),
+        ("a", "x", "x", "", "1", "2021-02-30T10:00:00Z", ""),
+    ],
+    ids=["price", "timestamp", "self-sale", "iso-timestamp"],
+)
+def test_a_rejected_record_codes_none_of_its_new_ids(rejected):
+    # every id of the rejected record but "a" is new, and each one is its own
+    # strip, as the fast path takes new ids; the ids of a kept record follow
+    rows = [("a", "b", "a", "", "1", "100", ""), rejected, ("c", "z", "c", "", "2", "200", "")]
+    text = io.StringIO()
+    writer = csv.writer(text, lineterminator="\n")
+    writer.writerow(CANONICAL_FIELDS)
+    writer.writerows(rows)
+    log, rejects = parse_events(text.getvalue().encode(), "csv")
+    assert [r.row for r in rejects] == [2]
+    assert log.users == ("a", "b", "c", "z")
+    _check_against_full_validator(log, rejects, rows)
+
+
 @settings(max_examples=150, deadline=None)
 @given(_json_rows)
 def test_json_records_keep_what_the_full_validator_keeps(rows):
