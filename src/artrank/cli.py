@@ -57,7 +57,6 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from functools import cached_property
-from itertools import chain
 from pathlib import Path
 from typing import TextIO
 
@@ -67,13 +66,13 @@ from . import centrality, econometrics, profiling, report
 from .graph import CollectorArtistNetwork, Weighting, adjacency, build_network
 from .ingest import (
     EventLog,
+    IdColumn,
     RateTable,
-    _chunks,
     _read_text,
     convert_currency,
     id_order,
     parse_events,
-    write_csv_rows,
+    write_csv,
     write_events_csv,
 )
 from .profiling import METRIC_NAMES, MetricsTable, Profiles
@@ -122,6 +121,8 @@ _PROFILE_LINE = (
 )
 # profiles.jsonl is formatted this many lines at a time, so its text never exists whole
 _PROFILE_CHUNK_ROWS = 1 << 12
+# each role's name at its index in profiling.ROLES
+_ROLE_NAMES = np.array([role.value for role in profiling.ROLES])
 
 
 @dataclass
@@ -285,9 +286,9 @@ class ArtifactWriter:
             yield handle
         self.digests[name] = (raw.sha256.hexdigest(), raw.size)
 
-    def csv(self, name: str, header, rows) -> None:
+    def csv(self, name: str, header, columns) -> None:
         with self._open(name) as handle:
-            write_csv_rows(handle, chain([header], rows))
+            write_csv(handle, header, columns)
 
     def json(self, name: str, payload) -> None:
         # NaN and infinities have no JSON form; json.dumps raises ValueError on them
@@ -410,61 +411,26 @@ class _Inputs:
         return load_rankings_csv(Path(self.args.rankings))
 
 
-def _texts(column: np.ndarray) -> Iterator[str]:
-    """A column's cells as ``str`` writes them: ``repr``, for a float the shortest round trip."""
-    return map(repr, column.tolist())
-
-
-def _user_rows(users: Sequence[str], columns: Sequence[np.ndarray]) -> Iterator[tuple[str, ...]]:
-    """CSV rows: the user id, then the text of each column's cell.
-
-    Rows are formatted a chunk at a time as they are taken, so only one
-    chunk's floats and text exist as Python objects at once.
-    """
-    for part in _chunks(len(users)):
-        yield from zip(users[part], *[_texts(column[part]) for column in columns])
-
-
-def _rankings_rows(table: MetricsTable, trader: np.ndarray, sort_by: str):
-    """Rankings rows by descending ``sort_by`` key with ties in table order, or by ``user``
+def _rankings_columns(table: MetricsTable, sort_by: str) -> list:
+    """Rankings columns by descending ``sort_by`` key with ties in table order, or by ``user``
     in table order; the pipeline's tables are in user-id order."""
-    columns = dict(zip(METRIC_NAMES, table.values.T), trader_score=trader)
+    columns = dict(zip(METRIC_NAMES, table.values.T), trader_score=table.trader_score())
     if sort_by == "user":
         order = np.arange(len(table.users))
     else:
         order = np.argsort(-columns[sort_by], kind="stable")
     for name in COUNT_COLUMNS:
         columns[name] = columns[name].astype(np.int64)  # sale counts, exact in a float
-    users = list(map(table.users.__getitem__, order.tolist()))
-    return _user_rows(users, [columns[name][order] for name in RANKINGS_HEADER[1:]])
-
-
-def _edge_rows(net: CollectorArtistNetwork) -> Iterator[tuple[str, ...]]:
-    """``collector,artist,total_usd,sale_count`` rows in (collector id, artist id) order,
-    the network's own edge order, formatted a chunk at a time as they are taken."""
-    users = np.array(net.users, dtype=object)
-    for part in _chunks(net.edge_count):
-        yield from zip(
-            users[net.collector[part]].tolist(),
-            users[net.artist[part]].tolist(),
-            net.total_usd[part].text(),
-            map(str, net.sale_count[part].tolist()),
-        )
-
-
-def _figure5_rows(table: MetricsTable):
-    """``figure5.csv`` rows in table order."""
-    return _user_rows(table.users, report.figure5_values(table).T)
+    return [IdColumn(table.users, order)] + [columns[name][order] for name in RANKINGS_HEADER[1:]]
 
 
 def _profile_lines(profiles: Profiles) -> Iterator[str]:
     """``profiles.jsonl`` in table order, a chunk of lines at a time."""
-    roles = np.array([role.value for role in profiling.ROLES])
     for start in range(0, len(profiles), _PROFILE_CHUNK_ROWS):
         part = slice(start, start + _PROFILE_CHUNK_ROWS)
         rows = zip(
             map(json.dumps, profiles.users[part]),
-            roles[profiles.role[part]].tolist(),
+            _ROLE_NAMES[profiles.role[part]].tolist(),
             profiles.artist_code[part].tolist(),
             profiles.collector_code[part].tolist(),
             *profiles.normalized[part].T.tolist(),
@@ -576,9 +542,15 @@ def _rank(inputs: _Inputs, writer: ArtifactWriter) -> str:
     unweighted, weighted = scores
     degrees = centrality.degree_metrics(net)
     inputs.table = profiling.build_metrics_table(net, degrees, unweighted, weighted)
-    trader = centrality.trader_score(unweighted)
-    writer.csv(RANKINGS_CSV, RANKINGS_HEADER, _rankings_rows(inputs.table, trader, cfg.sort_by))
-    writer.csv(EDGES_CSV, ("collector", "artist", "total_usd", "sale_count"), _edge_rows(net))
+    writer.csv(RANKINGS_CSV, RANKINGS_HEADER, _rankings_columns(inputs.table, cfg.sort_by))
+    # in (collector id, artist id) order, the network's own edge order
+    users = np.array(net.users, dtype=object)
+    collector, artist = IdColumn(users, net.collector), IdColumn(users, net.artist)
+    writer.csv(
+        EDGES_CSV,
+        ("collector", "artist", "total_usd", "sale_count"),
+        (collector, artist, net.total_usd, net.sale_count),
+    )
     return (
         f"ranked {net.node_count} users over {net.edge_count} edges"
         f" -> {writer.out_dir / RANKINGS_CSV}"
@@ -593,11 +565,8 @@ def _concentration(inputs: _Inputs, writer: ArtifactWriter) -> str:
     ):
         floats, total = _float_volumes(log, users, side)
         curve = econometrics.lorenz(floats)
-        writer.csv(
-            f"{stem}.csv",
-            ("pop_share", "vol_share"),
-            zip(_texts(curve.population_shares), _texts(curve.volume_shares)),
-        )
+        columns = (curve.population_shares, curve.volume_shares)
+        writer.csv(f"{stem}.csv", ("pop_share", "vol_share"), columns)
         writer.json(f"{stem}.json", {"gini": curve.gini, "n": len(floats), "total": total})
     return f"wrote Lorenz/Gini files to {writer.out_dir}"
 
@@ -623,8 +592,7 @@ def _float_volumes(log: EventLog, users: np.ndarray, side: str) -> tuple[np.ndar
 
 def _correlate(inputs: _Inputs, writer: ArtifactWriter) -> str:
     matrix = econometrics.correlation_matrix(inputs.table)
-    rows = ([label] + [str(v) for v in row] for label, row in zip(matrix.labels, matrix.values))
-    writer.csv(CORRELATION_CSV, ("metric",) + matrix.labels, rows)
+    writer.csv(CORRELATION_CSV, ("metric",) + matrix.labels, (matrix.labels, *matrix.values.T))
     return f"wrote correlation matrix -> {writer.out_dir / CORRELATION_CSV}"
 
 
@@ -634,15 +602,13 @@ def _profile(inputs: _Inputs, writer: ArtifactWriter) -> str:
     profiles = profiling.build_profiles(inputs.table, cfg.role_percentile, cfg.tie_rank)
     if pattern is not None:
         # a malformed query fails before any write
-        matches = [
-            [
-                profiles.users[i],
-                profiling.ROLES[profiles.role[i]].value,
-                profiles.artist_code[i],
-                profiles.collector_code[i],
-            ]
-            for i in profiling.matching_rows(profiles, pattern, inputs.args.match_which)
-        ]
+        rows = profiling.matching_rows(profiles, pattern, inputs.args.match_which)
+        matches = (
+            IdColumn(profiles.users, rows),
+            _ROLE_NAMES[profiles.role[rows]],
+            profiles.artist_code[rows],
+            profiles.collector_code[rows],
+        )
     # the table is finite (MetricsTable refuses anything else), so every
     # normalized value is too, but authority x hub can overflow
     bad = np.flatnonzero(~np.isfinite(profiles.trader_score))
@@ -652,7 +618,7 @@ def _profile(inputs: _Inputs, writer: ArtifactWriter) -> str:
     lines = []
     if pattern is not None:
         writer.csv(MATCHES_CSV, ("user", "role", "artist_code", "collector_code"), matches)
-        lines.append(f"{len(matches)} user(s) match {pattern!r} -> {writer.out_dir / MATCHES_CSV}")
+        lines.append(f"{len(rows)} user(s) match {pattern!r} -> {writer.out_dir / MATCHES_CSV}")
     else:
         # a query result of an earlier profile must not outlive it
         (writer.out_dir / MATCHES_CSV).unlink(missing_ok=True)
@@ -673,9 +639,9 @@ def _report(inputs: _Inputs, writer: ArtifactWriter) -> str:
         (HIST_PURCHASES_CSV, report.DIMENSION_PURCHASES),
     ):
         edges, counts = report.histogram_data(table, dimension)
-        rows = ([str(lo), str(hi), str(int(n))] for lo, hi, n in zip(edges, edges[1:], counts))
-        writer.csv(name, ("bin_low", "bin_high", "count"), rows)
-    writer.csv(FIGURE5_CSV, ("user",) + report.FIGURE_MEASURES, _figure5_rows(table))
+        writer.csv(name, ("bin_low", "bin_high", "count"), (edges[:-1], edges[1:], counts))
+    figure5 = report.figure5_values(table).T
+    writer.csv(FIGURE5_CSV, ("user",) + report.FIGURE_MEASURES, (table.users, *figure5))
     return text.rstrip("\n")
 
 

@@ -10,8 +10,13 @@ only a JSON array is decoded whole. CSV rows and JSON records alike pass
 one validating loop, whose inline fast path keeps what the full validator
 would keep for the common record; every other record goes through the full
 validator. Logs come only from ``parse_events`` (and ``convert_currency``
-of one), so the validator alone decides what a log holds. ``events.csv``
-is written a chunk of rows at a time, column by column.
+of one), so the validator alone decides what a log holds.
+
+``write_csv`` writes every CSV artifact, ``events.csv`` among them, from
+equal-length columns a chunk of rows at a time. Each column type has one
+text rule, and only str cells can need quoting, so a chunk is joined
+directly unless its str cells hold a delimiter, quote or line break; such a
+chunk goes through the csv writer, which gives the same bytes.
 
 A regular file given as ``open(path, "rb")`` is parsed in byte ranges when
 this process may use two or more CPUs and the file holds at least
@@ -70,7 +75,7 @@ from decimal import (
     Rounded,
 )
 from functools import cached_property
-from itertools import chain, islice
+from itertools import chain
 from typing import BinaryIO, Callable, Iterable, Iterator, Mapping, Sequence, TextIO, TypeVar
 
 import numpy as np
@@ -122,7 +127,6 @@ _NO_VALUE = _INT64_MIN
 _BLOCK_RECORDS = 1 << 13
 _EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 _DAY_S = 86_400
-_CSV_SPECIAL = re.compile('[,"\r\n]')  # characters the csv writer may quote for
 _CSV_CHUNK_ROWS = 1 << 13
 # events.csv timestamp text, and the two-digit fields within it
 _STAMP = np.frombuffer(b"0000-00-00T00:00:00+00:00\n", dtype=np.uint8)
@@ -850,60 +854,77 @@ def _chunks(rows: int) -> Iterator[slice]:
 
 
 def write_events_csv(log: EventLog, stream) -> None:
-    """Write the canonical event CSV (re-parsable by ``parse_events``).
-
-    The log is formatted a chunk of rows at a time, one column at a time, so
-    its whole text never exists at once. Price and timestamp text never
-    holds a delimiter, quote or line break, so a chunk is joined directly
-    unless a user id or one of its artwork ids does; such a chunk goes
-    through the csv writer.
-    """
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(EVENT_CSV_HEADER)
+    """Write the canonical event CSV (re-parsable by ``parse_events``)."""
     names = np.array(log.users, dtype=object)
-    plain_names = not _CSV_SPECIAL.search("".join(log.users))
-    for part in _chunks(log.accepted_count):
-        artwork = [text or "" for text in log.artwork[part].tolist()]
-        rows = zip(
-            names[log.seller[part]].tolist(),
-            names[log.buyer[part]].tolist(),
-            names[log.creator[part]].tolist(),
-            log.price_eth[part].text(),
-            log.price_usd[part].text(),
-            _timestamp_text(log.timestamp[part]),
-            artwork,
-        )
-        if plain_names and not _CSV_SPECIAL.search("".join(artwork)):
-            stream.write("\n".join(map(",".join, rows)) + "\n")
-        else:
-            writer.writerows(rows)
+    columns = (
+        IdColumn(names, log.seller),
+        IdColumn(names, log.buyer),
+        IdColumn(names, log.creator),
+        log.price_eth,
+        log.price_usd,
+        log.timestamp.view("datetime64[s]"),
+        log.artwork,
+    )
+    write_csv(stream, EVENT_CSV_HEADER, columns)
 
 
-def write_csv_rows(stream, rows: Iterable[Sequence[str]]) -> None:
-    """Write rows of str fields exactly as ``csv.writer(stream, lineterminator="\\n")``.
+class IdColumn:
+    """The ids ``ids[codes[i]]`` as a column that ``write_csv`` gathers a slice at a time."""
 
-    Each chunk of rows is joined once. The csv writer would quote nothing in
-    it when every row has two or more fields and the joined body holds no
-    quote or carriage return, one comma fewer than fields per row and one
-    line break fewer than rows; such a body is written as it is, and any
-    other chunk goes through the csv writer.
+    def __init__(self, ids: Sequence[str], codes: Sequence[int]) -> None:
+        self._ids = np.asarray(ids, dtype=object)
+        self._codes = codes
+
+    def __len__(self) -> int:
+        return len(self._codes)
+
+    def __getitem__(self, part: slice) -> np.ndarray:
+        return self._ids[self._codes[part]]
+
+
+def write_csv(stream, header: Sequence[str], columns: Sequence) -> None:
+    """Write ``header`` and the rows of equal-length ``columns`` exactly as
+    ``csv.writer(stream, lineterminator="\\n")`` does, a chunk of rows at a time.
+
+    A chunk's text comes from each column's slice: a ``DecimalColumn`` gives
+    its ``text()``, a ``datetime64[s]`` array (UTC epoch seconds)
+    ``YYYY-MM-DDTHH:MM:SS+00:00``, any other numeric array ``repr`` of each
+    value; any other cell (a str) is written as it is, None as "". Only that
+    last text can hold a delimiter, quote or line break, and the csv writer
+    quotes a lone empty field, so a chunk of two or more columns is joined
+    directly unless one of its str cells holds one of ``,"\\r\\n`` (the
+    csv module of some Python versions quotes ``\\r``, of others not); such
+    a chunk goes through the csv writer.
     """
+    rows = len(columns[0]) if columns else 0
+    if any(len(column) != rows for column in columns):
+        raise ValueError("CSV columns must have equal length")
     writer = csv.writer(stream, lineterminator="\n")
-    rows = iter(rows)
-    while chunk := list(islice(rows, _CSV_CHUNK_ROWS)):
-        body = "\n".join(map(",".join, chunk))
-        if (
-            min(map(len, chunk)) >= 2
-            and body.count(",") == sum(map(len, chunk)) - len(chunk)
-            and body.count("\n") == len(chunk) - 1
-            and '"' not in body
-            and "\r" not in body
-        ):
-            stream.write(body + "\n")
+    writer.writerow(header)
+    for part in _chunks(rows):
+        texts = []
+        plain = len(columns) >= 2
+        for column in columns:
+            cells = column[part]
+            if isinstance(cells, DecimalColumn):
+                texts.append(cells.text())
+            elif isinstance(cells, np.ndarray) and cells.dtype.kind == "M":
+                texts.append(_timestamp_text(cells.view(np.int64)))
+            elif isinstance(cells, np.ndarray) and cells.dtype.kind in "biuf":
+                texts.append(list(map(repr, cells.tolist())))
+            else:
+                cells = cells.tolist() if isinstance(cells, np.ndarray) else list(cells)
+                try:
+                    joined = "".join(cells)
+                except TypeError:  # None cells, which the csv writer writes as ""
+                    cells = ["" if cell is None else cell for cell in cells]
+                    joined = "".join(cells)
+                texts.append(cells)
+                plain = plain and not any(special in joined for special in ',"\r\n')
+        if plain:
+            stream.write("\n".join(map(",".join, zip(*texts))) + "\n")
         else:
-            writer.writerows(chunk)
-        # the next chunk is taken with none of this one's text alive
-        del chunk, body
+            writer.writerows(zip(*texts))
 
 
 def _timestamp_text(epoch: np.ndarray) -> list[str]:

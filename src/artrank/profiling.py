@@ -87,6 +87,12 @@ class MetricsTable:
     def column(self, name: str) -> np.ndarray:
         return self.values[:, METRIC_NAMES.index(name)]
 
+    def trader_score(self) -> np.ndarray:
+        """Each user's unweighted authority times hub; inf where the product
+        overflows, which the ``profile`` command refuses by name."""
+        with np.errstate(over="ignore"):
+            return self.column("authority") * self.column("hub")
+
 
 @dataclass(frozen=True, eq=False)
 class Profiles:
@@ -189,16 +195,13 @@ def build_profiles(
     columns.
     """
     artist_code, collector_code = _code_columns(table, tie_rank)
-    # an overflow leaves inf, which the `profile` command refuses by name
-    with np.errstate(over="ignore"):
-        trader_score = table.column("authority") * table.column("hub")
     return Profiles(
         users=table.users,
         role=_role_index(table, percentile_threshold),
         artist_code=artist_code,
         collector_code=collector_code,
         normalized=normalize_metrics(table),
-        trader_score=trader_score,
+        trader_score=table.trader_score(),
     )
 
 

@@ -6,6 +6,7 @@ import hashlib
 import json
 import os
 import platform
+import re
 import subprocess
 import sys
 from datetime import datetime, timedelta, timezone
@@ -318,6 +319,101 @@ def test_config_env_flag_precedence(fixture_dir, monkeypatch):
     assert cfg.max_iterations == 7  # config wins over defaults
 
 
+def resolved(argv, config_text=None, tmp_path=None) -> cli.RunConfig:
+    """The config that ``argv`` resolves to, with ``config_text`` as its INI file."""
+    if config_text is not None:
+        config = tmp_path / "artrank.ini"
+        config.write_text(config_text, encoding="utf-8")
+        argv = [*argv, "--config", str(config)]
+    return cli._resolve_config(cli._build_parser().parse_args(argv))
+
+
+@pytest.mark.parametrize(
+    "word,value", [("yes", True), ("On", True), ("0", False), ("false", False)]
+)
+def test_unweighted_multiplicity_from_config_and_environment(tmp_path, monkeypatch, word, value):
+    text = f"[graph]\nunweighted_multiplicity = {word}\n"
+    assert resolved(["rank", "events.csv"], text, tmp_path).unweighted_multiplicity is value
+    monkeypatch.setenv("ARTRANK_GRAPH_UNWEIGHTED_MULTIPLICITY", word)
+    assert resolved(["rank", "events.csv"]).unweighted_multiplicity is value
+    # the flag can only switch it on
+    assert resolved(["rank", "events.csv", "--unweighted-multiplicity"]).unweighted_multiplicity
+
+
+def test_a_word_that_is_not_a_boolean_is_an_error(fixture_dir, monkeypatch, capsys):
+    sales, out = fixture_dir / "sales.csv", fixture_dir / "out"
+    monkeypatch.setenv("ARTRANK_GRAPH_UNWEIGHTED_MULTIPLICITY", "maybe")
+    assert run_cli("run", sales, "--out", out) == 1
+    err = capsys.readouterr().err
+    assert "error: environment ARTRANK_GRAPH_UNWEIGHTED_MULTIPLICITY: not a boolean: 'maybe'" in err
+    monkeypatch.delenv("ARTRANK_GRAPH_UNWEIGHTED_MULTIPLICITY")
+    config = fixture_dir / "artrank.ini"
+    config.write_text("[graph]\nunweighted_multiplicity = maybe\n", encoding="utf-8")
+    assert run_cli("run", sales, "--out", out, "--config", config) == 1
+    err = capsys.readouterr().err
+    assert "error: config [graph] unweighted_multiplicity: not a boolean: 'maybe'" in err
+    assert not out.exists()
+
+
+def test_field_map_from_config_and_environment(tmp_path, monkeypatch):
+    text = "[input]\nmap = vendor=seller, client = buyer ,\n"
+    expected = {"vendor": "seller", "client": "buyer"}
+    assert resolved(["ingest"], text, tmp_path).field_map == expected
+    monkeypatch.setenv("ARTRANK_INPUT_MAP", "vendor=seller,client=buyer")
+    assert resolved(["ingest"]).field_map == expected
+    # a --map flag replaces the whole map
+    assert resolved(["ingest", "--map", "from=seller"]).field_map == {"from": "seller"}
+
+
+def test_malformed_field_map_names_its_source(fixture_dir, monkeypatch, capsys):
+    sales = fixture_dir / "sales.csv"
+    config = fixture_dir / "artrank.ini"
+    config.write_text("[input]\nmap = vendor\n", encoding="utf-8")
+    message = "field map entries must look like src=dst, got"
+    assert run_cli("ingest", sales, "--config", config, "--out", fixture_dir / "o") == 1
+    err = capsys.readouterr().err
+    assert f"error: config [input] map: {message} 'vendor'" in err
+    monkeypatch.setenv("ARTRANK_INPUT_MAP", "=buyer")
+    assert run_cli("ingest", sales, "--out", fixture_dir / "o") == 1
+    err = capsys.readouterr().err
+    assert f"error: environment ARTRANK_INPUT_MAP: {message} '=buyer'" in err
+
+
+def test_unreadable_config_file_is_an_error(fixture_dir, capsys):
+    missing = fixture_dir / "missing.ini"
+    assert run_cli("run", fixture_dir / "sales.csv", "--config", missing) == 1
+    assert f"error: cannot read config file: {missing}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv,environ,message",
+    [
+        (["ingest"], {}, "no input path configured"),
+        (["ingest", "{dir}/nope.csv"], {}, "input path does not exist: {dir}/nope.csv"),
+        (["ingest", "{dir}/sales.csv", "--rates", "{dir}/nope.csv"], {},
+         "rate table does not exist: {dir}/nope.csv"),
+        (["ingest", "{dir}/sales.csv"], {"ARTRANK_INPUT_FORMAT": "xml"},
+         "unsupported input format: xml"),
+        (["profile", "r.csv", "--role-percentile", "1"], {}, "role_percentile must be in (0, 1)"),
+        (["profile", "r.csv", "--role-percentile", "0"], {}, "role_percentile must be in (0, 1)"),
+        (["profile", "r.csv"], {"ARTRANK_PROFILING_TIE_RANK": "mean"}, "unknown tie_rank: mean"),
+        (["rank", "e.csv"], {"ARTRANK_RANKINGS_SORT_BY": "score"},
+         "sort_by must be one of " + ", ".join(cli.SORT_KEYS)),
+        (["rank", "e.csv", "--tolerance", "0"], {}, "tolerance must be positive"),
+        (["rank", "e.csv", "--max-iterations", "0"], {}, "max_iterations must be at least 1"),
+        (["rank", "e.csv"], {"ARTRANK_HITS_TOLERANCE": "-1e-9"}, "tolerance must be positive"),
+    ],
+)
+def test_config_refusals(fixture_dir, monkeypatch, capsys, argv, environ, message):
+    for name, value in environ.items():
+        monkeypatch.setenv(name, value)
+    out = fixture_dir / "out"
+    argv = [arg.format(dir=fixture_dir) for arg in argv]
+    assert run_cli(*argv, "--out", out) == 1
+    assert capsys.readouterr().err == f"error: {message.format(dir=fixture_dir)}\n"
+    assert not out.exists()
+
+
 def test_field_map_flag(fixture_dir):
     renamed = fixture_dir / "renamed.csv"
     renamed.write_text(
@@ -386,7 +482,7 @@ def test_manifest_hashes_a_file_larger_than_one_block(tmp_path):
 def test_manifest_hashes_the_last_write_as_written(tmp_path):
     writer = cli.ArtifactWriter(tmp_path)
     writer.text("a.txt", "first\n")
-    writer.csv("a.txt", ("x", "y"), [("1", "é")])
+    writer.csv("a.txt", ("x", "y"), [("1",), ("é",)])
     writer.jsonl("b.jsonl", ['{"k": 1}\n', '{"k": 2}\n'])
     # the manifest hashes the bytes as they were written; it reads nothing back
     (tmp_path / "a.txt").write_text("changed afterwards\n", encoding="utf-8")
@@ -678,6 +774,27 @@ def test_subcommand_option_strings_are_pinned():
         for name, sub in subparsers.choices.items()
     }
     assert found == SUBCOMMAND_OPTIONS
+
+
+def test_help_defaults_are_the_run_config_defaults():
+    # a flag's parser default is None, so that config and environment can set it,
+    # and its help names the built-in default by hand; a flag that is no config
+    # key (--match-which) keeps its default in the parser
+    parser = cli._build_parser()
+    (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    defaults = cli.RunConfig()
+    found = {}
+    for name, sub in subparsers.choices.items():
+        for action in sub._actions:
+            match = re.search(r"\(default ([^)]*)\)", action.help or "")
+            if match:
+                expected = getattr(defaults, action.dest, action.default)
+                found[action.dest] = (match.group(1), str(expected))
+    assert set(found) == {
+        "input_format", "tolerance", "max_iterations", "sort_by", "role_percentile", "tie_rank",
+        "match_which",
+    }
+    assert all(shown == expected for shown, expected in found.values()), found
 
 
 def _refuse_constant(token: str):

@@ -21,7 +21,7 @@ from artrank import (
     write_events_csv,
 )
 from artrank import ingest
-from artrank.ingest import _MAX_EPOCH, _MIN_EPOCH, CANONICAL_FIELDS, write_csv_rows
+from artrank.ingest import _MAX_EPOCH, _MIN_EPOCH, CANONICAL_FIELDS, write_csv
 from helpers import T0, ev, log_of, parse_json_whole, sales
 
 CSV_3ROWS = b"""seller,buyer,creator,price_eth,price_usd,timestamp,artwork_id
@@ -618,12 +618,13 @@ def test_invalid_utf8_deep_in_the_input_is_fatal():
 @pytest.mark.parametrize("special", [",", "\n", "\r", '"', "\r\n"])
 @pytest.mark.parametrize("where", [0, 1, 99])
 def test_csv_chunk_with_one_field_that_needs_quoting(special, where):
+    header = ("user", "price", "note")
     rows = [(f"user{i}", f"{i}.50", "x y") for i in range(100)]
     rows[where] = (rows[where][0], f"p{special}q", "x y")
     expected = io.StringIO()
-    csv.writer(expected, lineterminator="\n").writerows(rows)
+    csv.writer(expected, lineterminator="\n").writerows([header] + rows)
     got = io.StringIO()
-    write_csv_rows(got, rows)
+    write_csv(got, header, list(zip(*rows)))
     assert got.getvalue() == expected.getvalue()
 
 
@@ -916,12 +917,13 @@ class _WriteLog(io.StringIO):
         return super().write(text)
 
 
-def test_write_csv_rows_writes_at_most_one_chunk_per_call():
+def test_write_csv_writes_at_most_one_chunk_per_call():
     chunk = ingest._CSV_CHUNK_ROWS
     rows = [(f"u{i:06d}", "1.50") for i in range(3 * chunk + 1)]
     rows[chunk + 7] = ("u,quoted", "1.50")
     stream = _WriteLog()
-    write_csv_rows(stream, rows)
+    # the first row is the header; the other 3 chunks of rows are the columns
+    write_csv(stream, rows[0], list(zip(*rows[1:])))
     expected = io.StringIO()
     csv.writer(expected, lineterminator="\n").writerows(rows)
     assert stream.getvalue() == expected.getvalue()

@@ -9,9 +9,11 @@ against the ``csv`` module.
 
 import csv
 import io
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
 from decimal import Decimal, localcontext
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -25,7 +27,8 @@ from artrank import (
     volume_by_seller,
     write_events_csv,
 )
-from artrank.ingest import write_csv_rows
+from artrank import ingest
+from artrank.ingest import _MAX_EPOCH, _MIN_EPOCH, DecimalColumn, IdColumn, write_csv
 
 from helpers import edge_totals, sales
 
@@ -380,16 +383,73 @@ def test_folds_match_brute_force_recount(rows):
 # ---------------------------------------------------------------------------
 
 _field = st.text(alphabet=st.sampled_from(list('ab ,"\r\n\t1.')), max_size=4)
+# tables of 1 to 4 columns: a header row, then up to 11 rows of str or None cells
+_tables = st.integers(1, 4).flatmap(
+    lambda width: st.lists(
+        st.lists(st.one_of(st.none(), _field), min_size=width, max_size=width),
+        min_size=1,
+        max_size=12,
+    )
+)
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.lists(st.lists(_field, min_size=1, max_size=4), max_size=12))
+@given(_tables)
 def test_csv_rows_written_as_the_csv_module_does(rows):
     expected = io.StringIO()
     csv.writer(expected, lineterminator="\n").writerows(rows)
     got = io.StringIO()
-    write_csv_rows(got, rows)
+    write_csv(got, rows[0], list(zip(*rows[1:])))
     assert got.getvalue() == expected.getvalue()
+
+
+_IDS = ("a", 'b,"c', "d\re")
+# one row's cells: a float, an int, a decimal or None, epoch seconds, a str or
+# None, and the code of an id in _IDS
+_typed_rows = st.lists(
+    st.tuples(
+        st.floats(),
+        st.integers(-(2**63), 2**63 - 1),
+        st.one_of(
+            st.none(),
+            st.decimals(min_value=-(10**9), max_value=10**9, allow_nan=False, allow_infinity=False),
+        ),
+        st.integers(_MIN_EPOCH, _MAX_EPOCH),
+        st.one_of(st.none(), _field),
+        st.integers(0, len(_IDS) - 1),
+    ),
+    max_size=12,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_typed_rows)
+def test_typed_columns_written_as_the_csv_module_writes_their_text(rows):
+    floats, ints, decimals, epochs, cells, codes = zip(*rows) if rows else ((),) * 6
+    columns = (
+        np.array(floats, dtype=np.float64),
+        np.array(ints, dtype=np.int64),
+        DecimalColumn.from_values(decimals),
+        np.array(epochs, dtype="datetime64[s]"),
+        np.array(cells, dtype=object),
+        IdColumn(_IDS, np.array(codes, dtype=np.int64)),
+    )
+    epoch = datetime(1970, 1, 1, tzinfo=timezone.utc)
+    expected = io.StringIO()
+    writer = csv.writer(expected, lineterminator="\n")
+    writer.writerow("abcdef")
+    for f, i, d, e, cell, code in rows:
+        when = (epoch + timedelta(seconds=e)).isoformat()
+        writer.writerow([repr(f), repr(i), "" if d is None else str(d), when, cell, _IDS[code]])
+    got = io.StringIO()
+    with mock.patch.object(ingest, "_CSV_CHUNK_ROWS", 3):
+        write_csv(got, "abcdef", columns)
+    assert got.getvalue() == expected.getvalue()
+
+
+def test_columns_of_unequal_length_are_refused():
+    with pytest.raises(ValueError, match="equal length"):
+        write_csv(io.StringIO(), "ab", (np.zeros(2), np.zeros(3)))
 
 
 def test_events_csv_round_trips_ids_that_need_quoting():

@@ -5,7 +5,9 @@ pipeline did before its per-user layer became columnar: a level string per
 percentile, a ``ReferenceProfile`` tuple per user, a dict and a
 ``json.dumps`` call per ``profiles.jsonl`` line, a list of ``str`` cells
 per CSV row, and a pattern matched one user at a time. The columnar code
-must write the same text for any metrics table.
+must write the same text for any metrics table. The small CSVs (Lorenz
+curves, histograms, the Kendall matrix, query matches) are checked against
+the row formulas they were written with before every CSV became columns.
 """
 
 import csv
@@ -15,6 +17,7 @@ import json
 import math
 import tracemalloc
 from itertools import chain
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
@@ -28,12 +31,14 @@ from artrank import (
     Role,
     build_network,
     cli,
+    econometrics,
     ingest,
     match_code,
     parse_events,
     profiling,
+    report,
 )
-from artrank.ingest import id_order, write_csv_rows
+from artrank.ingest import IdColumn, id_order, write_csv
 from helpers import market_csv
 
 # ---------------------------------------------------------------------------
@@ -168,10 +173,22 @@ def csv_text(header, rows) -> str:
     return out.getvalue()
 
 
-def written_text(header, rows) -> str:
+def written_text(header, columns) -> str:
     out = io.StringIO()
-    write_csv_rows(out, chain([header], rows))
+    write_csv(out, header, columns)
     return out.getvalue()
+
+
+def figure5_columns(table):
+    """The ``figure5.csv`` columns as the ``report`` stage passes them."""
+    return (table.users, *report.figure5_values(table).T)
+
+
+def edges_columns(net):
+    """The ``edges.csv`` columns as the ``rank`` stage passes them."""
+    users = np.array(net.users, dtype=object)
+    collector, artist = IdColumn(users, net.collector), IdColumn(users, net.artist)
+    return (collector, artist, net.total_usd, net.sale_count)
 
 
 # ---------------------------------------------------------------------------
@@ -266,9 +283,9 @@ class DiscardText:
 def test_rankings_csv_matches_row_reference(table, sort_by):
     table = in_id_order(table)
     trader = table.column("authority") * table.column("hub")
-    rows = cli._rankings_rows(table, trader, sort_by)
+    columns = cli._rankings_columns(table, sort_by)
     expected = csv_text(cli.RANKINGS_HEADER, reference_rankings_rows(table, trader, sort_by))
-    assert written_text(cli.RANKINGS_HEADER, rows) == expected
+    assert written_text(cli.RANKINGS_HEADER, columns) == expected
 
 
 @settings(max_examples=100, deadline=None)
@@ -277,7 +294,7 @@ def test_figure5_csv_matches_row_reference(table):
     table = in_id_order(table)
     header = ("user",) + cli.report.FIGURE_MEASURES
     expected = csv_text(header, reference_figure5_rows(table))
-    assert written_text(header, cli._figure5_rows(table)) == expected
+    assert written_text(header, figure5_columns(table)) == expected
 
 
 CHUNK = 3  # rows per chunk in the chunk-boundary test
@@ -290,15 +307,15 @@ def test_chunked_rows_match_row_references_at_chunk_boundaries(monkeypatch, rows
     trader = table.column("authority") * table.column("hub")
     for sort_by in cli.SORT_KEYS:
         expected = csv_text(cli.RANKINGS_HEADER, reference_rankings_rows(table, trader, sort_by))
-        written = written_text(cli.RANKINGS_HEADER, cli._rankings_rows(table, trader, sort_by))
+        written = written_text(cli.RANKINGS_HEADER, cli._rankings_columns(table, sort_by))
         assert written == expected
     header = ("user",) + cli.report.FIGURE_MEASURES
     expected = csv_text(header, reference_figure5_rows(table))
-    assert written_text(header, cli._figure5_rows(table)) == expected
+    assert written_text(header, figure5_columns(table)) == expected
     net = seeded_network(rows)
     assert net.edge_count == rows
     expected = csv_text(EDGES_HEADER, reference_edges_rows(net))
-    assert written_text(EDGES_HEADER, cli._edge_rows(net)) == expected
+    assert written_text(EDGES_HEADER, edges_columns(net)) == expected
 
 
 def test_edges_csv_of_a_run_matches_row_reference(tmp_path):
@@ -323,21 +340,20 @@ _PEAK_BYTES_PER_CHUNK_ROW = {"rankings.csv": 2560, "edges.csv": 550, "figure5.cs
 def test_per_user_and_per_edge_rows_peak_memory():
     rows = 6 * ingest._CSV_CHUNK_ROWS + 1
     table = seeded_table(rows)
-    trader = table.column("authority") * table.column("hub")
     net = seeded_network(rows)
     artifacts = {
-        "rankings.csv": lambda: cli._rankings_rows(table, trader, "authority"),
-        "edges.csv": lambda: cli._edge_rows(net),
-        "figure5.csv": lambda: cli._figure5_rows(table),
+        "rankings.csv": (cli.RANKINGS_HEADER, lambda: cli._rankings_columns(table, "authority")),
+        "edges.csv": (EDGES_HEADER, lambda: edges_columns(net)),
+        "figure5.csv": (("user",) + report.FIGURE_MEASURES, lambda: figure5_columns(table)),
     }
-    for make_rows in artifacts.values():
-        # the first call also imports modules lazily; the second measures the rows alone
-        write_csv_rows(DiscardText(), make_rows())
+    for header, make_columns in artifacts.values():
+        # the first call also imports modules lazily; the second measures the writing alone
+        write_csv(DiscardText(), header, make_columns())
     peaks = {}
-    for name, make_rows in artifacts.items():
+    for name, (header, make_columns) in artifacts.items():
         tracemalloc.start()
         try:
-            write_csv_rows(DiscardText(), make_rows())
+            write_csv(DiscardText(), header, make_columns())
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -401,3 +417,153 @@ def test_profile_match_writes_the_row_reference(tmp_path, pattern, which, digest
     written = (out / "matches.csv").read_bytes()
     assert written.decode() == csv_text(("user", "role", "artist_code", "collector_code"), rows)
     assert hashlib.sha256(written).hexdigest() == digest
+
+
+# ---------------------------------------------------------------------------
+# The small CSVs against the row formulas they were written with
+# ---------------------------------------------------------------------------
+
+SMALL_CSV_HEADERS = {
+    "lorenz_sellers.csv": ("pop_share", "vol_share"),
+    "lorenz_buyers.csv": ("pop_share", "vol_share"),
+    "hist_sales.csv": ("bin_low", "bin_high", "count"),
+    "hist_purchases.csv": ("bin_low", "bin_high", "count"),
+    "figure5.csv": ("user",) + report.FIGURE_MEASURES,
+    "correlation.csv": ("metric",) + econometrics.CORRELATION_LABELS,
+    "matches.csv": ("user", "role", "artist_code", "collector_code"),
+}
+
+
+def old_small_csv_rows(out: Path) -> dict[str, list[list[str]]]:
+    """The rows of each small CSV in ``out``, from that directory's events and
+    rankings, as the old row formulas wrote them: ``repr`` of each Lorenz
+    point's floats, ``str`` of each numpy float of the histograms and the
+    Kendall matrix, ``str(int(n))`` of each bin count."""
+    with open(out / "events.csv", "rb") as handle:
+        log, _ = parse_events(handle, "csv")
+    table = cli.load_rankings_csv(out / "rankings.csv")
+    rows = {"figure5.csv": reference_figure5_rows(table)}
+    for stem, side, users in (
+        ("lorenz_sellers", "seller", log.seller),
+        ("lorenz_buyers", "buyer", log.buyer),
+    ):
+        if log.accepted_count:
+            curve = econometrics.lorenz(cli._float_volumes(log, users, side)[0])
+            rows[f"{stem}.csv"] = [list(map(repr, point)) for point in curve.points.tolist()]
+    for name, dimension in (
+        ("hist_sales.csv", report.DIMENSION_SALES),
+        ("hist_purchases.csv", report.DIMENSION_PURCHASES),
+    ):
+        edges, counts = report.histogram_data(table, dimension)
+        bins = zip(edges, edges[1:], counts)
+        rows[name] = [[str(lo), str(hi), str(int(n))] for lo, hi, n in bins]
+    if log.accepted_count:
+        matrix = econometrics.correlation_matrix(table)
+        rows["correlation.csv"] = [
+            [label] + [str(v) for v in row] for label, row in zip(matrix.labels, matrix.values)
+        ]
+    return rows
+
+
+def sellers_csv(sellers: int) -> str:
+    """A log where seller ``i`` of ``sellers`` sells its own work to buyers 0 to ``i``;
+    with no sellers, one self-sale, which ingest rejects."""
+    lines = ["seller,buyer,creator,price_usd,timestamp"]
+    lines += [f"s{i},b{j},s{i},{i + j}.5,{100 + i}" for i in range(sellers) for j in range(i + 1)]
+    if not sellers:
+        lines.append("a,a,a,1,100")
+    return "\n".join(lines) + "\n"
+
+
+# 0 sellers: empty histograms and figure5.csv, and no Lorenz curve (no volume);
+# 1: one-bin histograms; 2, 3 and 9 sellers: Lorenz curves of CHUNK, CHUNK + 1
+# and 3 * CHUNK + 1 rows
+@pytest.mark.parametrize("sellers", [0, 1, 2, 3, 9])
+def test_lorenz_hist_correlation_and_figure5_csvs_match_old_rows(monkeypatch, tmp_path, sellers):
+    monkeypatch.setattr(ingest, "_CSV_CHUNK_ROWS", CHUNK)
+    sales = tmp_path / "sales.csv"
+    sales.write_text(sellers_csv(sellers), encoding="utf-8")
+    out = tmp_path / "out"
+    if sellers:
+        assert cli.main(["run", str(sales), "--out", str(out)]) == 0
+    else:
+        events, rankings = str(out / "events.csv"), str(out / "rankings.csv")
+        assert cli.main(["ingest", str(sales), "--out", str(out)]) == 0
+        assert cli.main(["rank", events, "--out", str(out)]) == 0
+        assert cli.main(["report", events, rankings, "--out", str(out)]) == 0
+    expected = old_small_csv_rows(out)
+    written = {path.name for path in out.glob("*.csv")}
+    assert written - {"events.csv", "rankings.csv", "edges.csv"} == set(expected)
+    for name, rows in expected.items():
+        written = (out / name).read_bytes().decode()
+        assert written == csv_text(SMALL_CSV_HEADERS[name], rows), name
+    if sellers:
+        assert len(expected["lorenz_sellers.csv"]) == sellers + 1
+        assert len(expected["hist_sales.csv"]) == (1 if sellers == 1 else 20)
+    else:
+        assert expected["hist_sales.csv"] == expected["figure5.csv"] == []
+
+
+# (table rows, full-code pattern, matches): no match, then 1, CHUNK, CHUNK + 1
+# and 3 * CHUNK + 1 matches; a one-user table has all-A codes, and the Kendall
+# matrix needs two users
+@pytest.mark.parametrize(
+    "rows,pattern,matches",
+    [
+        (1, "C*******", 0),
+        (1, "********", 1),
+        (CHUNK, "********", CHUNK),
+        (CHUNK + 1, "********", CHUNK + 1),
+        (3 * CHUNK + 1, "********", 3 * CHUNK + 1),
+    ],
+)
+def test_matches_and_correlation_csvs_match_old_rows(monkeypatch, tmp_path, rows, pattern, matches):
+    monkeypatch.setattr(ingest, "_CSV_CHUNK_ROWS", CHUNK)
+    table = seeded_table(rows)
+    values = table.values.copy()
+    values[:, METRIC_NAMES.index("w_hub")] = 0.0  # a constant column: NaN correlations
+    table = MetricsTable(users=table.users, values=values)
+    trader = table.column("authority") * table.column("hub")
+    rankings = tmp_path / "rankings.csv"
+    rankings.write_text(
+        csv_text(cli.RANKINGS_HEADER, reference_rankings_rows(table, trader, "user")),
+        encoding="utf-8",
+    )
+    out = tmp_path / "out"
+    query = ["--match", pattern, "--match-which", "full"]
+    assert cli.main(["profile", str(rankings), "--out", str(out), *query]) == 0
+    loaded = cli.load_rankings_csv(rankings)
+    profiles = profiling.build_profiles(loaded)
+    matched = [
+        [
+            profiles.users[i],
+            profiling.ROLES[profiles.role[i]].value,
+            profiles.artist_code[i],
+            profiles.collector_code[i],
+        ]
+        for i in profiling.matching_rows(profiles, pattern, "full")
+    ]
+    assert len(matched) == matches
+    written = (out / "matches.csv").read_bytes().decode()
+    assert written == csv_text(SMALL_CSV_HEADERS["matches.csv"], matched)
+    if rows > 1:
+        assert cli.main(["correlate", str(rankings), "--out", str(out)]) == 0
+        matrix = econometrics.correlation_matrix(loaded)
+        assert np.isnan(matrix.values).any()
+        correlation = [
+            [label] + [str(v) for v in row] for label, row in zip(matrix.labels, matrix.values)
+        ]
+        written = (out / "correlation.csv").read_bytes().decode()
+        assert written == csv_text(SMALL_CSV_HEADERS["correlation.csv"], correlation)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(st.floats(allow_infinity=False), st.just(math.nan)))
+def test_numpy_float_str_is_the_float_repr(x):
+    # what lets the histogram and Kendall cells, once str of numpy floats, be repr
+    assert str(np.float64(x)) == repr(float(x))
+
+
+def test_numpy_float_str_is_the_float_repr_over_log_spaced_edges():
+    edges = np.concatenate([np.logspace(-320, 308, 20_001), np.logspace(0, 6, 20_001)])
+    assert list(map(str, edges)) == list(map(repr, edges.tolist()))
