@@ -173,14 +173,16 @@ def build_network(log: EventLog) -> CollectorArtistNetwork:
     users = log.users
     n = len(users)
 
-    buyback = log.buyer == log.creator
-    keep = ~buyback
-    dropped = int(np.count_nonzero(buyback))
-    dropped_usd = log.price_usd[buyback].total()
     pairs, edge_of_sale, counts = np.unique(
-        log.buyer[keep] * n + log.creator[keep], return_inverse=True, return_counts=True
+        log.buyer * n + log.creator, return_inverse=True, return_counts=True
     )
     collector, artist = np.divmod(pairs, max(n, 1))
+    total_usd = sum_by(log.price_usd, edge_of_sale, len(pairs))
+    # the buy-backs are the sales of the diagonal pairs
+    buyback = collector == artist
+    dropped = int(counts[buyback].sum())
+    dropped_usd = total_usd[buyback].total()
+    edges = ~buyback
     if dropped:
         logger.warning(
             "dropped %d buy-back event(s) (buyer equals creator), %s USD total",
@@ -189,10 +191,10 @@ def build_network(log: EventLog) -> CollectorArtistNetwork:
         )
     return CollectorArtistNetwork(
         users=users,
-        collector=collector,
-        artist=artist,
-        total_usd=sum_by(log.price_usd[keep], edge_of_sale, len(pairs)),
-        sale_count=counts.astype(np.int64),
+        collector=collector[edges],
+        artist=artist[edges],
+        total_usd=total_usd[edges],
+        sale_count=counts[edges].astype(np.int64),
         dropped_buybacks=dropped,
         dropped_usd=dropped_usd,
     )

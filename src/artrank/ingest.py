@@ -2,8 +2,11 @@
 
 Raw rows (CSV or JSON) are validated record by record into a columnar
 ``EventLog``: user codes in user-id order, UTC epoch seconds, exact prices
-and artwork ids, one array per field. Bad rows never abort a run;
+and artwork ids, one column per field. Bad rows never abort a run;
 they are returned as ``RejectReport`` entries with a row number and reason.
+An id or artwork id that holds a ``\\r`` is one of them: the csv module of
+some Python versions writes it unquoted, so ``events.csv`` could not be
+read back.
 Input is decoded as it is read: CSV a buffer at a time, one-object-per-line
 JSON a line at a time, where a line ends at ``\\n``, ``\\r\\n`` or ``\\r`` only;
 only a JSON array is decoded whole. CSV rows and JSON records alike pass
@@ -14,8 +17,8 @@ of one), so the validator alone decides what a log holds.
 
 ``write_csv`` writes every CSV artifact, ``events.csv`` among them, from
 equal-length columns a chunk of rows at a time. Each column type has one
-text rule, and only str cells can need quoting, so a chunk is joined
-directly unless its str cells hold a delimiter, quote or line break; such a
+text rule, and only str cells and artwork ids can need quoting, so a chunk
+is joined directly unless they hold a delimiter, quote or line break; such a
 chunk goes through the csv writer, which gives the same bytes.
 
 A regular file given as ``open(path, "rb")`` is parsed in byte ranges when
@@ -42,6 +45,12 @@ are byte-identical to their source; conversion to binary floats is
 correctly rounded and happens only where the numeric analysis needs it.
 Indexing a price column, iterating it or ``tolist()`` gives ``Decimal``
 prices.
+
+Artwork ids are a ``TextColumn``: the UTF-8 bytes of every id in one uint8
+array plus int64 offsets, a zero-length id being None, so a log holds no
+``str`` object per sale. Ids are encoded a block of ``_BLOCK_RECORDS``
+records at a time as they are read, decoded a ``write_csv`` chunk at a
+time, and counted distinct on their bytes.
 
 Canonical input field names: ``seller``, ``buyer``, ``creator``,
 ``price_eth``, ``price_usd``, ``timestamp`` (ISO-8601 or integer Unix
@@ -128,6 +137,12 @@ _BLOCK_RECORDS = 1 << 13
 _EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 _DAY_S = 86_400
 _CSV_CHUNK_ROWS = 1 << 13
+# the bytes that send a ``write_csv`` chunk through the csv writer
+_CSV_SPECIAL = np.frombuffer(b',"\r\n', dtype=np.uint8)
+_LINE_FEED = ord("\n")
+# values gathered per step of a text column's ``_take``: its byte index stays
+# below glibc's 128 KiB mmap threshold for values of up to 16 bytes on average
+_TAKE_ROWS = 1 << 10
 # events.csv timestamp text, and the two-digit fields within it
 _STAMP = np.frombuffer(b"0000-00-00T00:00:00+00:00\n", dtype=np.uint8)
 _STAMP_FIELDS = (0, 2, 5, 8, 11, 14, 17)
@@ -506,6 +521,179 @@ class _DecimalBuffer:
         return DecimalColumn(coef, exp, missing, neg_zero)
 
 
+# ---------------------------------------------------------------------------
+# Text columns
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True, eq=False)
+class TextColumn:
+    """Strings, some perhaps None, as one UTF-8 byte array: value ``i`` is
+    ``data[offsets[i]:offsets[i + 1]]`` decoded, and None where that is empty.
+
+    ``data`` is uint8 and ``offsets`` int64, one longer than the column and
+    non-decreasing; a slice of consecutive values shares ``data``. A lone
+    surrogate, which JSON text can hold, is kept as ``surrogatepass`` writes
+    it. An integer index, iteration and ``tolist()`` give str or None; a
+    slice, mask or index array gives a column.
+    """
+
+    data: np.ndarray
+    offsets: np.ndarray
+
+    @classmethod
+    def from_values(cls, values: Iterable[str | None]) -> "TextColumn":
+        """The column of the values; an empty str reads back as None."""
+        buffer = _TextBuffer()
+        buffer.new.extend("" if value is None else value for value in values)
+        return buffer.column
+
+    def __len__(self) -> int:
+        return len(self.offsets) - 1
+
+    def __getitem__(self, key):
+        """The str (or None) at an integer index; a column for a slice, mask or index array."""
+        if isinstance(key, (int, np.integer)):
+            i = range(len(self))[key]
+            return _decode(self.data[self.offsets[i] : self.offsets[i + 1]].tobytes()) or None
+        if isinstance(key, slice) and key.step in (None, 1):
+            start, stop, _ = key.indices(len(self))
+            return TextColumn(self.data, self.offsets[start : max(start, stop) + 1])
+        return self._take(np.arange(len(self))[key])
+
+    def __iter__(self) -> Iterator[str | None]:
+        return iter(self.tolist())
+
+    def tolist(self) -> list[str | None]:
+        return [value or None for value in self.text()]
+
+    def raw(self) -> np.ndarray:
+        """The UTF-8 bytes of the values, one after another."""
+        return self.data[self.offsets[0] : self.offsets[-1]]
+
+    def text(self) -> list[str]:
+        """Each value as str, "" where None.
+
+        Unless a value holds a line feed, a line feed is put after each
+        value, and the text is decoded once and split at them.
+        """
+        raw = self.raw()
+        ends = self.offsets[1:] - self.offsets[0]
+        if not np.any(raw == _LINE_FEED):
+            values = _decode(np.insert(raw, ends, _LINE_FEED).tobytes()).split("\n")
+            values.pop()  # the text ends with a line feed
+            return values
+        data = raw.tobytes()
+        return [_decode(data[a:b]) for a, b in zip([0] + ends[:-1].tolist(), ends.tolist())]
+
+    def distinct_count(self) -> int:
+        """The number of distinct values that are not None, counted exactly on the bytes.
+
+        Values are grouped by byte length, and each group's rows are
+        compared by ``_distinct_rows``.
+        """
+        lengths = self.offsets[1:] - self.offsets[:-1]
+        order = np.argsort(lengths, kind="stable")
+        starts, lengths = self.offsets[order], lengths[order]
+        bounds = np.flatnonzero(np.diff(lengths, prepend=-1, append=-1)).tolist()
+        groups = [(a, b, int(lengths[a])) for a, b in zip(bounds, bounds[1:]) if lengths[a]]
+        del order, lengths
+        return sum(_distinct_rows(self.data, starts[a:b], length) for a, b, length in groups)
+
+    def _take(self, rows: np.ndarray) -> "TextColumn":
+        """The values at ``rows``, gathered ``_TAKE_ROWS`` values at a time."""
+        starts = self.offsets[rows]
+        lengths = self.offsets[rows + 1] - starts
+        offsets = np.zeros(len(rows) + 1, dtype=np.int64)
+        np.cumsum(lengths, out=offsets[1:])
+        data = np.empty(offsets[-1], dtype=np.uint8)
+        for at in range(0, len(rows), _TAKE_ROWS):
+            part = slice(at, at + _TAKE_ROWS)
+            begin, end = offsets[at], offsets[min(at + _TAKE_ROWS, len(rows))]
+            shift = np.repeat(starts[part] - offsets[:-1][part], lengths[part])
+            data[begin:end] = self.data[shift + np.arange(begin, end)]
+        return TextColumn(data, offsets)
+
+
+def _distinct_rows(data: np.ndarray, starts: np.ndarray, length: int) -> int:
+    """The number of distinct rows ``data[s : s + length]`` for ``s`` in ``starts``.
+
+    Rows are sorted on their last 8 bytes, packed into one uint64 key per
+    row. A row alone in its run of equal keys is distinct from every other;
+    the rows still tied are sorted on the 8 bytes before, within their run,
+    and so on to the first byte. Memory stays a few int64 per row whatever
+    the length, and only rows that share their last 8 bytes with another
+    are sorted more than once.
+    """
+    distinct, tied_runs = 0, 1
+    run = None  # the run of equal keys that each tied row belongs to
+    for end in range(length, 0, -8):
+        key = np.zeros((len(starts), 8), dtype=np.uint8)
+        for k, j in enumerate(range(max(end - 8, 0), end)):
+            key[:, k] = _byte(data, starts, j)
+        key = key.view(np.uint64).ravel()
+        # all rows are one run before the first sort, where argsort is about 3x faster than lexsort
+        order = np.argsort(key) if run is None else np.lexsort((key, run))
+        key, starts = key[order], starts[order]
+        first = np.ones(len(key), dtype=bool)
+        first[1:] = key[1:] != key[:-1]
+        if run is not None:
+            run = run[order]
+            first[1:] |= run[1:] != run[:-1]
+        del order
+        tied = ~(first & np.append(first[1:], True))
+        distinct += len(tied) - int(np.count_nonzero(tied))
+        tied_runs = int(np.count_nonzero(first & tied))
+        run, starts = np.cumsum(first)[tied], starts[tied]
+    return distinct + tied_runs
+
+
+def _byte(data: np.ndarray, starts: np.ndarray, j: int) -> np.ndarray:
+    """``data[s + j]`` for each ``s`` in ``starts``, gathered ``_BLOCK_RECORDS`` rows at a time."""
+    column = np.empty(len(starts), dtype=np.uint8)
+    for at in range(0, len(starts), _BLOCK_RECORDS):
+        column[at : at + _BLOCK_RECORDS] = data[starts[at : at + _BLOCK_RECORDS] + j]
+    return column
+
+
+def _decode(data: bytes) -> str:
+    return data.decode("utf-8", "surrogatepass")
+
+
+class _TextBuffer:
+    """A ``TextColumn`` while records are read: the latest values are appended
+    to the list ``new``, "" for None, which ``flush`` encodes into the byte
+    buffer ``data`` and the offsets buffer ``ends``."""
+
+    def __init__(self) -> None:
+        self.data = bytearray()
+        self.ends = array("q", [0])
+        self.new: list[str] = []
+
+    def flush(self) -> None:
+        """Encode the latest values into the buffers."""
+        new = self.new
+        text = "".join(new)
+        # ASCII has a byte per character: one encode of the block takes half the time of one per id
+        if text.isascii():
+            encoded, data = new, text.encode("ascii")
+        else:
+            encoded = [value.encode("utf-8", "surrogatepass") for value in new]
+            data = b"".join(encoded)
+        lengths = np.fromiter(map(len, encoded), dtype=np.int64, count=len(new))
+        self.ends.frombytes((np.cumsum(lengths) + len(self.data)).tobytes())
+        self.data += data
+        new.clear()
+
+    @cached_property
+    def column(self) -> TextColumn:
+        """The values as a column of views of the buffers, which then take no more values."""
+        self.flush()
+        return TextColumn(
+            np.frombuffer(self.data, dtype=np.uint8), np.frombuffer(self.ends, dtype=np.int64)
+        )
+
+
 class _JsonNumber(str):
     """The text of a JSON number with a fraction or an exponent, as ``json``
     hands it to ``parse_float``: the fast path reads it as price text, and
@@ -551,11 +739,11 @@ class EventLog:
     creator ``users[creator[i]]``, sold at ``timestamp[i]`` (UTC epoch
     seconds) for the exact prices ``price_eth[i]`` and ``price_usd[i]``
     (each price column a ``DecimalColumn``; indexed, a ``Decimal`` or None)
-    of artwork ``artwork[i]`` (str or None). ``users`` lists every user of the
-    log once, in strictly increasing id order (the code-point order of
-    ``sorted``), so a user's code is its place in id order and its node
-    index in the network built from the log; the order of the input rows
-    does not change it.
+    of artwork ``artwork[i]`` (a ``TextColumn``; indexed, a str or None).
+    ``users`` lists every user of the log once, in strictly increasing id
+    order (the code-point order of ``sorted``), so a user's code is its
+    place in id order and its node index in the network built from the log;
+    the order of the input rows does not change it.
     """
 
     users: tuple[str, ...]
@@ -565,7 +753,7 @@ class EventLog:
     timestamp: np.ndarray
     price_eth: DecimalColumn
     price_usd: DecimalColumn
-    artwork: np.ndarray
+    artwork: TextColumn
     source: str = ""
     total_records: int = 0
     rejected_count: int = 0
@@ -625,7 +813,8 @@ class _Records:
     the id it names. The user codes (seller, buyer and creator of each
     record) and epoch seconds of the latest records are appended to the
     lists ``new_codes`` and ``new_timestamps``, which ``flush`` moves into
-    the int64 buffers ``codes`` and ``timestamp``.
+    the int64 buffers ``codes`` and ``timestamp``, as it encodes the latest
+    artwork ids (``artwork.new``) into the text buffer ``artwork``.
     """
 
     def __init__(self) -> None:
@@ -637,7 +826,7 @@ class _Records:
         self.new_timestamps: list[int] = []
         self.price_eth = _DecimalBuffer()
         self.price_usd = _DecimalBuffer()
-        self.artwork: list[str | None] = []
+        self.artwork = _TextBuffer()
         self.rejects: list[RejectReport] = []
 
     def add(self, row, *cells) -> None:
@@ -659,11 +848,12 @@ class _Records:
             if eth is None and usd is None:
                 raise _Reject("missing price")
             epoch = _parse_timestamp(timestamp)
+            artwork = "" if artwork is None else str(artwork).strip()
+            if "\r" in artwork:
+                raise _Reject("carriage return in field: artwork_id")
         except _Reject as exc:
             self.rejects.append(RejectReport(row=row, reason=str(exc)))
             return
-        if artwork is not None:
-            artwork = str(artwork).strip() or None
         codes = (self.user(seller_id), self.user(buyer_id), self.user(creator_id))
         for cell, code in zip((seller, buyer, creator), codes):
             # only str cells: True == 1 as a key, and a JSON list is unhashable
@@ -673,7 +863,7 @@ class _Records:
         self.price_eth.append(eth)
         self.price_usd.append(usd)
         self.new_timestamps.append(epoch)
-        self.artwork.append(artwork)
+        self.artwork.new.append(artwork)
 
     def user(self, user_id: str) -> int:
         """The code of a (stripped) user id, given here at its first sight."""
@@ -684,18 +874,19 @@ class _Records:
         return code
 
     def flush(self) -> None:
-        """Move the latest records' integers into the int64 buffers."""
+        """Move the latest records into the buffers."""
         for buffer, new in ((self.codes, self.new_codes), (self.timestamp, self.new_timestamps)):
             buffer.fromlist(new)
             new.clear()
         self.price_eth.flush()
         self.price_usd.flush()
+        self.artwork.flush()
 
     def log(self, source: str, total: int) -> EventLog:
         """The kept records as a log, stably sorted by timestamp, users coded in id order.
 
-        The timestamps and prices of input already in time order are views of
-        the record buffers, which then take no more records.
+        The timestamps, prices and artwork ids of input already in time order
+        are views of the record buffers, which then take no more records.
         """
         self.flush()
         timestamp = np.frombuffer(self.timestamp, dtype=np.int64)
@@ -710,7 +901,7 @@ class _Records:
             creator,
             self.price_eth.column,
             self.price_usd.column,
-            _array(self.artwork, object),
+            self.artwork.column,
         ]
         if np.any(timestamp[1:] < timestamp[:-1]):
             order = np.argsort(timestamp, kind="stable")  # input order breaks ties
@@ -735,11 +926,6 @@ class _Records:
 def id_order(users: Sequence[str]) -> np.ndarray:
     """The indices that put ``users`` in id order, the code-point order of ``sorted``."""
     return np.array(sorted(range(len(users)), key=users.__getitem__), dtype=np.int64)
-
-
-def _array(values: list, dtype) -> np.ndarray:
-    # fromiter takes each item as it is; np.array would probe objects for nesting
-    return np.fromiter(values, dtype=dtype, count=len(values))
 
 
 # ---------------------------------------------------------------------------
@@ -886,15 +1072,17 @@ def write_csv(stream, header: Sequence[str], columns: Sequence) -> None:
     """Write ``header`` and the rows of equal-length ``columns`` exactly as
     ``csv.writer(stream, lineterminator="\\n")`` does, a chunk of rows at a time.
 
-    A chunk's text comes from each column's slice: a ``DecimalColumn`` gives
-    its ``text()``, a ``datetime64[s]`` array (UTC epoch seconds)
-    ``YYYY-MM-DDTHH:MM:SS+00:00``, any other numeric array ``repr`` of each
-    value; any other cell (a str) is written as it is, None as "". Only that
-    last text can hold a delimiter, quote or line break, and the csv writer
-    quotes a lone empty field, so a chunk of two or more columns is joined
-    directly unless one of its str cells holds one of ``,"\\r\\n`` (the
-    csv module of some Python versions quotes ``\\r``, of others not); such
-    a chunk goes through the csv writer.
+    A chunk's text comes from each column's slice: a ``DecimalColumn`` or
+    ``TextColumn`` gives its ``text()``, a ``datetime64[s]`` array (UTC epoch
+    seconds) ``YYYY-MM-DDTHH:MM:SS+00:00``, any other numeric array ``repr``
+    of each value; any other cell (a str) is written as it is, None as "".
+    Only str text can hold a delimiter, quote or line break, and the csv
+    writer quotes a lone empty field, so a chunk of two or more columns is
+    joined directly unless one of its str cells or text values holds one of
+    ``,"\\r\\n`` (the csv module of some Python versions quotes ``\\r``,
+    of others not); such a chunk goes through the csv writer. A text
+    column's chunk is checked on its UTF-8 bytes, where each of the four is
+    one byte.
     """
     rows = len(columns[0]) if columns else 0
     if any(len(column) != rows for column in columns):
@@ -908,6 +1096,9 @@ def write_csv(stream, header: Sequence[str], columns: Sequence) -> None:
             cells = column[part]
             if isinstance(cells, DecimalColumn):
                 texts.append(cells.text())
+            elif isinstance(cells, TextColumn):
+                texts.append(cells.text())
+                plain = plain and not np.isin(cells.raw(), _CSV_SPECIAL).any()
             elif isinstance(cells, np.ndarray) and cells.dtype.kind == "M":
                 texts.append(_timestamp_text(cells.view(np.int64)))
             elif isinstance(cells, np.ndarray) and cells.dtype.kind in "biuf":
@@ -1170,8 +1361,8 @@ def _send(
     """Validate a byte range and pickle to ``out`` what ``_merge`` reads back.
 
     Each message is ``(part, items)``: the items of one part of the records
-    (``_merge`` lists the parts), at most ``_PIPE_ITEMS`` of them, int64
-    buffers as bytes. The last is ``("end", record count)``, or, on an
+    (``_merge`` lists the parts), at most ``_PIPE_ITEMS`` of them, int64 and
+    byte buffers as bytes. The last is ``("end", record count)``, or, on an
     error, ``("json", (record number, message))`` or ``("error", message)``.
     """
     records = _Records()
@@ -1193,7 +1384,8 @@ def _send(
         eth.exp,
         usd.coef,
         usd.exp,
-        records.artwork,
+        records.artwork.data,
+        records.artwork.ends[1:],
         list(eth.big.items()),
         eth.neg_zero,
         list(usd.big.items()),
@@ -1203,7 +1395,7 @@ def _send(
     for part, items in enumerate(parts):
         for at in range(0, len(items), _PIPE_ITEMS):
             chunk = items[at : at + _PIPE_ITEMS]
-            pickle.dump((part, chunk.tobytes() if type(chunk) is array else chunk), out)
+            pickle.dump((part, bytes(chunk) if type(chunk) in (array, bytearray) else chunk), out)
     pickle.dump(("end", rows), out)
 
 
@@ -1211,13 +1403,15 @@ def _merge(reader: BinaryIO, records: _Records, rows_before: int) -> int:
     """Append to ``records`` the records a ``_send`` child pickled; returns their count.
 
     The child's user codes, given at first sight in its range, are mapped to
-    the codes ``records`` gives its users, and its record numbers and its
+    the codes ``records`` gives its users, its record numbers and its
     positions of wide coefficients and negative zeros move past the
-    ``rows_before`` records and the records kept before it.
+    ``rows_before`` records and the records kept before it, and its artwork
+    offsets past the artwork bytes kept before it.
     """
     records.flush()
     kept = len(records.timestamp)
-    eth, usd = records.price_eth, records.price_usd
+    eth, usd, artwork = records.price_eth, records.price_usd, records.artwork
+    artwork_bytes = len(artwork.data)
     code = array("q")  # the code in ``records`` of each of the child's users
     parts = (
         lambda users: code.extend(map(records.user, users)),
@@ -1229,7 +1423,10 @@ def _merge(reader: BinaryIO, records: _Records, rows_before: int) -> int:
         eth.exp.frombytes,
         usd.coef.frombytes,
         usd.exp.frombytes,
-        records.artwork.extend,
+        artwork.data.extend,
+        lambda ends: artwork.ends.frombytes(
+            (np.frombuffer(ends, dtype=np.int64) + artwork_bytes).tobytes()
+        ),
         lambda big: eth.big.update((at + kept, coef) for at, coef in big),
         lambda neg_zero: eth.neg_zero.extend(at + kept for at in neg_zero),
         lambda big: usd.big.update((at + kept, coef) for at, coef in big),
@@ -1356,18 +1553,18 @@ def _validate(rows: Iterable[tuple], records: _Records) -> int:
     """Validate each record's seven cells into ``records``; returns the record count.
 
     The common record takes a fast path inline: its three id cells are
-    ``str`` cells, each in the memo or a non-empty id that is its own
-    ``.strip()``, seller and buyer differ, each price is
+    ``str`` cells, each in the memo or a non-empty id without a ``\\r`` that
+    is its own ``.strip()``, seller and buyer differ, each price is
     absent or plain ASCII text (a ``str`` or JSON number of digits with at
     most one ".", at most 18 digits, so within ``[0, _MAX_FLOAT]``) read
     straight into coefficient and exponent, its timestamp is a ``str`` of
     ASCII digits or one of the UTC forms ``...+00:00`` (25 characters, as
     ``events.csv`` writes it) or ``...Z`` (20 characters) with no other
-    "Z", and its artwork is absent or a ``str``. Its new ids are coded once
-    every other check has passed, so a rejected record codes no user. It
-    keeps exactly what ``_Records.add`` would keep. Any other record goes to
-    ``add``, the one source of reject reasons; no unhashable cell reaches
-    the memo.
+    "Z", and its artwork is absent or a ``str`` without a ``\\r``. Its new
+    ids are coded once every other check has passed, so a rejected record
+    codes no user. It keeps exactly what ``_Records.add`` would keep. Any
+    other record goes to ``add``, the one source of reject reasons; no
+    unhashable cell reaches the memo.
     """
     add = records.add
     user = records.user
@@ -1378,7 +1575,7 @@ def _validate(rows: Iterable[tuple], records: _Records) -> int:
     keep_usd_coef = records.price_usd.new_coef.append
     keep_usd_exp = records.price_usd.new_exp.append
     keep_timestamp = records.new_timestamps.append
-    keep_artwork = records.artwork.append
+    keep_artwork = records.artwork.new.append
     fromisoformat = datetime.fromisoformat
     row_num = 0
     for cells in rows:
@@ -1391,7 +1588,7 @@ def _validate(rows: Iterable[tuple], records: _Records) -> int:
             or type(buyer) is not str
             or type(creator) is not str
             or type(when) is not str
-            or not (artwork is None or type(artwork) is str)
+            or not (artwork is None or (type(artwork) is str and "\r" not in artwork))
         ):
             add(row_num, *cells)
             continue
@@ -1401,9 +1598,9 @@ def _validate(rows: Iterable[tuple], records: _Records) -> int:
         # an id cell not in the memo is a new user's id when it is its own strip
         new = s is None or b is None or c is None
         if new and (
-            (s is None and (not seller or seller != seller.strip()))
-            or (b is None and (not buyer or buyer != buyer.strip()))
-            or (c is None and (not creator or creator != creator.strip()))
+            (s is None and (not seller or seller != seller.strip() or "\r" in seller))
+            or (b is None and (not buyer or buyer != buyer.strip() or "\r" in buyer))
+            or (c is None and (not creator or creator != creator.strip() or "\r" in creator))
         ):
             add(row_num, *cells)
             continue
@@ -1467,7 +1664,7 @@ def _validate(rows: Iterable[tuple], records: _Records) -> int:
         keep_usd_coef(usd_coef)
         keep_usd_exp(usd_exp)
         keep_timestamp(epoch)
-        keep_artwork(None if artwork is None else artwork.strip() or None)
+        keep_artwork(artwork.strip() if artwork else "")
     return row_num
 
 
@@ -1500,6 +1697,8 @@ def _require_id(value: object, name: str) -> str:
     text = str(value).strip() if value is not None else ""
     if not text:
         raise _Reject(f"missing field: {name}")
+    if "\r" in text:
+        raise _Reject(f"carriage return in field: {name}")
     return text
 
 

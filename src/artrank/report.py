@@ -99,18 +99,18 @@ def _float_total(total: Decimal, unit: str) -> float:
 def summarize(log: EventLog, net: CollectorArtistNetwork) -> MarketSummary:
     """Counts and volumes for a log and the network built from it."""
     log.require_usd()
-    artwork_ids = {a for a in log.artwork.tolist() if a is not None}
     usd = log.price_usd.total()
     eth = log.price_eth.total()
+    n = len(log.users)
     return MarketSummary(
-        tokenized_count=len(artwork_ids),
+        tokenized_count=log.artwork.distinct_count(),
         sold_count=log.accepted_count,
         sale_volume_usd=usd,
         sale_volume_eth=eth,
         active_users=net.node_count,
-        creators=np.unique(log.creator).size,
-        sellers=np.unique(log.seller).size,
-        buyers=np.unique(log.buyer).size,
+        creators=int(np.count_nonzero(np.bincount(log.creator, minlength=n))),
+        sellers=int(np.count_nonzero(np.bincount(log.seller, minlength=n))),
+        buyers=int(np.count_nonzero(np.bincount(log.buyer, minlength=n))),
     )
 
 

@@ -431,7 +431,7 @@ def _full_validator(rows):
             records.price_eth.column.tolist(),
             records.price_usd.column.tolist(),
             records.timestamp,
-            records.artwork,
+            records.artwork.column.tolist(),
         ),
         key=lambda event: event[5],
     )

@@ -181,6 +181,43 @@ def test_ndjson_in_ranges_parses_as_one_range(tmp_path_factory, lines, ends, bom
     assert parse_or_error(path, "json", ranges, field_map=field_map) == one
 
 
+# artwork ids with delimiters, quotes, line breaks, U+2028, NUL, non-ASCII and
+# lone surrogates, which one-object-per-line JSON carries inside its strings
+_artwork_ids = st.one_of(
+    st.none(),
+    st.text(st.sampled_from(list(',"\n\r \x00a1é中\u2028') + ["\ud800"]), max_size=6),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    records=st.lists(
+        st.tuples(_artwork_ids, st.integers(0, 5), st.booleans()), min_size=1, max_size=30
+    ),
+    ranges=st.integers(2, 4),
+)
+def test_artwork_ids_in_ranges_parse_as_one_range(tmp_path_factory, records, ranges):
+    path = tmp_path_factory.getbasetemp() / "artwork.ndjson"
+    lines = []
+    for i, (artwork, stamp, ascii_only) in enumerate(records):
+        record = {"seller": f"s{i % 3}", "buyer": "b", "creator": "c", "price_usd": "1",
+                  "timestamp": stamp, "artwork_id": artwork}
+        # a lone surrogate cannot be written as UTF-8, only as a JSON escape
+        lines.append(json.dumps(record, ensure_ascii=ascii_only or "\ud800" in (artwork or "")))
+    path.write_bytes(("\n".join(lines) + "\n").encode())
+    one = parse_or_error(path, "json", 1)
+    assert parse_or_error(path, "json", ranges) == one
+    parts, rejects = one
+    kept = [
+        (stamp, (artwork or "").strip() or None)
+        for artwork, stamp, _ in records
+        if "\r" not in (artwork or "").strip()
+    ]
+    # a stable sort by timestamp, as the log keeps its events
+    assert parts[7] == [artwork for _, artwork in sorted(kept, key=lambda k: k[0])]
+    assert len(rejects) == len(records) - len(kept)
+
+
 def _sales(count, fmt="csv"):
     """``count`` clean sales, some of their users first seen late."""
     rows = [
