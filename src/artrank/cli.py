@@ -4,12 +4,11 @@ One table, ``STAGES``, defines the pipeline: ``ingest``, ``rank``,
 ``concentration``, ``correlate``, ``profile`` and ``report``. Each stage is
 also a subcommand, and the all-in-one ``run`` executes them all in order.
 Every artifact is a plain CSV/JSON file, so stages can be re-run
-independently from each other's outputs. Every command takes the output
-directory's ``.lock`` and first deletes any ``manifest.json`` there, so no
-manifest outlives the files it hashes; only ``run`` writes a new one, with a
-sha256 per artifact, after its last artifact. ``ingest`` and ``run`` log one
-WARNING per rejected record. Outputs are byte-identical across runs for a
-fixed input and configuration.
+independently from each other's outputs. Every command writes through one
+``artifacts.ArtifactWriter``, which owns the output directory; only ``run``
+writes ``manifest.json``. ``ingest`` and ``run`` log one WARNING per rejected
+record. Outputs are byte-identical across runs for a fixed input and
+configuration.
 
 Configuration precedence: built-in defaults, then an INI config file
 (``--config``), then ``ARTRANK_<SECTION>_<KEY>`` environment variables,
@@ -44,25 +43,20 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
-import hashlib
-import io
 import json
 import logging
 import math
 import os
-import platform
 import sys
 from collections.abc import Callable, Iterable, Iterator, Sequence
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from datetime import datetime, timezone
 from functools import cached_property
 from pathlib import Path
-from typing import TextIO
 
 import numpy as np
 
 from . import centrality, econometrics, profiling, report
+from .artifacts import ArtifactWriter
 from .graph import CollectorArtistNetwork, Weighting, adjacency, build_network
 from .ingest import (
     EventLog,
@@ -72,15 +66,12 @@ from .ingest import (
     convert_currency,
     id_order,
     parse_events,
-    write_csv,
-    write_events_csv,
 )
 from .profiling import METRIC_NAMES, MetricsTable, Profiles
 
 logger = logging.getLogger(__name__)
 
 ENV_PREFIX = "ARTRANK"
-LOCK_FILE = ".lock"
 
 EVENTS_CSV = "events.csv"
 INGEST_REPORT_JSON = "ingest_report.json"
@@ -94,7 +85,6 @@ SUMMARY_TXT = "summary.txt"
 HIST_SALES_CSV = "hist_sales.csv"
 HIST_PURCHASES_CSV = "hist_purchases.csv"
 FIGURE5_CSV = "figure5.csv"
-MANIFEST_JSON = "manifest.json"
 
 RANKINGS_HEADER = (
     "user",
@@ -258,123 +248,6 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
     _apply_env(cfg)
     _apply_args(cfg, args)
     return cfg
-
-
-# ---------------------------------------------------------------------------
-# Deterministic artifact writing
-# ---------------------------------------------------------------------------
-
-
-class ArtifactWriter:
-    """Writes named files under one directory, hashing each one's bytes as they
-    are written.
-
-    ``digests`` maps each name written to the sha256 and size of its last
-    write, so the manifest reads no artifact back.
-    """
-
-    def __init__(self, out_dir: Path):
-        self.out_dir = out_dir
-        self.out_dir.mkdir(parents=True, exist_ok=True)
-        self.digests: dict[str, tuple[str, int]] = {}
-
-    @contextmanager
-    def _open(self, name: str) -> Iterator[TextIO]:
-        """A UTF-8 text handle on ``out_dir / name`` whose bytes are hashed as written."""
-        raw = _HashedFile(self.out_dir / name)
-        with io.TextIOWrapper(io.BufferedWriter(raw), encoding="utf-8", newline="") as handle:
-            yield handle
-        self.digests[name] = (raw.sha256.hexdigest(), raw.size)
-
-    def csv(self, name: str, header, columns) -> None:
-        with self._open(name) as handle:
-            write_csv(handle, header, columns)
-
-    def json(self, name: str, payload) -> None:
-        # NaN and infinities have no JSON form; json.dumps raises ValueError on them
-        text = json.dumps(payload, indent=2, allow_nan=False) + "\n"
-        with self._open(name) as handle:
-            handle.write(text)
-
-    def text(self, name: str, content: str) -> None:
-        with self._open(name) as handle:
-            handle.write(content)
-
-    def jsonl(self, name: str, chunks: Iterable[str]) -> None:
-        """Write JSON lines given as chunks of formatted lines, one chunk at a time.
-
-        The caller formats the lines and must keep NaN and infinities out of them.
-        """
-        with self._open(name) as handle:
-            handle.writelines(chunks)
-
-    def events(self, name: str, log: EventLog) -> None:
-        with self._open(name) as handle:
-            write_events_csv(log, handle)
-
-    def manifest(self) -> dict:
-        entries = [
-            {"name": name, "sha256": digest, "size": size}
-            for name, (digest, size) in sorted(self.digests.items())
-        ]
-        payload = {"files": entries}
-        self.json(MANIFEST_JSON, payload)
-        return payload
-
-
-class _HashedFile(io.FileIO):
-    """A file opened for writing that hashes the bytes written to it."""
-
-    def __init__(self, path: Path):
-        super().__init__(path, "w")
-        self.sha256 = hashlib.sha256()
-        self.size = 0
-
-    def write(self, data) -> int:
-        written = super().write(data)
-        self.sha256.update(memoryview(data)[:written])
-        self.size += written
-        return written
-
-
-class _OutputLock:
-    """Exclusive ownership of an output directory for the duration of a run.
-
-    The lock file holds ``pid=``, ``host=`` and ``started=`` lines naming
-    its owner, which the "locked" error quotes so that a lock left behind
-    by a killed run can be recognised and removed.
-    """
-
-    def __init__(self, out_dir: Path):
-        self.path = out_dir / LOCK_FILE
-        out_dir.mkdir(parents=True, exist_ok=True)
-
-    def __enter__(self):
-        try:
-            fd = os.open(self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        except FileExistsError:
-            raise RuntimeError(
-                f"output directory is locked by another run ({self._owner()}): {self.path};"
-                " if that process is gone, remove the file and retry"
-            ) from None
-        started = datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(f"pid={os.getpid()}\nhost={platform.node()}\nstarted={started}\n")
-        return self
-
-    def _owner(self) -> str:
-        try:
-            owner = self.path.read_text(encoding="utf-8", errors="replace").split()
-        except OSError:
-            owner = []
-        return ", ".join(owner) if owner else "owner not recorded"
-
-    def __exit__(self, *exc_info):
-        try:
-            os.unlink(self.path)
-        except FileNotFoundError:
-            pass
-        return False
 
 
 # ---------------------------------------------------------------------------
@@ -621,7 +494,7 @@ def _profile(inputs: _Inputs, writer: ArtifactWriter) -> str:
         lines.append(f"{len(rows)} user(s) match {pattern!r} -> {writer.out_dir / MATCHES_CSV}")
     else:
         # a query result of an earlier profile must not outlive it
-        (writer.out_dir / MATCHES_CSV).unlink(missing_ok=True)
+        writer.remove(MATCHES_CSV)
     lines.append(f"profiled {len(profiles)} users -> {writer.out_dir / PROFILES_JSONL}")
     return "\n".join(lines)
 
@@ -692,10 +565,7 @@ def _execute(args: argparse.Namespace) -> int:
     stages = [s for s in STAGES if args.command in (RUN, s.name)]
     cfg = _resolve_config(args)
     cfg.validate(need_input=any("input" in s.options for s in stages))
-    with _OutputLock(cfg.out_dir):
-        writer = ArtifactWriter(cfg.out_dir)
-        # a manifest exists only once it matches every artifact beside it
-        (cfg.out_dir / MANIFEST_JSON).unlink(missing_ok=True)
+    with ArtifactWriter(cfg.out_dir) as writer:
         inputs = _Inputs(cfg, args)
         messages = [stage.fn(inputs, writer) for stage in stages]
         if args.command == RUN:

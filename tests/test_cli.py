@@ -559,6 +559,52 @@ def test_lock_file_blocks_stage_command(fixture_dir, capsys):
     assert (staged / ".lock").exists()  # the lock belongs to the other run
 
 
+def test_failed_commands_release_the_lock(fixture_dir, capsys):
+    self_sale = write_log(fixture_dir / "self.csv", "ann,ann,ann,10,100")
+    assert run_cli("run", self_sale, "--out", fixture_dir / "o1") == 1
+    assert "no volume" in capsys.readouterr().err
+    staged = fixture_dir / "o2"
+    assert run_cli(
+        "ingest", fixture_dir / "sales.csv", "--rates", fixture_dir / "rates.csv", "--out", staged
+    ) == 0
+    with open(staged / "events.csv", "a", encoding="utf-8") as handle:
+        handle.write("ann,bob,ann,,not a price,2021-04-23T10:00:00+00:00,a9\n")
+    assert run_cli("rank", staged / "events.csv", "--out", staged) == 1
+    assert "invalid record" in capsys.readouterr().err
+    assert not (fixture_dir / "o1" / ".lock").exists()
+    assert not (staged / ".lock").exists()
+
+
+def test_a_manifest_that_cannot_be_deleted_releases_the_lock(fixture_dir, capsys):
+    out = fixture_dir / "out"
+    (out / "manifest.json").mkdir(parents=True)
+    status = run_cli(
+        "run", fixture_dir / "sales.csv", "--rates", fixture_dir / "rates.csv", "--out", out
+    )
+    assert status == 1
+    assert "manifest.json" in capsys.readouterr().err
+    assert not (out / ".lock").exists()
+    assert not (out / "events.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "rank"])
+def test_a_refused_command_leaves_the_manifest_whole(fixture_dir, capsys, command):
+    out = fixture_dir / "out"
+    assert run_cli(
+        "run", fixture_dir / "sales.csv", "--rates", fixture_dir / "rates.csv", "--out", out
+    ) == 0
+    before = read_tree(out)
+    (out / ".lock").write_text("pid=4242\nhost=otherbox\n", encoding="utf-8")
+    if command == "run":
+        argv = ("run", fixture_dir / "sales.csv", "--rates", fixture_dir / "rates.csv")
+    else:
+        argv = ("rank", out / "events.csv")
+    assert run_cli(*argv, "--out", out) == 1
+    assert "locked by another run (pid=4242, host=otherbox)" in capsys.readouterr().err
+    # the lock is taken before the stale manifest is deleted
+    assert read_tree(out) == {**before, ".lock": b"pid=4242\nhost=otherbox\n"}
+
+
 def test_stage_command_after_run_leaves_no_stale_manifest(fixture_dir):
     out = fixture_dir / "out"
     assert run_cli(
