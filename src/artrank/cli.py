@@ -6,9 +6,13 @@ also a subcommand, and the all-in-one ``run`` executes them all in order.
 Every artifact is a plain CSV/JSON file, so stages can be re-run
 independently from each other's outputs. Every command writes through one
 ``artifacts.ArtifactWriter``, which owns the output directory; only ``run``
-writes ``manifest.json``. ``ingest`` and ``run`` log one WARNING per rejected
-record. Outputs are byte-identical across runs for a fixed input and
-configuration.
+writes ``manifest.json``. In ``run``, every stage but the last (``report``)
+hands its large artifacts (``events.csv``, ``rankings.csv``, ``edges.csv``,
+the Lorenz CSVs and ``profiles.jsonl``, from ``_CSV_CHUNK_ROWS`` rows up) to
+forked writers while the later stages compute, and the manifest joins them;
+a stage subcommand writes every artifact in this process. ``ingest`` and
+``run`` log one WARNING per rejected record. Outputs are byte-identical
+across runs for a fixed input and configuration.
 
 Configuration precedence: built-in defaults, then an INI config file
 (``--config``), then ``ARTRANK_<SECTION>_<KEY>`` environment variables,
@@ -487,7 +491,7 @@ def _profile(inputs: _Inputs, writer: ArtifactWriter) -> str:
     bad = np.flatnonzero(~np.isfinite(profiles.trader_score))
     if bad.size:
         raise ValueError(f"non-finite trader_score for user {profiles.users[bad[0]]!r}")
-    writer.jsonl(PROFILES_JSONL, _profile_lines(profiles))
+    writer.jsonl(PROFILES_JSONL, _profile_lines(profiles), len(profiles))
     lines = []
     if pattern is not None:
         writer.csv(MATCHES_CSV, ("user", "role", "artist_code", "collector_code"), matches)
@@ -567,7 +571,11 @@ def _execute(args: argparse.Namespace) -> int:
     cfg.validate(need_input=any("input" in s.options for s in stages))
     with ArtifactWriter(cfg.out_dir) as writer:
         inputs = _Inputs(cfg, args)
-        messages = [stage.fn(inputs, writer) for stage in stages]
+        messages = []
+        for stage in stages:
+            # large writes overlap the stages after theirs; the last stage has none
+            writer.background = stage is not stages[-1]
+            messages.append(stage.fn(inputs, writer))
         if args.command == RUN:
             manifest = writer.manifest()
             messages = [

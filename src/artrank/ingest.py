@@ -6,7 +6,9 @@ and artwork ids, one column per field. Bad rows never abort a run;
 they are returned as ``RejectReport`` entries with a row number and reason.
 An id or artwork id that holds a ``\\r`` is one of them: the csv module of
 some Python versions writes it unquoted, so ``events.csv`` could not be
-read back.
+read back. So is one that holds a lone surrogate (a JSON escape such as
+``\\ud800``), which UTF-8 cannot encode; only JSON lines holding a ``\\``
+are searched for one.
 Input is decoded as it is read: CSV a buffer at a time, one-object-per-line
 JSON a line at a time, where a line ends at ``\\n``, ``\\r\\n`` or ``\\r`` only;
 only a JSON array is decoded whole. CSV rows and JSON records alike pass
@@ -33,6 +35,8 @@ input where ``os.fork`` is missing. A child's memory belongs to its own
 process. On Python 3.12+ ``os.fork`` warns when the process runs other
 threads, as numpy's OpenBLAS does; the child stays safe because it calls no
 BLAS, takes no logging lock, imports nothing and leaves through ``os._exit``.
+``_fork_child`` keeps these rules for every child, those that
+``artifacts.ArtifactWriter`` forks to write artifacts included.
 
 Prices stay exact. Each price column is a ``DecimalColumn``: an integer
 coefficient array, an integer exponent array and a missing mask, so value
@@ -161,6 +165,9 @@ _MAX_RANGES = 8
 _SCAN_BYTES = 1 << 16
 _PIPE_ITEMS = 1 << 13
 _LINE_END = re.compile(rb"[\r\n]")
+# a surrogate code point in a decoded str: only a JSON escape such as
+# ``\ud800`` can put one there, and UTF-8 cannot encode it
+_SURROGATE = re.compile("[\ud800-\udfff]")
 _SIGKILL = 9  # fixed by POSIX; importing signal for it would cost start-up time
 
 
@@ -350,8 +357,17 @@ class DecimalColumn:
         return out
 
     def total(self) -> Decimal:
-        """The exact sum of the present values, as ``Decimal(0) + ...`` gives it."""
-        return sum_by(self, np.zeros(len(self), dtype=np.int64), 1)[0]
+        """The exact sum of the present values, as ``Decimal(0) + ...`` gives it.
+
+        Each ``_chunks`` slice is summed by ``sum_by`` and the slice sums are
+        added exactly, so no temporary is as long as the column.
+        """
+        total = Decimal(0)
+        for part in _chunks(len(self)):
+            chunk = self[part]
+            sums = sum_by(chunk, np.zeros(len(chunk), dtype=np.int64), 1)
+            total = _EXACT.add(total, Decimal(int(sums.coef[0])).scaleb(int(sums.exp[0]), _EXACT))
+        return total
 
     def times(self, other: "DecimalColumn") -> "DecimalColumn":
         """Exact element-wise products: coefficients multiply and exponents add.
@@ -533,9 +549,10 @@ class TextColumn:
 
     ``data`` is uint8 and ``offsets`` int64, one longer than the column and
     non-decreasing; a slice of consecutive values shares ``data``. A lone
-    surrogate, which JSON text can hold, is kept as ``surrogatepass`` writes
-    it. An integer index, iteration and ``tolist()`` give str or None; a
-    slice, mask or index array gives a column.
+    surrogate, which ingest rejects but a column built in memory may hold,
+    is kept as ``surrogatepass`` writes it. An integer index, iteration and
+    ``tolist()`` give str or None; a slice, mask or index array gives a
+    column.
     """
 
     data: np.ndarray
@@ -702,6 +719,22 @@ class _JsonNumber(str):
     __slots__ = ()
 
 
+class _SurrogateText(str):
+    """A JSON string that holds a lone surrogate: its type sends its record past
+    the fast path to ``_Records.add``, which rejects it as an id or artwork id."""
+
+    __slots__ = ()
+
+
+def _mark_surrogates(record: object) -> None:
+    """Make each top-level string of a JSON object that holds a lone surrogate a
+    ``_SurrogateText``. Only JSON text holding a ``\\`` (a ``\\u`` escape) can hold one."""
+    if type(record) is dict:
+        for key, value in record.items():
+            if type(value) is str and _SURROGATE.search(value):
+                record[key] = _SurrogateText(value)
+
+
 def _json_int(text: str) -> int | _JsonNumber:
     """A JSON integer as ``json`` reads it; one beyond ``int``'s limit on digits
     (``sys.get_int_max_str_digits``) as the number cell of its text."""
@@ -851,6 +884,8 @@ class _Records:
             artwork = "" if artwork is None else str(artwork).strip()
             if "\r" in artwork:
                 raise _Reject("carriage return in field: artwork_id")
+            if _SURROGATE.search(artwork):
+                raise _Reject("lone surrogate in field: artwork_id")
         except _Reject as exc:
             self.rejects.append(RejectReport(row=row, reason=str(exc)))
             return
@@ -1199,14 +1234,14 @@ def _split(stream: BinaryIO | bytes, fmt: str) -> tuple[int, str, list[int]] | N
     one-object-per-line JSON, not an array.
     """
     raw = stream.raw if type(stream) is io.BufferedReader else stream
-    if type(raw) is not io.FileIO or not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
+    if type(raw) is not io.FileIO:
         return None
     fd = raw.fileno()
     info = os.fstat(fd)
     if not stat.S_ISREG(info.st_mode):
         return None
     start, size = stream.tell(), info.st_size
-    count = min(len(os.sched_getaffinity(0)), _MAX_RANGES, (size - start) // _MIN_RANGE_BYTES)
+    count = min(_usable_cpus(), _MAX_RANGES, (size - start) // _MIN_RANGE_BYTES)
     if count < 2:
         return None
     head = _head(os.pread(fd, _SCAN_BYTES, start), fmt)
@@ -1316,23 +1351,37 @@ def _parse_ranges(
             os.waitpid(pid, 0)
         return total
     finally:
-        for pid, reader in children:
-            reader.close()
-            os.kill(pid, _SIGKILL)
-            os.waitpid(pid, 0)
+        for child in children:
+            _end_child(*child)
 
 
 def _fork_range(
     fd: int, start: int, end: int, cells: Callable[[TextIO], Iterator[tuple]]
 ) -> tuple[int, BinaryIO]:
-    """Fork a child that validates bytes ``[start, end)`` of ``fd`` and sends what it
-    kept through a pipe (``_send``); returns its pid and the pipe's read end.
+    """Fork a child (``_fork_child``) that validates bytes ``[start, end)`` of ``fd``
+    and sends what it kept through a pipe (``_send``); returns its pid and the
+    pipe's read end."""
+    return _fork_child(lambda out: _send(out, fd, start, end, cells))
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may use, or 1 where it cannot fork children to use them."""
+    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _fork_child(work: Callable[[BinaryIO], object]) -> tuple[int, BinaryIO]:
+    """Fork a child that runs ``work`` on the write end of a pipe; returns its pid
+    and the pipe's read end. The caller reads the pipe and reaps the child
+    (``os.waitpid``), or ends it with ``_end_child``.
 
     The child collects no garbage, so it runs no finalizer or ``gc``
-    callback of this process; it imports, logs and calls into BLAS nothing,
-    and it leaves only through ``os._exit``, so it never flushes this
-    process's buffers or runs its exit handlers. That keeps it safe although
-    ``fork`` copies only the calling thread (numpy's BLAS may run others).
+    callback of this process; ``work`` must import, log and call into BLAS
+    nothing; and the child leaves only through ``os._exit`` (status 0 once
+    ``work`` returns, else 1), so it never flushes this process's buffers or
+    runs its exit handlers. That keeps it safe although ``fork`` copies only
+    the calling thread (numpy's BLAS may run others).
     """
     reader, writer = os.pipe()
     try:
@@ -1349,10 +1398,17 @@ def _fork_range(
         gc.disable()
         os.close(reader)
         with open(writer, "wb") as out:
-            _send(out, fd, start, end, cells)
+            work(out)
         status = 0
     finally:
         os._exit(status)
+
+
+def _end_child(pid: int, reader: BinaryIO) -> None:
+    """Close the pipe of a child that ``_fork_child`` made, then kill and reap it."""
+    reader.close()
+    os.kill(pid, _SIGKILL)
+    os.waitpid(pid, 0)
 
 
 def _send(
@@ -1510,12 +1566,16 @@ def _json_records(text: TextIO) -> Iterable[object]:
         raise ValueError("JSON input is empty")
     if not line.lstrip().startswith("["):
         return _ndjson_records(chain((line,), lines))
+    whole = head + text.read()
     try:
-        records = _json_loads(head + text.read())
+        records = _json_loads(whole)
     except json.JSONDecodeError as exc:
         raise ValueError(f"invalid JSON input: {exc}") from None
     if not isinstance(records, list):
         raise ValueError("JSON input must be an array of objects")
+    if "\\" in whole:
+        for record in records:
+            _mark_surrogates(record)
     return records
 
 
@@ -1530,6 +1590,8 @@ def _ndjson_records(lines: Iterable[str]) -> Iterator[object]:
             record = _json_loads(line.rstrip("\r\n"))
         except json.JSONDecodeError as exc:
             raise _JsonLineError(row_num, str(exc)) from None
+        if "\\" in line:  # a one-character search; finding "\\u" took 3% of a parse
+            _mark_surrogates(record)
         yield record
 
 
@@ -1699,6 +1761,8 @@ def _require_id(value: object, name: str) -> str:
         raise _Reject(f"missing field: {name}")
     if "\r" in text:
         raise _Reject(f"carriage return in field: {name}")
+    if _SURROGATE.search(text):
+        raise _Reject(f"lone surrogate in field: {name}")
     return text
 
 

@@ -297,3 +297,19 @@ def count_forks(patch) -> list[int]:
 
     patch.setattr(os, "fork", counted_fork)
     return forks
+
+
+def count_range_forks(patch) -> list[int]:
+    """Make ``ingest._fork_range``, through the monkeypatch ``patch``, record the pid
+    of each child it forks to parse a byte range; returns the list it records
+    them in. Children that write artifacts are not counted."""
+    forks = []
+    fork_range = ingest._fork_range
+
+    def counted_fork_range(*args):
+        pid, reader = fork_range(*args)
+        forks.append(pid)
+        return pid, reader
+
+    patch.setattr(ingest, "_fork_range", counted_fork_range)
+    return forks

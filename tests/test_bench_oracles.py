@@ -19,7 +19,7 @@ from pathlib import Path
 import pytest
 
 from artrank import cli, ingest
-from helpers import count_forks
+from helpers import count_range_forks
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -68,7 +68,7 @@ def test_run_passes_every_benchmark_check(bench, tmp_path, shape, ranges):
         else:
             patch.setattr(ingest, "_MIN_RANGE_BYTES", 1)
             patch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
-        forks = count_forks(patch)
+        forks = count_range_forks(patch)
         statuses = [cli.main(op.argv) for op in ops]
     with pytest.raises(ChildProcessError):  # no child left, running or unreaped
         os.waitpid(-1, os.WNOHANG)

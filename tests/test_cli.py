@@ -16,8 +16,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from artrank import cli, econometrics, ingest, parse_events, volume_by_buyer, volume_by_seller
-from helpers import count_forks, market_csv
+from artrank import (
+    artifacts,
+    cli,
+    econometrics,
+    ingest,
+    parse_events,
+    volume_by_buyer,
+    volume_by_seller,
+)
+from helpers import count_forks, count_range_forks, market_csv
 
 FIXTURE_CSV = """seller,buyer,creator,price_eth,price_usd,timestamp,artwork_id
 ann,bob,ann,1.0,2300,2021-04-20T10:00:00Z,a1
@@ -166,9 +174,111 @@ def test_inputs_parsed_in_byte_ranges_give_the_same_artifacts(tmp_path, monkeypa
 
     one = artifacts(tmp_path / "one", 1 << 60)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
-    forks = count_forks(monkeypatch)
+    forks = count_range_forks(monkeypatch)
     assert artifacts(tmp_path / "ranges", 1) == one
     assert len(forks) == 3 * 3  # input.csv twice and events.csv once, in four ranges each
+
+
+def background_writes(patch) -> list[int]:
+    """Let writes of any size run in forked children, as on a machine with two
+    CPUs, with every input parsed in one range; returns the list of forked
+    pids that ``count_forks`` fills."""
+    patch.setattr(artifacts, "_BACKGROUND_ROWS", 1)
+    patch.setattr(ingest, "_MIN_RANGE_BYTES", 1 << 60)
+    patch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    return count_forks(patch)
+
+
+def assert_no_child_left() -> None:
+    with pytest.raises(ChildProcessError):  # no child left, running or unreaped
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_background_writes_give_the_same_bytes_and_manifest(fixture_dir, monkeypatch):
+    (fixture_dir / "market.csv").write_text(market_csv(3, 400), encoding="utf-8")
+    runs = [
+        ("fixture", [fixture_dir / "sales.csv", "--rates", fixture_dir / "rates.csv"]),
+        ("market", [fixture_dir / "market.csv"]),
+    ]
+    for name, argv in runs:
+        assert run_cli("run", *argv, "--out", fixture_dir / name / "here") == 0
+    forks = background_writes(monkeypatch)
+    for name, argv in runs:
+        before = len(forks)
+        assert run_cli("run", *argv, "--out", fixture_dir / name / "forked") == 0
+        assert_no_child_left()
+        # events, rankings, edges, both Lorenz CSVs, correlation and profiles;
+        # JSON, text and the last stage's artifacts are written here
+        assert len(forks) - before == 7
+        here = read_tree(fixture_dir / name / "here")
+        assert read_tree(fixture_dir / name / "forked") == here
+        assert set(here) == RUN_ARTIFACTS | {"manifest.json"}
+
+
+def test_a_failed_background_write_fails_the_run(fixture_dir, monkeypatch, capsys):
+    argv = (fixture_dir / "sales.csv", "--rates", fixture_dir / "rates.csv")
+    errors = []
+    for name in ("here", "forked"):
+        out = fixture_dir / name
+        (out / cli.RANKINGS_CSV).mkdir(parents=True)
+        if name == "forked":
+            forks = background_writes(monkeypatch)
+        assert run_cli("run", *argv, "--out", out) == 1
+        errors.append(capsys.readouterr().err)
+        assert not (out / "manifest.json").exists()
+        assert not (out / ".lock").exists()
+        assert_no_child_left()
+    assert forks
+    here, forked = errors
+    assert here.startswith("error: [Errno 21] Is a directory: ") and "here/rankings.csv" in here
+    # the error the write gives in this process, raised where it is joined
+    assert forked == here.replace("here/rankings.csv", "forked/rankings.csv")
+
+
+def test_stage_subcommands_write_in_this_process(fixture_dir, monkeypatch):
+    out = fixture_dir / "out"
+    forks = background_writes(monkeypatch)
+    argv = (fixture_dir / "sales.csv", "--rates", fixture_dir / "rates.csv", "--out", out)
+    assert run_cli("ingest", *argv) == 0
+    for stage in ("rank", "concentration"):
+        assert run_cli(stage, out / "events.csv", "--out", out) == 0
+    for stage in ("correlate", "profile"):
+        assert run_cli(stage, out / "rankings.csv", "--out", out) == 0
+    assert run_cli("report", out / "events.csv", out / "rankings.csv", "--out", out) == 0
+    assert forks == []
+
+
+def test_a_later_write_or_remove_of_a_name_joins_its_background_write(tmp_path, monkeypatch):
+    forks = background_writes(monkeypatch)
+    with cli.ArtifactWriter(tmp_path) as writer:
+        writer.background = True
+        writer.csv("a.csv", ("x",), [list("123")])
+        writer.csv("b.csv", ("x",), [list("45")])
+        writer.text("a.csv", "last\n")
+        writer.remove("b.csv")
+        files = writer.manifest()["files"]
+    assert len(forks) == 2
+    assert_no_child_left()
+    assert (tmp_path / "a.csv").read_text(encoding="utf-8") == "last\n"
+    assert not (tmp_path / "b.csv").exists()
+    digest = hashlib.sha256(b"last\n").hexdigest()
+    assert files == [{"name": "a.csv", "sha256": digest, "size": 5}]
+
+
+def test_ndjson_id_with_a_lone_surrogate_is_one_reject(tmp_path):
+    # the JSON escape \ud800 names a code point that UTF-8 cannot encode
+    lines = [
+        '{"seller": "a\\ud800", "buyer": "b", "creator": "a\\ud800", "price_usd": 1, "timestamp": 1}',
+        '{"seller": "c", "buyer": "b", "creator": "c", "price_usd": 2, "timestamp": 2}',
+    ]
+    (tmp_path / "sales.ndjson").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert run_cli("ingest", tmp_path / "sales.ndjson", "--format", "json", "--out", out) == 0
+    report = json.loads((out / "ingest_report.json").read_text(encoding="utf-8"))
+    assert report["rejects"] == [{"row": 1, "reason": "lone surrogate in field: seller"}]
+    assert (out / "events.csv").read_text(encoding="utf-8").splitlines()[1:] == [
+        "c,b,c,,2,1970-01-01T00:00:02+00:00,"
+    ]
 
 
 @pytest.mark.parametrize("package", ["scipy", "multiprocessing", "concurrent"])

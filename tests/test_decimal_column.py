@@ -195,3 +195,39 @@ def test_parse_peak_memory_per_event():
     assert log.price_usd.coef.dtype == np.int64
     assert log.price_eth.coef.dtype == np.int64
     assert peak / log.accepted_count < _PEAK_BYTES_PER_EVENT
+
+
+_CHUNK = ingest._CSV_CHUNK_ROWS
+_MIXED = [None, Decimal("-0"), Decimal("-0.00"), Decimal("1.5"), Decimal("12E+3"), Decimal("0.000001")]
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        [],
+        [None] * (_CHUNK + 1),
+        # missing values, negative zeros and mixed exponents over three chunks
+        _MIXED * (2 * _CHUNK // len(_MIXED) + 1),
+        # int64 coefficients whose sum passes 2**63 only across chunks
+        [Decimal(9 * 10**18)] * (_CHUNK + 2),
+        # object coefficients, first seen in the last chunk
+        _MIXED * (_CHUNK // len(_MIXED) + 1) + [Decimal("12345678901234567890123.45")],
+    ],
+    ids=["empty", "all missing", "mixed", "int64 across chunks", "object coefficients"],
+)
+def test_total_is_the_sum_of_the_present_values(values):
+    column = DecimalColumn.from_values(values)
+    with _exact():
+        expected = sum((v for v in values if v is not None), Decimal(0))
+    assert repr(column.total()) == repr(expected)
+
+
+def test_total_allocates_no_temporary_as_long_as_the_column():
+    column = DecimalColumn.from_values(Decimal(f"{i}.25") for i in range(100_000))
+    tracemalloc.start()
+    try:
+        column.total()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * len(column) / 2  # half the column's int64 coefficients
