@@ -9,14 +9,14 @@ artifact, hashed as it was written. Leaving releases the lock.
 
 While ``background`` is set, an ``events``, ``csv`` or ``jsonl`` write of at
 least ``_BACKGROUND_ROWS`` rows, made while this process may use two or
-more CPUs, runs in a child forked by ``ingest._fork_child``, which writes
-and hashes the file and pipes back its digest or its error; this process
-goes on at once. ``manifest()``, leaving, and any later write or ``remove``
-of the same name join such a write first, and a join raises the write's
-error. Leaving on an error kills and reaps every child still writing
-before it releases the lock, so no child outlives the command. ``cli`` sets
-``background`` for every stage of ``run`` but the last, so nothing that
-follows them waits for their writes; a stage subcommand writes here.
+more CPUs, runs in an ``ingest._Child``, which writes and hashes the file
+and pipes back its digest or its error; this process goes on at once.
+``manifest()``, leaving, and any later write or ``remove`` of the same name
+join such a write first, and a join raises the write's error. Leaving on
+an error kills and reaps every child still writing before it releases the
+lock, so no child outlives the command. ``cli`` sets ``background`` for
+every stage of ``run`` but the last, so nothing that follows them waits for
+their writes; a stage subcommand writes here.
 """
 
 from __future__ import annotations
@@ -25,23 +25,13 @@ import hashlib
 import io
 import json
 import os
-import pickle
 import platform
-from collections.abc import Callable, Iterable, Iterator
-from contextlib import contextmanager
+from collections.abc import Callable, Iterable
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import BinaryIO, TextIO
+from typing import TextIO
 
-from .ingest import (
-    _CSV_CHUNK_ROWS,
-    EventLog,
-    _end_child,
-    _fork_child,
-    _usable_cpus,
-    write_csv,
-    write_events_csv,
-)
+from .ingest import _CSV_CHUNK_ROWS, EventLog, _Child, _usable_cpus, write_csv, write_events_csv
 
 LOCK_FILE = ".lock"
 MANIFEST_JSON = "manifest.json"
@@ -60,7 +50,7 @@ class ArtifactWriter:
         self.out_dir = out_dir
         self.digests: dict[str, tuple[str, int]] = {}
         self.background = False
-        self._children: dict[str, tuple[int, BinaryIO]] = {}  # name -> pid, pipe
+        self._children: dict[str, _Child] = {}  # name -> the child writing it
 
     def __enter__(self) -> ArtifactWriter:
         self.out_dir.mkdir(parents=True, exist_ok=True)
@@ -93,7 +83,7 @@ class ArtifactWriter:
                 self._join_all()
         finally:
             while self._children:
-                _end_child(*self._children.popitem()[1])
+                self._children.popitem()[1].end()
             (self.out_dir / LOCK_FILE).unlink(missing_ok=True)
         return False
 
@@ -103,51 +93,32 @@ class ArtifactWriter:
         self.digests.pop(name, None)
         (self.out_dir / name).unlink(missing_ok=True)
 
-    @contextmanager
-    def _open(self, name: str) -> Iterator[TextIO]:
-        """A UTF-8 text handle on ``out_dir / name`` whose bytes are hashed as written."""
-        raw = _HashedFile(self.out_dir / name)
-        with io.TextIOWrapper(io.BufferedWriter(raw), encoding="utf-8", newline="") as handle:
-            yield handle
-        self.digests[name] = (raw.sha256.hexdigest(), raw.size)
-
     def _write(self, name: str, rows: int, write: Callable[[TextIO], object]) -> None:
         """Write ``name`` through ``write(handle)``, in a forked child when it is a
         background write of at least ``_BACKGROUND_ROWS`` rows."""
         self._join(name)
         if self.background and rows >= _BACKGROUND_ROWS and _usable_cpus() >= 2:
-            self._children[name] = _fork_child(lambda out: self._send(out, name, write))
-            return
-        with self._open(name) as handle:
-            write(handle)
+            self._children[name] = _Child(
+                f"background write of {name}", lambda send: self._write_here(name, write)
+            )
+        else:
+            self._write_here(name, write)
 
-    def _send(self, out: BinaryIO, name: str, write: Callable[[TextIO], object]) -> None:
-        """In a forked child: write ``name`` and pickle its digest, or the error, to ``out``."""
-        try:
-            with self._open(name) as handle:
-                write(handle)
-            result = self.digests[name]
-        except Exception as exc:  # the parent raises it when it joins this write
-            result = exc
-        out.write(pickle.dumps(result))
+    def _write_here(self, name: str, write: Callable[[TextIO], object]) -> tuple[str, int]:
+        """Write ``name`` through ``write`` on a UTF-8 text handle whose bytes are
+        hashed as written; records and returns their sha256 and size."""
+        raw = _HashedFile(self.out_dir / name)
+        with io.TextIOWrapper(io.BufferedWriter(raw), encoding="utf-8", newline="") as handle:
+            write(handle)
+        self.digests[name] = (raw.sha256.hexdigest(), raw.size)
+        return self.digests[name]
 
     def _join(self, name: str) -> None:
         """Wait for the background write of ``name``, if one runs: record its digest,
         or raise its error."""
-        child = self._children.get(name)
-        if child is None:
-            return
-        pid, reader = child
-        with reader:
-            try:
-                result = pickle.load(reader)
-            except (EOFError, pickle.UnpicklingError):
-                result = RuntimeError(f"the background write of {name} ended without a result")
-        os.waitpid(pid, 0)
-        del self._children[name]
-        if isinstance(result, BaseException):
-            raise result
-        self.digests[name] = result
+        child = self._children.pop(name, None)
+        if child is not None:
+            self.digests[name] = child.receive()
 
     def _join_all(self) -> None:
         for name in list(self._children):

@@ -376,6 +376,16 @@ def _ingest(inputs: _Inputs, writer: ArtifactWriter) -> str:
             field_map=cfg.field_map,
             source=cfg.input_path.name,
         )
+    for reject in rejects:
+        logger.warning("record %d rejected: %s", reject.row, reject.reason)
+    if not log.accepted_count:
+        if not rejects:
+            raise ValueError(f"no record accepted: {cfg.input_path} holds no records")
+        first = rejects[0]
+        raise ValueError(
+            f"no record accepted: {len(rejects)} rejected,"
+            f" the first is record {first.row} ({first.reason})"
+        )
     if cfg.rates_path is not None:
         with open(cfg.rates_path, "rb") as handle:
             log = convert_currency(log, RateTable.from_csv(handle))
@@ -394,8 +404,6 @@ def _ingest(inputs: _Inputs, writer: ArtifactWriter) -> str:
             "rejects": [{"row": r.row, "reason": r.reason} for r in rejects],
         },
     )
-    for reject in rejects:
-        logger.warning("record %d rejected: %s", reject.row, reject.reason)
     return (
         f"ingested {log.accepted_count}/{log.total_records} records"
         f" ({log.rejected_count} rejected) -> {writer.out_dir / EVENTS_CSV}"

@@ -26,17 +26,16 @@ chunk goes through the csv writer, which gives the same bytes.
 A regular file given as ``open(path, "rb")`` is parsed in byte ranges when
 this process may use two or more CPUs and the file holds at least
 ``_MIN_RANGE_BYTES`` per range. Each range ends at a line end. The first is
-validated in this process and each other one in a child made by
-``os.fork``, which pipes its columns back; they are merged in input order,
-so the log, its rejects and any error are those of one range. CSV holding
+validated in this process and each other one in a forked ``_Child``,
+which pipes its columns back; they are merged in input order, so the log,
+its rejects and any error are those of one range. CSV holding
 any ``"`` (a quoted field may span lines), a JSON array, a stream that is
 not a regular file, ``bytes`` and text streams stay one range, as does every
 input where ``os.fork`` is missing. A child's memory belongs to its own
 process. On Python 3.12+ ``os.fork`` warns when the process runs other
-threads, as numpy's OpenBLAS does; the child stays safe because it calls no
-BLAS, takes no logging lock, imports nothing and leaves through ``os._exit``.
-``_fork_child`` keeps these rules for every child, those that
-``artifacts.ArtifactWriter`` forks to write artifacts included.
+threads, as numpy's OpenBLAS does; ``_Child`` states the rules that keep
+every child safe, those that ``artifacts.ArtifactWriter`` forks to write
+artifacts included.
 
 Prices stay exact. Each price column is a ``DecimalColumn``: an integer
 coefficient array, an integer exponent array and a missing mask, so value
@@ -87,7 +86,7 @@ from decimal import (
     InvalidOperation,
     Rounded,
 )
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import chain
 from typing import BinaryIO, Callable, Iterable, Iterator, Mapping, Sequence, TextIO, TypeVar
 
@@ -169,6 +168,8 @@ _LINE_END = re.compile(rb"[\r\n]")
 # ``\ud800`` can put one there, and UTF-8 cannot encode it
 _SURROGATE = re.compile("[\ud800-\udfff]")
 _SIGKILL = 9  # fixed by POSIX; importing signal for it would cost start-up time
+# a ``_Child`` message: an item its work sent, or, last, what the work returned or raised
+_SENT, _RETURNED, _RAISED = range(3)
 
 
 class MissingRateError(ValueError):
@@ -1331,37 +1332,25 @@ def _parse_ranges(
 ) -> int:
     """Validate each byte range of ``fd`` into ``records`` as one input; returns the record count.
 
-    Every range after the first is validated in a forked child, which reads
-    it as plain ``utf-8`` (no BOM is stripped) with ``later``, while this
-    process validates the first with ``first``. The children's records are
-    then merged in input order. An error raises the ``ValueError`` of the
+    Every range after the first is validated in a ``_Child`` (``_send``),
+    which reads it as plain ``utf-8`` (no BOM is stripped) with ``later``,
+    while this process validates the first with ``first``. The children's
+    records are then merged in input order. An error raises the error of the
     earliest range that has one, as one range would; on any exit every child
     is ended and reaped.
     """
-    children: list[tuple[int, BinaryIO]] = []
+    children: list[_Child] = []
     try:
         for start, end in zip(bounds[1:], bounds[2:]):
-            children.append(_fork_range(fd, start, end, later))
+            work = partial(_send, fd, start, end, later)
+            children.append(_Child(f"range parser of bytes {start}-{end}", work))
         total = _validate_range(fd, bounds[0], bounds[1], "utf-8-sig", first, records)
-        while children:
-            pid, reader = children[0]
-            with reader:
-                total += _merge(reader, records, total)
-            children.pop(0)
-            os.waitpid(pid, 0)
+        for child in children:
+            total += _merge(child, records, total)
         return total
     finally:
         for child in children:
-            _end_child(*child)
-
-
-def _fork_range(
-    fd: int, start: int, end: int, cells: Callable[[TextIO], Iterator[tuple]]
-) -> tuple[int, BinaryIO]:
-    """Fork a child (``_fork_child``) that validates bytes ``[start, end)`` of ``fd``
-    and sends what it kept through a pipe (``_send``); returns its pid and the
-    pipe's read end."""
-    return _fork_child(lambda out: _send(out, fd, start, end, cells))
+            child.end()
 
 
 def _usable_cpus() -> int:
@@ -1371,65 +1360,104 @@ def _usable_cpus() -> int:
     return len(os.sched_getaffinity(0))
 
 
-def _fork_child(work: Callable[[BinaryIO], object]) -> tuple[int, BinaryIO]:
-    """Fork a child that runs ``work`` on the write end of a pipe; returns its pid
-    and the pipe's read end. The caller reads the pipe and reaps the child
-    (``os.waitpid``), or ends it with ``_end_child``.
+class _Child:
+    """A forked child that runs ``work(send)``: it pipes back, pickled, each item
+    passed to ``send``, then, last, what ``work`` returned or raised.
 
-    The child collects no garbage, so it runs no finalizer or ``gc``
-    callback of this process; ``work`` must import, log and call into BLAS
-    nothing; and the child leaves only through ``os._exit`` (status 0 once
-    ``work`` returns, else 1), so it never flushes this process's buffers or
-    runs its exit handlers. That keeps it safe although ``fork`` copies only
-    the calling thread (numpy's BLAS may run others).
+    ``receive`` reads them; ``end`` kills a child whose result is not wanted.
+    Both reap it, so no caller waits for it. ``label`` names the child only in
+    the error of one that ends without its result. Every child keeps these
+    rules, since ``fork`` copies only the calling thread (numpy's BLAS may
+    run others): it collects no garbage, so it runs no finalizer or ``gc``
+    callback of this process; ``work`` imports, logs and calls into BLAS
+    nothing; it leaves only through ``os._exit`` (status 0 once its result is
+    sent, else 1), so it never flushes this process's buffers or runs its
+    exit handlers; and on an error in this process it is killed and reaped.
     """
-    reader, writer = os.pipe()
-    try:
-        pid = os.fork()
-    except BaseException:
-        os.close(reader)
-        os.close(writer)
-        raise
-    if pid:
-        os.close(writer)
-        return pid, open(reader, "rb")
-    status = 1
-    try:
-        gc.disable()
-        os.close(reader)
-        with open(writer, "wb") as out:
-            work(out)
-        status = 0
-    finally:
-        os._exit(status)
 
+    def __init__(self, label: str, work: Callable[[Callable[[object], None]], object]) -> None:
+        self.label = label
+        reader, writer = os.pipe()
+        try:
+            self.pid = os.fork()
+        except BaseException:
+            os.close(reader)
+            os.close(writer)
+            raise
+        if self.pid:
+            os.close(writer)
+            self._reader = open(reader, "rb")
+            return
+        status = 1
+        try:
+            gc.disable()
+            os.close(reader)
+            with open(writer, "wb") as out:
+                try:
+                    result = (_RETURNED, work(lambda item: pickle.dump((_SENT, item), out)))
+                except Exception as exc:  # ``receive`` raises it in this process
+                    result = (_RAISED, exc)
+                pickle.dump(result, out)
+            status = 0
+        finally:
+            os._exit(status)
 
-def _end_child(pid: int, reader: BinaryIO) -> None:
-    """Close the pipe of a child that ``_fork_child`` made, then kill and reap it."""
-    reader.close()
-    os.kill(pid, _SIGKILL)
-    os.waitpid(pid, 0)
+    def receive(self, take: Callable[[object], object] | None = None) -> object:
+        """Pass each item the child sends to ``take`` (left out for a child that
+        sends none), reap the child, and return what its work returned or raise
+        what it raised.
+
+        A child that ends without its result raises ``RuntimeError``. An error
+        in ``take`` ends the child.
+        """
+        try:
+            kind, payload = self._load()
+            while kind == _SENT:
+                take(payload)
+                kind, payload = self._load()
+        except BaseException:
+            self.end()
+            raise
+        status = self._reap()
+        if kind == _RAISED:
+            raise payload
+        if kind != _RETURNED:
+            raise RuntimeError(f"the {self.label} ended without its result (exit status {status})")
+        return payload
+
+    def end(self) -> None:
+        """Kill and reap the child, unless it is reaped already."""
+        if self.pid:
+            os.kill(self.pid, _SIGKILL)
+            self._reap()
+
+    def _load(self) -> tuple[int | None, object]:
+        """The child's next message, or ``(None, None)`` once it sends no more."""
+        try:
+            return pickle.load(self._reader)
+        except (EOFError, pickle.UnpicklingError):
+            return None, None
+
+    def _reap(self) -> int:
+        """Close the pipe and wait for the child; returns its exit status."""
+        self._reader.close()
+        status = os.waitpid(self.pid, 0)[1]
+        self.pid = 0
+        return os.waitstatus_to_exitcode(status)
 
 
 def _send(
-    out: BinaryIO, fd: int, start: int, end: int, cells: Callable[[TextIO], Iterator[tuple]]
-) -> None:
-    """Validate a byte range and pickle to ``out`` what ``_merge`` reads back.
+    fd: int, start: int, end: int, cells: Callable[[TextIO], Iterator[tuple]], send: Callable
+) -> int:
+    """In a ``_Child``: validate bytes ``[start, end)`` of ``fd`` and ``send`` what
+    ``_merge`` reads back; returns the record count.
 
-    Each message is ``(part, items)``: the items of one part of the records
+    Each item sent is ``(part, items)``: the items of one part of the records
     (``_merge`` lists the parts), at most ``_PIPE_ITEMS`` of them, int64 and
-    byte buffers as bytes. The last is ``("end", record count)``, or, on an
-    error, ``("json", (record number, message))`` or ``("error", message)``.
+    byte buffers as bytes.
     """
     records = _Records()
-    try:
-        rows = _validate_range(fd, start, end, "utf-8", cells, records)
-    except _JsonLineError as exc:
-        pickle.dump(("json", exc.args), out)
-        return
-    except Exception as exc:
-        pickle.dump(("error", str(exc)), out)
-        return
+    rows = _validate_range(fd, start, end, "utf-8", cells, records)
     records.flush()
     eth, usd = records.price_eth, records.price_usd
     parts = (
@@ -1451,18 +1479,19 @@ def _send(
     for part, items in enumerate(parts):
         for at in range(0, len(items), _PIPE_ITEMS):
             chunk = items[at : at + _PIPE_ITEMS]
-            pickle.dump((part, bytes(chunk) if type(chunk) in (array, bytearray) else chunk), out)
-    pickle.dump(("end", rows), out)
+            send((part, bytes(chunk) if type(chunk) in (array, bytearray) else chunk))
+    return rows
 
 
-def _merge(reader: BinaryIO, records: _Records, rows_before: int) -> int:
-    """Append to ``records`` the records a ``_send`` child pickled; returns their count.
+def _merge(child: _Child, records: _Records, rows_before: int) -> int:
+    """Append to ``records`` the records a ``_send`` child sends; returns their count.
 
     The child's user codes, given at first sight in its range, are mapped to
-    the codes ``records`` gives its users, its record numbers and its
-    positions of wide coefficients and negative zeros move past the
-    ``rows_before`` records and the records kept before it, and its artwork
-    offsets past the artwork bytes kept before it.
+    the codes ``records`` gives its users, its record numbers (those of its
+    rejects and of its invalid JSON line) and its positions of wide
+    coefficients and negative zeros move past the ``rows_before`` records
+    and the records kept before it, and its artwork offsets past the artwork
+    bytes kept before it.
     """
     records.flush()
     kept = len(records.timestamp)
@@ -1491,19 +1520,11 @@ def _merge(reader: BinaryIO, records: _Records, rows_before: int) -> int:
             RejectReport(row + rows_before, reason) for row, reason in rejects
         ),
     )
-    while True:
-        try:
-            part, items = pickle.load(reader)
-        except (EOFError, pickle.UnpicklingError):
-            raise ValueError("a range parser ended without sending its records") from None
-        if part == "end":
-            return items
-        if part == "json":
-            row, detail = items
-            raise _JsonLineError(row + rows_before, detail)
-        if part == "error":
-            raise ValueError(items)
-        parts[part](items)
+    try:
+        return child.receive(lambda item: parts[item[0]](item[1]))
+    except _JsonLineError as exc:
+        row, detail = exc.args
+        raise _JsonLineError(row + rows_before, detail) from None
 
 
 def _csv_cells(text: TextIO, remap: Mapping[str, str]) -> Iterator[tuple]:
@@ -1569,7 +1590,7 @@ def _json_records(text: TextIO) -> Iterable[object]:
     whole = head + text.read()
     try:
         records = _json_loads(whole)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # the latter: nesting too deep
         raise ValueError(f"invalid JSON input: {exc}") from None
     if not isinstance(records, list):
         raise ValueError("JSON input must be an array of objects")
@@ -1588,7 +1609,7 @@ def _ndjson_records(lines: Iterable[str]) -> Iterator[object]:
         row_num += 1
         try:
             record = _json_loads(line.rstrip("\r\n"))
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:  # the latter: nesting too deep
             raise _JsonLineError(row_num, str(exc)) from None
         if "\\" in line:  # a one-character search; finding "\\u" took 3% of a parse
             _mark_surrogates(record)

@@ -300,16 +300,15 @@ def count_forks(patch) -> list[int]:
 
 
 def count_range_forks(patch) -> list[int]:
-    """Make ``ingest._fork_range``, through the monkeypatch ``patch``, record the pid
-    of each child it forks to parse a byte range; returns the list it records
-    them in. Children that write artifacts are not counted."""
+    """Make ``ingest._merge``, through the monkeypatch ``patch``, record the pid of
+    each child whose byte range it merges; returns the list it records them in.
+    Children that write artifacts are not counted."""
     forks = []
-    fork_range = ingest._fork_range
+    merge = ingest._merge
 
-    def counted_fork_range(*args):
-        pid, reader = fork_range(*args)
-        forks.append(pid)
-        return pid, reader
+    def counted_merge(child, *args):
+        forks.append(child.pid)
+        return merge(child, *args)
 
-    patch.setattr(ingest, "_fork_range", counted_fork_range)
+    patch.setattr(ingest, "_merge", counted_merge)
     return forks

@@ -142,24 +142,41 @@ def test_non_finite_rate_is_fatal_and_names_line(fixture_dir, capsys, rate):
     assert "error: rate table line 3: non-finite rate" in capsys.readouterr().err
 
 
-def test_staged_subcommands_match_run(fixture_dir):
-    run_out = fixture_dir / "run_out"
-    staged = fixture_dir / "staged"
-    assert run_cli(
-        "run", fixture_dir / "sales.csv", "--rates", fixture_dir / "rates.csv", "--out", run_out
-    ) == 0
-    assert run_cli(
-        "ingest", fixture_dir / "sales.csv", "--rates", fixture_dir / "rates.csv", "--out", staged
-    ) == 0
-    assert run_cli("rank", staged / "events.csv", "--out", staged) == 0
-    assert run_cli("concentration", staged / "events.csv", "--out", staged) == 0
-    assert run_cli("correlate", staged / "rankings.csv", "--out", staged) == 0
-    assert run_cli("profile", staged / "rankings.csv", "--out", staged) == 0
-    assert run_cli("report", staged / "events.csv", staged / "rankings.csv", "--out", staged) == 0
-    run_files = read_tree(run_out)
-    staged_files = read_tree(staged)
-    del run_files["manifest.json"]  # stage commands do not emit a manifest
-    assert staged_files == run_files
+def test_staged_subcommands_match_run(fixture_dir, monkeypatch):
+    inputs = {"fixture": [fixture_dir / "sales.csv", "--rates", fixture_dir / "rates.csv"]}
+    for seed in (1, 2, 3):
+        market = fixture_dir / f"market{seed}.csv"
+        market.write_text(market_csv(seed, 600), encoding="utf-8")
+        inputs[market.stem] = [market]
+
+    def run_and_staged(mode):
+        trees = {}
+        for name, argv in inputs.items():
+            run_out, staged = fixture_dir / mode / name, fixture_dir / mode / f"{name}-staged"
+            assert run_cli("run", *argv, "--out", run_out) == 0
+            assert run_cli("ingest", *argv, "--out", staged) == 0
+            assert run_cli("rank", staged / "events.csv", "--out", staged) == 0
+            assert run_cli("concentration", staged / "events.csv", "--out", staged) == 0
+            assert run_cli("correlate", staged / "rankings.csv", "--out", staged) == 0
+            assert run_cli("profile", staged / "rankings.csv", "--out", staged) == 0
+            assert run_cli(
+                "report", staged / "events.csv", staged / "rankings.csv", "--out", staged
+            ) == 0
+            run_files = read_tree(run_out)
+            del run_files["manifest.json"]  # stage commands do not emit a manifest
+            assert read_tree(staged) == run_files, (mode, name)
+            trees[name] = run_files
+        return trees
+
+    here = run_and_staged("here")
+    # run's writes in forked children, and each input and events.csv parsed in two byte ranges
+    monkeypatch.setattr(artifacts, "_BACKGROUND_ROWS", 1)
+    monkeypatch.setattr(ingest, "_MIN_RANGE_BYTES", 1)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    forks, range_forks = count_forks(monkeypatch), count_range_forks(monkeypatch)
+    assert run_and_staged("forked") == here
+    assert_no_child_left()
+    assert range_forks and len(forks) > len(range_forks)
 
 
 def test_inputs_parsed_in_byte_ranges_give_the_same_artifacts(tmp_path, monkeypatch):
@@ -263,6 +280,40 @@ def test_a_later_write_or_remove_of_a_name_joins_its_background_write(tmp_path, 
     assert not (tmp_path / "b.csv").exists()
     digest = hashlib.sha256(b"last\n").hexdigest()
     assert files == [{"name": "a.csv", "sha256": digest, "size": 5}]
+
+
+NO_RECORD_ACCEPTED = {
+    "header only": (
+        "sales.csv",
+        "seller,buyer,creator,price_usd,timestamp\n",
+        "error: no record accepted: {path} holds no records\n",
+    ),
+    "all rejected": (
+        "sales.csv",
+        "seller,buyer,creator,price_usd,timestamp\nann,ann,ann,10,100\nbob,,ann,10,100\n",
+        "error: no record accepted: 2 rejected, the first is record 1 (self-sale)\n",
+    ),
+    "NDJSON read as CSV": (
+        "sales.ndjson",
+        '{"seller": "a", "buyer": "b", "creator": "a", "price_usd": 1, "timestamp": 1}\n' * 3,
+        "error: no record accepted: 2 rejected, the first is record 1 (missing field: seller)\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("command", ["ingest", "run"])
+@pytest.mark.parametrize("case", list(NO_RECORD_ACCEPTED))
+def test_a_log_without_an_accepted_record_is_refused(tmp_path, capsys, caplog, command, case):
+    name, text, error = NO_RECORD_ACCEPTED[case]
+    path = tmp_path / name
+    path.write_text(text, encoding="utf-8")
+    out = tmp_path / "out"
+    with caplog.at_level("WARNING", logger="artrank.cli"):
+        assert run_cli(command, path, "--out", out) == 1
+    assert capsys.readouterr().err == error.format(path=path)
+    assert list(out.iterdir()) == []
+    rejects = 0 if case == "header only" else 2
+    assert len([r for r in caplog.records if "rejected:" in r.getMessage()]) == rejects
 
 
 def test_ndjson_id_with_a_lone_surrogate_is_one_reject(tmp_path):
@@ -618,7 +669,7 @@ def test_failed_run_leaves_no_stale_manifest(fixture_dir, capsys):
         "seller,buyer,creator,price_usd,timestamp\nann,ann,ann,10,100\n", encoding="utf-8"
     )
     assert run_cli("run", bad, "--out", out) == 1
-    assert "no volume" in capsys.readouterr().err
+    assert "no record accepted" in capsys.readouterr().err
     manifest_path = out / "manifest.json"
     if manifest_path.exists():
         for entry in json.loads(manifest_path.read_text())["files"]:
@@ -672,7 +723,7 @@ def test_lock_file_blocks_stage_command(fixture_dir, capsys):
 def test_failed_commands_release_the_lock(fixture_dir, capsys):
     self_sale = write_log(fixture_dir / "self.csv", "ann,ann,ann,10,100")
     assert run_cli("run", self_sale, "--out", fixture_dir / "o1") == 1
-    assert "no volume" in capsys.readouterr().err
+    assert "no record accepted" in capsys.readouterr().err
     staged = fixture_dir / "o2"
     assert run_cli(
         "ingest", fixture_dir / "sales.csv", "--rates", fixture_dir / "rates.csv", "--out", staged

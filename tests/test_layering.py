@@ -1,10 +1,16 @@
-"""Only ``artifacts.py`` creates, replaces or deletes files and directories.
+"""Two layering rules, read from each module's syntax tree.
 
 The output directory has one owner, ``artifacts.ArtifactWriter``: it takes
-the lock, drops stale files and hashes every write. This reads each other
-module's syntax tree and refuses any call of ``.unlink`` or ``.mkdir`` (on
-any object), or of ``os.open``, ``os.replace``, ``os.rename`` or
-``os.remove``, so that publishing logic has one place to go.
+the lock, drops stale files and hashes every write. Any other module's call
+of ``.unlink`` or ``.mkdir`` (on any object), or of ``os.open``,
+``os.replace``, ``os.rename`` or ``os.remove``, is refused, so that
+publishing logic has one place to go.
+
+Forked children have one owner, ``ingest._Child``: it forks, pipes back
+what a child's work returns or raises, and kills and reaps. Any other
+module's call of ``os.fork``, ``os.pipe``, ``os.kill`` or ``os.waitpid``, or
+import of ``pickle``, is refused, so that a child's rules are kept in one
+place.
 """
 
 import ast
@@ -16,30 +22,62 @@ PACKAGE = Path(__file__).resolve().parents[1] / "src" / "artrank"
 OWNER = "artifacts.py"
 METHODS = {"unlink", "mkdir"}
 OS_FUNCTIONS = {"open", "replace", "rename", "remove"}
+PROCESS_OWNER = "ingest.py"
+PROCESS_FUNCTIONS = {"fork", "pipe", "kill", "waitpid"}
+
+
+def os_call(node: ast.AST, names: set[str]) -> bool:
+    """Whether ``node`` calls ``os.<name>`` for one of ``names``."""
+    return (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr in names
+        and isinstance(node.func.value, ast.Name)
+        and node.func.value.id == "os"
+    )
 
 
 def file_system_calls(tree: ast.AST) -> list[str]:
     """Each call in ``tree`` that creates, replaces or deletes a file, with its line."""
     found = []
     for node in ast.walk(tree):
-        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
-            continue
-        name, owner = node.func.attr, node.func.value
-        if name in METHODS or (
-            name in OS_FUNCTIONS and isinstance(owner, ast.Name) and owner.id == "os"
+        if os_call(node, OS_FUNCTIONS) or (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr in METHODS
         ):
             found.append(f"{node.lineno}: {ast.unparse(node.func)}")
     return found
 
 
-@pytest.mark.parametrize(
-    "path",
-    sorted(p for p in PACKAGE.glob("*.py") if p.name != OWNER),
-    ids=lambda path: path.name,
-)
+def process_calls(tree: ast.AST) -> list[str]:
+    """Each call in ``tree`` that forks, pipes, kills or reaps, and each import of
+    ``pickle``, with its line."""
+    found = []
+    for node in ast.walk(tree):
+        if os_call(node, PROCESS_FUNCTIONS):
+            found.append(f"{node.lineno}: {ast.unparse(node.func)}")
+        elif (isinstance(node, ast.Import) and any(a.name == "pickle" for a in node.names)) or (
+            isinstance(node, ast.ImportFrom) and node.module == "pickle"
+        ):
+            found.append(f"{node.lineno}: {ast.unparse(node)}")
+    return found
+
+
+def modules_but(owner: str) -> list[Path]:
+    return sorted(p for p in PACKAGE.glob("*.py") if p.name != owner)
+
+
+@pytest.mark.parametrize("path", modules_but(OWNER), ids=lambda path: path.name)
 def test_only_the_artifact_writer_touches_the_file_system(path):
     calls = file_system_calls(ast.parse(path.read_text(encoding="utf-8")))
     assert not calls, f"{path.name} {calls}; write and delete files through {OWNER}"
+
+
+@pytest.mark.parametrize("path", modules_but(PROCESS_OWNER), ids=lambda path: path.name)
+def test_only_ingest_forks_pipes_and_reaps(path):
+    calls = process_calls(ast.parse(path.read_text(encoding="utf-8")))
+    assert not calls, f"{path.name} {calls}; fork children through {PROCESS_OWNER}'s _Child"
 
 
 def test_a_planted_call_is_found():
@@ -51,3 +89,20 @@ def test_a_planted_call_is_found():
         "open(path, 'rb')\n"
     )
     assert file_system_calls(tree) == ["2: (out / 'matches.csv').unlink", "3: os.replace"]
+
+
+def test_a_planted_process_call_is_found():
+    tree = ast.parse(
+        "import os, pickle\n"
+        "from pickle import load\n"
+        "os.waitpid(pid, 0)\n"
+        "os.kill(pid, 9)\n"
+        "child.kill()\n"
+        "os.getpid()\n"
+    )
+    assert process_calls(tree) == [
+        "1: import os, pickle",
+        "2: from pickle import load",
+        "3: os.waitpid",
+        "4: os.kill",
+    ]

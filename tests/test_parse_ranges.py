@@ -316,12 +316,53 @@ def test_invalid_json_in_a_later_range_keeps_its_record_number(tmp_path):
     assert parse_or_error(path, "json", 4) == one
 
 
+def test_too_deep_json_in_a_later_range_keeps_its_record_number(tmp_path):
+    lines = _sales(3000, "json")
+    lines[2500] = "[" * 100_000 + "]" * 100_000
+    path = tmp_path / "sales.ndjson"
+    path.write_text("\n".join(lines) + "\n")
+    one = parse_or_error(path, "json", 1)
+    assert one[0] == "error"
+    assert one[1].startswith("invalid JSON on record 2501: maximum recursion depth exceeded")
+    assert parse_or_error(path, "json", 2) == one
+    assert parse_or_error(path, "json", 4) == one
+
+
+def test_too_deep_json_in_an_array_is_invalid_json():
+    records = _sales(10, "json") + ["[" * 100_000 + "]" * 100_000]
+    with pytest.raises(ValueError, match="^invalid JSON input: maximum recursion depth exceeded"):
+        parse_events(("[" + ",".join(records) + "]").encode(), "json")
+
+
+def test_any_error_of_a_later_range_keeps_its_type_and_message(tmp_path):
+    lines = _sales(300)
+    lines[290] = "planted," + lines[290].split(",", 1)[1]
+    path = tmp_path / "sales.csv"
+    path.write_text("\n".join(lines) + "\n")
+    user = ingest._Records.user
+
+    def planted_user(records, user_id):
+        if user_id == "planted":
+            raise OverflowError("planted for one id")
+        return user(records, user_id)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ingest._Records, "user", planted_user)
+        for ranges in (1, 3):
+            with pytest.raises(OverflowError, match="^planted for one id$"):
+                parse_in_ranges(path, "csv", ranges)
+            assert_no_child_left()
+
+
 def test_a_child_that_exits_without_its_records_fails_the_parse(tmp_path):
     path = tmp_path / "sales.csv"
     path.write_text("\n".join(_sales(300)) + "\n")
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(ingest, "_send", lambda *args: os._exit(3))
-        with pytest.raises(ValueError, match="range parser ended without sending its records"):
+        with pytest.raises(
+            RuntimeError,
+            match=r"^the range parser of bytes \d+-\d+ ended without its result \(exit status 3\)$",
+        ):
             parse_in_ranges(path, "csv", 3)
     assert_no_child_left()
 

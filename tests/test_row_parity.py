@@ -467,7 +467,7 @@ def old_small_csv_rows(out: Path) -> dict[str, list[list[str]]]:
 
 def sellers_csv(sellers: int) -> str:
     """A log where seller ``i`` of ``sellers`` sells its own work to buyers 0 to ``i``;
-    with no sellers, one self-sale, which ingest rejects."""
+    with no sellers, one self-sale, which the validator rejects."""
     lines = ["seller,buyer,creator,price_usd,timestamp"]
     lines += [f"s{i},b{j},s{i},{i + j}.5,{100 + i}" for i in range(sellers) for j in range(i + 1)]
     if not sellers:
@@ -488,7 +488,10 @@ def test_lorenz_hist_correlation_and_figure5_csvs_match_old_rows(monkeypatch, tm
         assert cli.main(["run", str(sales), "--out", str(out)]) == 0
     else:
         events, rankings = str(out / "events.csv"), str(out / "rankings.csv")
-        assert cli.main(["ingest", str(sales), "--out", str(out)]) == 0
+        # ingest refuses a log that accepts no record: write its header-only events.csv here
+        out.mkdir()
+        with open(events, "w", encoding="utf-8", newline="") as handle:
+            ingest.write_events_csv(parse_events(sales.read_bytes(), "csv")[0], handle)
         assert cli.main(["rank", events, "--out", str(out)]) == 0
         assert cli.main(["report", events, rankings, "--out", str(out)]) == 0
     expected = old_small_csv_rows(out)
