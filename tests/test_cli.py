@@ -142,12 +142,59 @@ def test_non_finite_rate_is_fatal_and_names_line(fixture_dir, capsys, rate):
     assert "error: rate table line 3: non-finite rate" in capsys.readouterr().err
 
 
+# the sha256 of every artifact that test_staged_subcommands_match_run writes, one
+# ``input name sha256`` line each, under ``# python`` and ``# numpy`` lines that
+# record the versions that wrote them
+GOLDEN = Path(__file__).resolve().parent / "golden" / "staged_vs_run.sha256"
+# the fixture's JSON field names: the canonical name each one maps to
+JSON_FIELDS = {
+    "from": "seller",
+    "to": "buyer",
+    "artist": "creator",
+    "eth": "price_eth",
+    "usd": "price_usd",
+    "time": "timestamp",
+    "token": "artwork_id",
+}
+
+
+def assert_golden(trees: dict[str, dict[str, bytes]]) -> None:
+    """Each file of ``trees`` (input name -> artifact name -> bytes) has the sha256
+    that ``GOLDEN`` records, and ``GOLDEN`` records no other file."""
+    lines = GOLDEN.read_text(encoding="utf-8").splitlines()
+    recorded = dict(line[2:].split(" ", 1) for line in lines if line.startswith("# "))
+    expected = {tuple(line.split()[:2]): line.split()[2] for line in lines if not line.startswith("#")}
+    got = {
+        (source, name): hashlib.sha256(data).hexdigest()
+        for source, files in trees.items()
+        for name, data in files.items()
+    }
+    moved = sorted(" ".join(key) for key in expected.keys() | got.keys() if expected.get(key) != got.get(key))
+    assert not moved, (
+        f"{moved} differ from {GOLDEN.name}, recorded with Python {recorded['python']} and"
+        f" numpy {recorded['numpy']}; this is Python {platform.python_version()} and numpy"
+        f" {np.__version__}"
+    )
+
+
 def test_staged_subcommands_match_run(fixture_dir, monkeypatch):
     inputs = {"fixture": [fixture_dir / "sales.csv", "--rates", fixture_dir / "rates.csv"]}
     for seed in (1, 2, 3):
         market = fixture_dir / f"market{seed}.csv"
         market.write_text(market_csv(seed, 600), encoding="utf-8")
         inputs[market.stem] = [market]
+    # the fixture as one JSON object per line, its fields renamed and its empty cells left out
+    renamed = {canonical: name for name, canonical in JSON_FIELDS.items()}
+    ndjson = fixture_dir / "sales.ndjson"
+    ndjson.write_text(
+        "".join(
+            json.dumps({renamed[field]: cell for field, cell in row.items() if cell}) + "\n"
+            for row in csv.DictReader(FIXTURE_CSV.splitlines())
+        ),
+        encoding="utf-8",
+    )
+    maps = [arg for name, canonical in JSON_FIELDS.items() for arg in ("--map", f"{name}={canonical}")]
+    inputs["fixture-ndjson"] = [ndjson, "--format", "json", *maps, "--rates", fixture_dir / "rates.csv"]
 
     def run_and_staged(mode):
         trees = {}
@@ -169,6 +216,7 @@ def test_staged_subcommands_match_run(fixture_dir, monkeypatch):
         return trees
 
     here = run_and_staged("here")
+    assert_golden(here)
     # run's writes in forked children, and each input and events.csv parsed in two byte ranges
     monkeypatch.setattr(artifacts, "_BACKGROUND_ROWS", 1)
     monkeypatch.setattr(ingest, "_MIN_RANGE_BYTES", 1)
