@@ -15,6 +15,7 @@ from .centrality import (
     hits,
     trader_score,
 )
+from .columns import DecimalColumn, TextColumn
 from .econometrics import (
     CORRELATION_LABELS,
     CorrelationMatrix,
@@ -36,12 +37,10 @@ from .graph import (
     build_network,
 )
 from .ingest import (
-    DecimalColumn,
     EventLog,
     MissingRateError,
     RateTable,
     RejectReport,
-    TextColumn,
     convert_currency,
     parse_events,
     write_events_csv,

@@ -9,7 +9,7 @@ artifact, hashed as it was written. Leaving releases the lock.
 
 While ``background`` is set, an ``events``, ``csv`` or ``jsonl`` write of at
 least ``_BACKGROUND_ROWS`` rows, made while this process may use two or
-more CPUs, runs in an ``ingest._Child``, which writes and hashes the file
+more CPUs, runs in a ``children.Child``, which writes and hashes the file
 and pipes back its digest or its error; this process goes on at once.
 ``manifest()``, leaving, and any later write or ``remove`` of the same name
 join such a write first, and a join raises the write's error. Leaving on
@@ -31,14 +31,16 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import TextIO
 
-from .ingest import _CSV_CHUNK_ROWS, EventLog, _Child, _usable_cpus, write_csv, write_events_csv
+from .children import Child, usable_cpus
+from .columns import CSV_CHUNK_ROWS
+from .ingest import EventLog, write_csv, write_events_csv
 
 LOCK_FILE = ".lock"
 MANIFEST_JSON = "manifest.json"
 # the rows from which a write may run in a forked child: one ``write_csv``
 # chunk takes 5-30 ms to format and a fork of a 70 MB process about 0.7 ms
 # (2 vCPU, Python 3.11), so a smaller write leaves little to overlap
-_BACKGROUND_ROWS = _CSV_CHUNK_ROWS
+_BACKGROUND_ROWS = CSV_CHUNK_ROWS
 
 
 class ArtifactWriter:
@@ -50,7 +52,7 @@ class ArtifactWriter:
         self.out_dir = out_dir
         self.digests: dict[str, tuple[str, int]] = {}
         self.background = False
-        self._children: dict[str, _Child] = {}  # name -> the child writing it
+        self._children: dict[str, Child] = {}  # name -> the child writing it
 
     def __enter__(self) -> ArtifactWriter:
         self.out_dir.mkdir(parents=True, exist_ok=True)
@@ -97,8 +99,8 @@ class ArtifactWriter:
         """Write ``name`` through ``write(handle)``, in a forked child when it is a
         background write of at least ``_BACKGROUND_ROWS`` rows."""
         self._join(name)
-        if self.background and rows >= _BACKGROUND_ROWS and _usable_cpus() >= 2:
-            self._children[name] = _Child(
+        if self.background and rows >= _BACKGROUND_ROWS and usable_cpus() >= 2:
+            self._children[name] = Child(
                 f"background write of {name}", lambda send: self._write_here(name, write)
             )
         else:

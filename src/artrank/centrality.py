@@ -32,8 +32,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .columns import DecimalColumn, sum_by
 from .graph import AdjacencyView, CollectorArtistNetwork
-from .ingest import DecimalColumn, sum_by
 
 DEFAULT_TOLERANCE = 1e-10
 DEFAULT_MAX_ITERATIONS = 1000

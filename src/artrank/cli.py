@@ -8,7 +8,7 @@ independently from each other's outputs. Every command writes through one
 ``artifacts.ArtifactWriter``, which owns the output directory; only ``run``
 writes ``manifest.json``. In ``run``, every stage but the last (``report``)
 hands its large artifacts (``events.csv``, ``rankings.csv``, ``edges.csv``,
-the Lorenz CSVs and ``profiles.jsonl``, from ``_CSV_CHUNK_ROWS`` rows up) to
+the Lorenz CSVs and ``profiles.jsonl``, from ``columns.CSV_CHUNK_ROWS`` rows up) to
 forked writers while the later stages compute, and the manifest joins them;
 a stage subcommand writes every artifact in this process. ``ingest`` and
 ``run`` log one WARNING per rejected record. Outputs are byte-identical
@@ -66,10 +66,10 @@ from .ingest import (
     EventLog,
     IdColumn,
     RateTable,
-    _read_text,
     convert_currency,
     id_order,
     parse_events,
+    read_text,
 )
 from .profiling import METRIC_NAMES, MetricsTable, Profiles
 
@@ -324,7 +324,7 @@ def load_rankings_csv(path: Path) -> MetricsTable:
     twice is refused.
     """
     with open(path, "rb") as handle:
-        users, values = _read_text(handle, _rankings_cells)
+        users, values = read_text(handle, _rankings_cells)
     by_id = id_order(users)
     ordered = tuple(map(users.__getitem__, by_id.tolist()))
     for earlier, later in zip(ordered, ordered[1:]):

@@ -20,7 +20,8 @@ from enum import Enum
 
 import numpy as np
 
-from .ingest import DecimalColumn, EventLog, sum_by
+from .columns import DecimalColumn, sum_by
+from .ingest import EventLog
 
 logger = logging.getLogger(__name__)
 

@@ -13,8 +13,9 @@ from decimal import Decimal
 
 import numpy as np
 
+from .columns import DecimalColumn, sum_by
 from .graph import CollectorArtistNetwork
-from .ingest import DecimalColumn, EventLog, sum_by
+from .ingest import EventLog
 from .profiling import METRIC_NAMES, MetricsTable, normalize_metrics
 
 DIMENSION_SALES = "sales"

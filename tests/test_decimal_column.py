@@ -18,8 +18,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from artrank import ingest
-from artrank.ingest import DecimalColumn, parse_events, sum_by
+from artrank import columns
+from artrank.columns import DecimalColumn, sum_by
+from artrank.ingest import parse_events
 from helpers import market_csv
 
 _MAX_FLOAT = Decimal(1.7976931348623157e308)
@@ -133,7 +134,7 @@ def test_prices_keep_their_place_across_record_blocks():
     """Records read by the fast path and by the full validator fill the same
     buffers, which move a block of records at a time."""
     cells = ["12.30", "1E+2", "", "-0.00", "12345678901234567890123", " 7 ", "0.05"]
-    rows = [(i, cells[i % 7], cells[(i // 7) % 7]) for i in range(3 * ingest._BLOCK_RECORDS + 5)]
+    rows = [(i, cells[i % 7], cells[(i // 7) % 7]) for i in range(3 * columns.BLOCK_RECORDS + 5)]
     payload = "seller,buyer,creator,price_eth,price_usd,timestamp\n" + "".join(
         f"a,b,a,{eth},{usd},{i}\n" for i, eth, usd in rows
     )
@@ -197,7 +198,7 @@ def test_parse_peak_memory_per_event():
     assert peak / log.accepted_count < _PEAK_BYTES_PER_EVENT
 
 
-_CHUNK = ingest._CSV_CHUNK_ROWS
+_CHUNK = columns.CSV_CHUNK_ROWS
 _MIXED = [None, Decimal("-0"), Decimal("-0.00"), Decimal("1.5"), Decimal("12E+3"), Decimal("0.000001")]
 
 

@@ -20,7 +20,7 @@ from artrank import (
     parse_events,
     write_events_csv,
 )
-from artrank import ingest
+from artrank import columns, ingest
 from artrank.ingest import _MAX_EPOCH, _MIN_EPOCH, CANONICAL_FIELDS, write_csv
 from helpers import T0, ev, log_of, parse_json_whole, sales
 
@@ -137,7 +137,7 @@ def test_price_digits_and_exponent_bounds(price, kept, fmt):
 
 
 def test_rate_table_refuses_a_rate_beyond_the_digit_and_exponent_bounds():
-    assert RateTable.from_csv(b"date,usd_per_eth\n2021-01-01,1E-400\n").get(date(2021, 1, 1))
+    assert RateTable.from_csv(b"date,usd_per_eth\n2021-01-01,1E-400\n").rates[date(2021, 1, 1)]
     for rate in ("1E-401", "1" * 401):
         with pytest.raises(ValueError, match="exchange rate for 2021-01-02 is out of range"):
             RateTable.from_csv(f"date,usd_per_eth\n2021-01-01,10\n2021-01-02,{rate}\n".encode())
@@ -918,7 +918,7 @@ class _WriteLog(io.StringIO):
 
 
 def test_write_csv_writes_at_most_one_chunk_per_call():
-    chunk = ingest._CSV_CHUNK_ROWS
+    chunk = columns.CSV_CHUNK_ROWS
     rows = [(f"u{i:06d}", "1.50") for i in range(3 * chunk + 1)]
     rows[chunk + 7] = ("u,quoted", "1.50")
     stream = _WriteLog()
@@ -932,7 +932,7 @@ def test_write_csv_writes_at_most_one_chunk_per_call():
 
 
 def test_write_events_csv_writes_at_most_one_chunk_per_call():
-    chunk = ingest._CSV_CHUNK_ROWS
+    chunk = columns.CSV_CHUNK_ROWS
     lines = [
         f"u{i % 50},v{i % 40},u{i % 50},,1.5,{1_600_000_000 + i},art{i}"
         for i in range(3 * chunk + 1)

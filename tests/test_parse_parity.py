@@ -27,7 +27,6 @@ from artrank import (
     volume_by_seller,
     write_events_csv,
 )
-from artrank import ingest
 from artrank.ingest import _MAX_EPOCH, _MIN_EPOCH, DecimalColumn, IdColumn, write_csv
 
 from helpers import edge_totals, sales
@@ -442,7 +441,7 @@ def test_typed_columns_written_as_the_csv_module_writes_their_text(rows):
         when = (epoch + timedelta(seconds=e)).isoformat()
         writer.writerow([repr(f), repr(i), "" if d is None else str(d), when, cell, _IDS[code]])
     got = io.StringIO()
-    with mock.patch.object(ingest, "_CSV_CHUNK_ROWS", 3):
+    with mock.patch("artrank.columns.CSV_CHUNK_ROWS", 3):
         write_csv(got, "abcdef", columns)
     assert got.getvalue() == expected.getvalue()
 

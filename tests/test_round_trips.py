@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 from artrank import METRIC_NAMES, MetricsTable, cli, parse_events, write_events_csv
 from artrank.artifacts import ArtifactWriter
-from artrank.ingest import _MAX_EPOCH, _MIN_EPOCH, EVENT_CSV_HEADER
+from artrank.ingest import _MAX_EPOCH, _MIN_EPOCH, CANONICAL_FIELDS
 
 # delimiters, quotes, line breaks, U+2028, spaces (stripped at the ends) and
 # non-ASCII, inside ids and at their ends; an id with a carriage return inside
@@ -74,7 +74,7 @@ def _sales(draw, ids=_IDS):
 def _csv_input(records) -> bytes:
     text = io.StringIO()
     writer = csv.writer(text, lineterminator="\n", quoting=csv.QUOTE_ALL)
-    writer.writerow(EVENT_CSV_HEADER)
+    writer.writerow(CANONICAL_FIELDS)
     writer.writerows(records)
     return text.getvalue().encode("utf-8")
 
@@ -87,7 +87,7 @@ def _ndjson_input(records, numbers) -> bytes:
     for record, as_number in zip(records, numbers):
         cells = [
             f'"{name}": {_json_value(name, value, as_number)}'
-            for name, value in zip(EVENT_CSV_HEADER, record)
+            for name, value in zip(CANONICAL_FIELDS, record)
         ]
         lines.append("{" + ", ".join(cells) + "}\n")
     return "".join(lines).encode("utf-8", "backslashreplace")

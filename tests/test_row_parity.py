@@ -31,6 +31,7 @@ from artrank import (
     Role,
     build_network,
     cli,
+    columns,
     econometrics,
     ingest,
     match_code,
@@ -273,6 +274,17 @@ class DiscardText:
         return len(text)
 
 
+class WriteLog:
+    """A text stream that keeps each text written to it apart."""
+
+    def __init__(self) -> None:
+        self.writes: list[str] = []
+
+    def write(self, text: str) -> int:
+        self.writes.append(text)
+        return len(text)
+
+
 # ---------------------------------------------------------------------------
 # Tests
 # ---------------------------------------------------------------------------
@@ -297,12 +309,21 @@ def test_figure5_csv_matches_row_reference(table):
     assert written_text(header, figure5_columns(table)) == expected
 
 
-CHUNK = 3  # rows per chunk in the chunk-boundary test
+CHUNK = 3  # rows per chunk in the chunk-boundary tests
+
+
+def write_in_chunks(monkeypatch) -> None:
+    """Make ``write_csv`` write ``CHUNK`` rows at a time, and check that it does:
+    ``CHUNK + 1`` rows take one write for the header and one for each of two chunks."""
+    monkeypatch.setattr(columns, "CSV_CHUNK_ROWS", CHUNK)
+    stream = WriteLog()
+    write_csv(stream, "ab", (np.arange(CHUNK + 1), np.arange(CHUNK + 1)))
+    assert stream.writes == ["a,b\n", "0,0\n1,1\n2,2\n", "3,3\n"]
 
 
 @pytest.mark.parametrize("rows", [0, 1, CHUNK, CHUNK + 1, 3 * CHUNK + 1])
 def test_chunked_rows_match_row_references_at_chunk_boundaries(monkeypatch, rows):
-    monkeypatch.setattr(ingest, "_CSV_CHUNK_ROWS", CHUNK)
+    write_in_chunks(monkeypatch)
     table = seeded_table(rows)
     trader = table.column("authority") * table.column("hub")
     for sort_by in cli.SORT_KEYS:
@@ -338,7 +359,7 @@ _PEAK_BYTES_PER_CHUNK_ROW = {"rankings.csv": 2560, "edges.csv": 550, "figure5.cs
 
 
 def test_per_user_and_per_edge_rows_peak_memory():
-    rows = 6 * ingest._CSV_CHUNK_ROWS + 1
+    rows = 6 * columns.CSV_CHUNK_ROWS + 1
     table = seeded_table(rows)
     net = seeded_network(rows)
     artifacts = {
@@ -357,7 +378,7 @@ def test_per_user_and_per_edge_rows_peak_memory():
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        peaks[name] = peak / ingest._CSV_CHUNK_ROWS
+        peaks[name] = peak / columns.CSV_CHUNK_ROWS
     assert all(peaks[name] < bound for name, bound in _PEAK_BYTES_PER_CHUNK_ROW.items()), peaks
 
 
@@ -480,7 +501,7 @@ def sellers_csv(sellers: int) -> str:
 # and 3 * CHUNK + 1 rows
 @pytest.mark.parametrize("sellers", [0, 1, 2, 3, 9])
 def test_lorenz_hist_correlation_and_figure5_csvs_match_old_rows(monkeypatch, tmp_path, sellers):
-    monkeypatch.setattr(ingest, "_CSV_CHUNK_ROWS", CHUNK)
+    write_in_chunks(monkeypatch)
     sales = tmp_path / "sales.csv"
     sales.write_text(sellers_csv(sellers), encoding="utf-8")
     out = tmp_path / "out"
@@ -521,7 +542,7 @@ def test_lorenz_hist_correlation_and_figure5_csvs_match_old_rows(monkeypatch, tm
     ],
 )
 def test_matches_and_correlation_csvs_match_old_rows(monkeypatch, tmp_path, rows, pattern, matches):
-    monkeypatch.setattr(ingest, "_CSV_CHUNK_ROWS", CHUNK)
+    write_in_chunks(monkeypatch)
     table = seeded_table(rows)
     values = table.values.copy()
     values[:, METRIC_NAMES.index("w_hub")] = 0.0  # a constant column: NaN correlations
