@@ -283,6 +283,18 @@ def market_csv(seed: int, n_events: int, **kwargs) -> str:
     return buffer.getvalue()
 
 
+class WriteLog(io.StringIO):
+    """A text stream that records the text of each write."""
+
+    def __init__(self):
+        super().__init__()
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+        return super().write(text)
+
+
 def count_forks(patch) -> list[int]:
     """Make ``os.fork``, through the monkeypatch ``patch``, record the pid of each
     child this process forks; returns the list it records them in."""

@@ -163,7 +163,8 @@ def assert_golden(trees: dict[str, dict[str, bytes]]) -> None:
     that ``GOLDEN`` records, and ``GOLDEN`` records no other file."""
     lines = GOLDEN.read_text(encoding="utf-8").splitlines()
     recorded = dict(line[2:].split(" ", 1) for line in lines if line.startswith("# "))
-    expected = {tuple(line.split()[:2]): line.split()[2] for line in lines if not line.startswith("#")}
+    rows = (line.split() for line in lines if not line.startswith("#"))
+    expected = {(source, name): digest for source, name, digest in rows}
     got = {
         (source, name): hashlib.sha256(data).hexdigest()
         for source, files in trees.items()

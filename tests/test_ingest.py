@@ -22,7 +22,7 @@ from artrank import (
 )
 from artrank import columns, ingest
 from artrank.ingest import _MAX_EPOCH, _MIN_EPOCH, CANONICAL_FIELDS, write_csv
-from helpers import T0, ev, log_of, parse_json_whole, sales
+from helpers import T0, WriteLog, ev, log_of, parse_json_whole, sales
 
 CSV_3ROWS = b"""seller,buyer,creator,price_eth,price_usd,timestamp,artwork_id
 alice,bob,alice,1.0,2300,2021-04-21T10:00:00Z,art1
@@ -905,23 +905,11 @@ def test_timestamp_text_of_every_day_in_leap_cycles():
 # ---------------------------------------------------------------------------
 
 
-class _WriteLog(io.StringIO):
-    """A text stream that records the text of each write."""
-
-    def __init__(self):
-        super().__init__()
-        self.writes = []
-
-    def write(self, text):
-        self.writes.append(text)
-        return super().write(text)
-
-
 def test_write_csv_writes_at_most_one_chunk_per_call():
     chunk = columns.CSV_CHUNK_ROWS
     rows = [(f"u{i:06d}", "1.50") for i in range(3 * chunk + 1)]
     rows[chunk + 7] = ("u,quoted", "1.50")
-    stream = _WriteLog()
+    stream = WriteLog()
     # the first row is the header; the other 3 chunks of rows are the columns
     write_csv(stream, rows[0], list(zip(*rows[1:])))
     expected = io.StringIO()
@@ -941,7 +929,7 @@ def test_write_events_csv_writes_at_most_one_chunk_per_call():
     payload = "seller,buyer,creator,price_eth,price_usd,timestamp,artwork_id\n" + "\n".join(lines)
     log, rejects = parse_events(payload.encode(), "csv")
     assert (log.accepted_count, rejects) == (3 * chunk + 1, [])
-    stream = _WriteLog()
+    stream = WriteLog()
     write_events_csv(log, stream)
     expected = io.StringIO()
     writer = csv.writer(expected, lineterminator="\n")

@@ -109,7 +109,8 @@ def test_only_the_artifact_writer_touches_the_file_system(path):
 
 
 @pytest.mark.parametrize("path", modules_but(PROCESS_OWNER), ids=lambda path: path.name)
-def test_only_children_forks_pipes_and_reaps(path):
+def test_only_ingest_forks_pipes_and_reaps(path):
+    """The fork rule; its owner is ``PROCESS_OWNER``, which the test name predates."""
     calls = process_calls(ast.parse(path.read_text(encoding="utf-8")))
     assert not calls, f"{path.name} {calls}; fork children through {PROCESS_OWNER}'s Child"
 

@@ -40,7 +40,7 @@ from artrank import (
     report,
 )
 from artrank.ingest import IdColumn, id_order, write_csv
-from helpers import market_csv
+from helpers import WriteLog, market_csv
 
 # ---------------------------------------------------------------------------
 # Row-by-row references
@@ -271,17 +271,6 @@ class DiscardText:
     """A text stream that keeps nothing written to it."""
 
     def write(self, text: str) -> int:
-        return len(text)
-
-
-class WriteLog:
-    """A text stream that keeps each text written to it apart."""
-
-    def __init__(self) -> None:
-        self.writes: list[str] = []
-
-    def write(self, text: str) -> int:
-        self.writes.append(text)
         return len(text)
 
 
