@@ -16,7 +16,8 @@ across runs for a fixed input and configuration.
 
 Configuration precedence: built-in defaults, then an INI config file
 (``--config``), then ``ARTRANK_<SECTION>_<KEY>`` environment variables,
-then command-line flags. Example config::
+then command-line flags. One ``RunConfig`` field declares each setting: its
+INI key, which names its environment variable, and its flag. Example config::
 
     [input]
     path = sales.csv
@@ -53,7 +54,7 @@ import math
 import os
 import sys
 from collections.abc import Callable, Iterable, Iterator, Sequence
-from dataclasses import dataclass, field
+from dataclasses import Field, dataclass, field, fields
 from functools import cached_property
 from pathlib import Path
 
@@ -119,21 +120,100 @@ _PROFILE_CHUNK_ROWS = 1 << 12
 _ROLE_NAMES = np.array([role.value for role in profiling.ROLES])
 
 
+# ---------------------------------------------------------------------------
+# Configuration
+# ---------------------------------------------------------------------------
+
+def _parse_bool(raw: str) -> bool:
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[raw.strip().lower()]
+    except KeyError:
+        raise ValueError(f"not a boolean: {raw!r}") from None
+
+
+def _parse_map(raw: str | list[str]) -> dict[str, str]:
+    """A field map from its ``src=dst`` items: the texts of a repeated flag, or
+    one text that separates them by commas."""
+    mapping: dict[str, str] = {}
+    for item in raw.split(",") if isinstance(raw, str) else raw:
+        item = item.strip()
+        if not item:
+            continue
+        src, sep, dst = item.partition("=")
+        if not sep or not src or not dst:
+            raise ValueError(f"field map entries must look like src=dst, got {item!r}")
+        mapping[src.strip()] = dst.strip()
+    return mapping
+
+
+def _setting(default, key: str, flag: str | None, stage: str | None, parse=str, **option):
+    """A ``RunConfig`` field that declares one setting.
+
+    ``key`` is its INI ``section.key``, which also names its
+    ``ARTRANK_<SECTION>_<KEY>`` variable; ``parse`` reads that text, and the
+    texts of a repeated flag. ``flag`` is its command-line option, or None for
+    a positional argument named after the field; ``stage``'s subcommand and
+    ``run`` take it, every command when ``stage`` is None. ``option`` holds the
+    argparse keywords; the type is ``parse`` unless an action is given, and
+    ``{default}`` in the help is the field's default.
+    """
+    metadata = {"key": key, "flag": flag, "stage": stage, "parse": parse, "option": option}
+    if isinstance(default, dict):  # a mutable default is made anew for each config
+        return field(default_factory=dict, metadata=metadata)
+    return field(default=default, metadata=metadata)
+
+
 @dataclass
 class RunConfig:
     """Resolved pipeline settings; see the module docstring for sources."""
 
-    input_path: Path | None = None
-    input_format: str = "csv"
-    field_map: dict[str, str] = field(default_factory=dict)
-    rates_path: Path | None = None
-    out_dir: Path = Path("artrank-out")
-    tolerance: float = centrality.DEFAULT_TOLERANCE
-    max_iterations: int = centrality.DEFAULT_MAX_ITERATIONS
-    role_percentile: float = 0.95
-    tie_rank: str = profiling.TIE_RANK_MAX
-    unweighted_multiplicity: bool = False
-    sort_by: str = "authority"
+    input_path: Path | None = _setting(
+        None, "input.path", None, "ingest", Path, nargs="?", metavar="INPUT",
+        help="raw sale log (may instead come from config or environment)",
+    )
+    input_format: str = _setting(
+        "csv", "input.format", "--format", "ingest", choices=("csv", "json"),
+        help="input format (default {default})",
+    )
+    field_map: dict[str, str] = _setting(
+        {}, "input.map", "--map", "ingest", _parse_map,
+        action="append", metavar="SRC=DST",
+        help="rename a source column to a canonical field (repeatable)",
+    )
+    rates_path: Path | None = _setting(
+        None, "input.rates", "--rates", "ingest", Path, metavar="FILE",
+        help="date,usd_per_eth CSV for ETH-to-USD conversion",
+    )
+    tolerance: float = _setting(
+        centrality.DEFAULT_TOLERANCE, "hits.tolerance", "--tolerance", "rank", float,
+        help="L1 convergence threshold (default {default})",
+    )
+    max_iterations: int = _setting(
+        centrality.DEFAULT_MAX_ITERATIONS, "hits.max_iterations", "--max-iterations", "rank",
+        int, help="power-iteration cap (default {default})",
+    )
+    role_percentile: float = _setting(
+        0.95, "profiling.role_percentile", "--role-percentile", "profile", float,
+        help="quadrant threshold for role labels (default {default})",
+    )
+    tie_rank: str = _setting(
+        profiling.TIE_RANK_MAX, "profiling.tie_rank", "--tie-rank", "profile",
+        choices=(profiling.TIE_RANK_MAX, profiling.TIE_RANK_MIN),
+        help="percentile convention for tied scores (default {default})",
+    )
+    unweighted_multiplicity: bool = _setting(
+        False, "graph.unweighted_multiplicity", "--unweighted-multiplicity", "rank",
+        _parse_bool, action="store_true",
+        help="use sale counts instead of 0/1 for the unweighted view",
+    )
+    out_dir: Path = _setting(
+        Path("artrank-out"), "output.directory", "--out", None, Path, metavar="DIR",
+        help="output directory",
+    )
+    sort_by: str = _setting(
+        "authority", "rankings.sort_by", "--sort-by", "rank", choices=SORT_KEYS,
+        help="rankings sort key (default {default})",
+    )
 
     def hits_config(self) -> centrality.HitsConfig:
         return centrality.HitsConfig(
@@ -164,93 +244,39 @@ class RunConfig:
         self.hits_config()  # raises on bad tolerance / max_iterations
 
 
-# ---------------------------------------------------------------------------
-# Configuration resolution
-# ---------------------------------------------------------------------------
-
-def _parse_bool(raw: str) -> bool:
-    try:
-        return configparser.ConfigParser.BOOLEAN_STATES[raw.strip().lower()]
-    except KeyError:
-        raise ValueError(f"not a boolean: {raw!r}") from None
-
-
-def _parse_map_string(raw: str) -> dict[str, str]:
-    return _parse_map_items(raw.split(","))
-
-
-# (section, key) -> (attribute, parser)
-_CONFIG_KEYS = {
-    ("input", "path"): ("input_path", Path),
-    ("input", "format"): ("input_format", str),
-    ("input", "map"): ("field_map", _parse_map_string),
-    ("input", "rates"): ("rates_path", Path),
-    ("hits", "tolerance"): ("tolerance", float),
-    ("hits", "max_iterations"): ("max_iterations", int),
-    ("profiling", "role_percentile"): ("role_percentile", float),
-    ("profiling", "tie_rank"): ("tie_rank", str),
-    ("graph", "unweighted_multiplicity"): ("unweighted_multiplicity", _parse_bool),
-    ("output", "directory"): ("out_dir", Path),
-    ("rankings", "sort_by"): ("sort_by", str),
-}
-
-
-def _parse_map_items(items) -> dict[str, str]:
-    mapping: dict[str, str] = {}
-    for item in items:
-        item = item.strip()
-        if not item:
-            continue
-        src, sep, dst = item.partition("=")
-        if not sep or not src or not dst:
-            raise ValueError(f"field map entries must look like src=dst, got {item!r}")
-        mapping[src.strip()] = dst.strip()
-    return mapping
-
-
-def _apply_ini(cfg: RunConfig, path: Path) -> None:
-    parser = configparser.ConfigParser()
-    read = parser.read(path)
-    if not read:
-        raise ValueError(f"cannot read config file: {path}")
-    _apply_text(cfg, lambda s, k: (f"config [{s}] {k}", parser.get(s, k, fallback=None)))
+# (section, key) -> the RunConfig field it sets
+_CONFIG_KEYS = {tuple(f.metadata["key"].split(".")): f for f in fields(RunConfig)}
 
 
 def _env_name(section: str, key: str) -> str:
     return f"{ENV_PREFIX}_{section}_{key}".upper()
 
 
-def _apply_env(cfg: RunConfig, environ=os.environ) -> None:
-    _apply_text(cfg, lambda s, k: (f"environment {_env_name(s, k)}", environ.get(_env_name(s, k))))
-
-
-def _apply_text(cfg: RunConfig, lookup) -> None:
-    """Set each config attribute whose text ``lookup(section, key)`` finds; it
-    returns where the text came from, for errors, and the text or None."""
-    for (section, key), (attr, convert) in _CONFIG_KEYS.items():
-        where, raw = lookup(section, key)
-        if raw is not None:
-            try:
-                setattr(cfg, attr, convert(raw))
-            except ValueError as exc:
-                raise ValueError(f"{where}: {exc}") from None
-
-
-def _apply_args(cfg: RunConfig, args: argparse.Namespace) -> None:
-    # each flag's dest is the attribute it sets; a flag left out is None
-    for attr, _ in _CONFIG_KEYS.values():
-        value = getattr(args, attr, None)
-        if value is not None:
-            setattr(cfg, attr, _parse_map_items(value) if attr == "field_map" else value)
-
-
 def _resolve_config(args: argparse.Namespace) -> RunConfig:
+    """Each setting from its default, then its INI key, then its environment
+    variable, then its flag; an error in a text names where the text came from."""
+    ini = configparser.ConfigParser()
+    if args.config is not None and not ini.read(args.config):
+        raise ValueError(f"cannot read config file: {Path(args.config)}")
     cfg = RunConfig()
-    config_path = getattr(args, "config", None)
-    if config_path is not None:
-        _apply_ini(cfg, Path(config_path))
-    _apply_env(cfg)
-    _apply_args(cfg, args)
+    for (section, key), setting in _CONFIG_KEYS.items():
+        env = _env_name(section, key)
+        for where, raw in (
+            (f"config [{section}] {key}", ini.get(section, key, fallback=None)),
+            (f"environment {env}", os.environ.get(env)),
+        ):
+            if raw is not None:
+                try:
+                    setattr(cfg, setting.name, setting.metadata["parse"](raw))
+                except ValueError as exc:
+                    raise ValueError(f"{where}: {exc}") from None
+        # each flag's dest is the field it sets; a flag left out is None, and a
+        # repeated flag gives a list of texts, which the setting's parser reads
+        value = getattr(args, setting.name, None)
+        if isinstance(value, list):
+            value = setting.metadata["parse"](value)
+        if value is not None:
+            setattr(cfg, setting.name, value)
     return cfg
 
 
@@ -549,24 +575,23 @@ class Stage:
     name: str
     help: str
     reads: tuple[str, ...]  # artifact arguments, keys of _ARTIFACT_ARGS
-    options: tuple[str, ...]  # option groups, keys of _option_groups()
     fn: Callable[[_Inputs, ArtifactWriter], str]  # writes its artifacts, returns a message
 
 
 # in pipeline order; `run` executes every stage, a subcommand its own
 STAGES = (
     Stage("ingest", "validate a raw log into the canonical event CSV",
-          reads=(), options=("input",), fn=_ingest),
+          reads=(), fn=_ingest),
     Stage("rank", "build the network and write rankings and edge list",
-          reads=("events",), options=("ranking",), fn=_rank),
+          reads=("events",), fn=_rank),
     Stage("concentration", "Lorenz curves and Gini indexes for seller and buyer volumes",
-          reads=("events",), options=(), fn=_concentration),
+          reads=("events",), fn=_concentration),
     Stage("correlate", "Kendall correlation matrix over the 8 metrics",
-          reads=("rankings",), options=(), fn=_correlate),
+          reads=("rankings",), fn=_correlate),
     Stage("profile", "role labels, level codes, and normalized vectors per user",
-          reads=("rankings",), options=("roles", "query"), fn=_profile),
+          reads=("rankings",), fn=_profile),
     Stage("report", "summary statistics and figure data tables",
-          reads=("events", "rankings"), options=(), fn=_report),
+          reads=("events", "rankings"), fn=_report),
 )
 
 RUN = "run"
@@ -576,7 +601,7 @@ def _execute(args: argparse.Namespace) -> int:
     """Run the stages ``args.command`` selects; ``run`` also writes the manifest."""
     stages = [s for s in STAGES if args.command in (RUN, s.name)]
     cfg = _resolve_config(args)
-    cfg.validate(need_input=any("input" in s.options for s in stages))
+    cfg.validate(need_input=any(s.fn is _ingest for s in stages))
     with ArtifactWriter(cfg.out_dir) as writer:
         inputs = _Inputs(cfg, args)
         messages = []
@@ -604,98 +629,17 @@ _ARTIFACT_ARGS = {
 }
 
 
-def _option_groups() -> dict[str, argparse.ArgumentParser]:
-    groups = {
-        name: argparse.ArgumentParser(add_help=False)
-        for name in ("common", "input", "ranking", "roles", "query")
-    }
-    common = groups["common"]
-    common.add_argument("--config", metavar="FILE", help="INI config file")
-    common.add_argument(
-        "--out", dest="out_dir", type=Path, metavar="DIR", help="output directory"
-    )
-
-    raw_input = groups["input"]
-    raw_input.add_argument(
-        "input_path",
-        type=Path,
-        nargs="?",
-        metavar="INPUT",
-        help="raw sale log (may instead come from config or environment)",
-    )
-    raw_input.add_argument(
-        "--format",
-        dest="input_format",
-        choices=("csv", "json"),
-        help="input format (default csv)",
-    )
-    raw_input.add_argument(
-        "--map",
-        dest="field_map",
-        action="append",
-        metavar="SRC=DST",
-        help="rename a source column to a canonical field (repeatable)",
-    )
-    raw_input.add_argument(
-        "--rates",
-        dest="rates_path",
-        type=Path,
-        metavar="FILE",
-        help="date,usd_per_eth CSV for ETH-to-USD conversion",
-    )
-
-    ranking = groups["ranking"]
-    ranking.add_argument(
-        "--tolerance", type=float, help="L1 convergence threshold (default 1e-10)"
-    )
-    ranking.add_argument(
-        "--max-iterations",
-        dest="max_iterations",
-        type=int,
-        help="power-iteration cap (default 1000)",
-    )
-    ranking.add_argument(
-        "--unweighted-multiplicity",
-        dest="unweighted_multiplicity",
-        action="store_true",
-        default=None,
-        help="use sale counts instead of 0/1 for the unweighted view",
-    )
-    ranking.add_argument(
-        "--sort-by",
-        dest="sort_by",
-        choices=SORT_KEYS,
-        help="rankings sort key (default authority)",
-    )
-
-    roles = groups["roles"]
-    roles.add_argument(
-        "--role-percentile",
-        dest="role_percentile",
-        type=float,
-        help="quadrant threshold for role labels (default 0.95)",
-    )
-    roles.add_argument(
-        "--tie-rank",
-        dest="tie_rank",
-        choices=(profiling.TIE_RANK_MAX, profiling.TIE_RANK_MIN),
-        help="percentile convention for tied scores (default max)",
-    )
-
-    query = groups["query"]
-    query.add_argument(
-        "--match",
-        metavar="PATTERN",
-        help="also write users whose code matches, '*' wildcards (e.g. 'AC**')",
-    )
-    query.add_argument(
-        "--match-which",
-        dest="match_which",
-        choices=("artist", "collector", "full"),
-        default="artist",
-        help="which code the pattern applies to (default artist)",
-    )
-    return groups
+def _add_setting(parser: argparse.ArgumentParser, setting: Field) -> None:
+    """The flag of a ``RunConfig`` field, as its ``_setting`` declares it."""
+    option = dict(setting.metadata["option"])
+    if "action" not in option:
+        option["type"] = setting.metadata["parse"]
+    if "help" in option:
+        option["help"] = option["help"].format(default=setting.default)
+    flag = setting.metadata["flag"]
+    if flag is not None:
+        option["dest"] = setting.name
+    parser.add_argument(flag or setting.name, default=None, **option)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -712,23 +656,34 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--verbose", action="store_true", help="log at INFO level")
     sub = parser.add_subparsers(dest="command", required=True)
-    groups = _option_groups()
-    for stage in STAGES:
-        p = sub.add_parser(
-            stage.name,
-            parents=[groups[name] for name in ("common",) + stage.options],
-            help=stage.help,
-        )
-        for name in stage.reads:
-            metavar, help_text = _ARTIFACT_ARGS[name]
-            p.add_argument(name, metavar=metavar, help=help_text)
-    # the match query writes matches.csv, which is not a pipeline artifact
-    run_groups = dict.fromkeys(g for s in STAGES for g in s.options if g != "query")
-    sub.add_parser(
-        RUN,
-        parents=[groups[name] for name in ("common", *run_groups)],
-        help="full pipeline with a hashed artifact manifest",
-    )
+    # flags in pipeline order, those every command takes first
+    order = [None] + [stage.name for stage in STAGES]
+    settings = sorted(fields(RunConfig), key=lambda f: order.index(f.metadata["stage"]))
+    commands = [(s.name, s.help, s.reads) for s in STAGES]
+    commands.append((RUN, "full pipeline with a hashed artifact manifest", ()))
+    for name, help_text, reads in commands:
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--config", metavar="FILE", help="INI config file")
+        for setting in settings:
+            if setting.metadata["stage"] in (None, name) or name == RUN:
+                _add_setting(p, setting)
+        if name == "profile":
+            # the query writes matches.csv, which is not a pipeline artifact, so run has none
+            p.add_argument(
+                "--match",
+                metavar="PATTERN",
+                help="also write users whose code matches, '*' wildcards (e.g. 'AC**')",
+            )
+            p.add_argument(
+                "--match-which",
+                dest="match_which",
+                choices=("artist", "collector", "full"),
+                default="artist",
+                help="which code the pattern applies to (default artist)",
+            )
+        for read in reads:
+            metavar, read_help = _ARTIFACT_ARGS[read]
+            p.add_argument(read, metavar=metavar, help=read_help)
     return parser
 
 

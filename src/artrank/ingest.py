@@ -506,6 +506,11 @@ def parse_events(
     return records.log(source, total), records.rejects
 
 
+# ---------------------------------------------------------------------------
+# Currency conversion
+# ---------------------------------------------------------------------------
+
+
 def convert_currency(log: EventLog, rates: RateTable) -> EventLog:
     """Fill USD prices for ETH-only events using the rate of the UTC sale date.
 
@@ -558,6 +563,11 @@ def _unbounded(values: DecimalColumn) -> list[int]:
         wide |= (np.abs(values.coef) >= 10**_MAX_DIGITS).astype(bool)
     return np.flatnonzero(wide).tolist()
 
+
+
+# ---------------------------------------------------------------------------
+# CSV writing
+# ---------------------------------------------------------------------------
 
 
 def write_events_csv(log: EventLog, stream) -> None:
@@ -669,7 +679,7 @@ def _timestamp_text(epoch: np.ndarray) -> list[str]:
 
 
 # ---------------------------------------------------------------------------
-# Record readers
+# Text decoding
 # ---------------------------------------------------------------------------
 
 
@@ -920,6 +930,11 @@ def _merge(child: Child, records: _Records, rows_before: int) -> int:
         raise _JsonLineError(row + rows_before, detail) from None
 
 
+# ---------------------------------------------------------------------------
+# Record readers and the validating loop
+# ---------------------------------------------------------------------------
+
+
 def _csv_cells(text: TextIO, remap: Mapping[str, str]) -> Iterator[tuple]:
     """The seven canonical cells of each CSV record, in ``CANONICAL_FIELDS`` order.
 
@@ -981,12 +996,10 @@ def _json_records(text: TextIO) -> Iterable[object]:
     if not line.lstrip().startswith("["):
         return _ndjson_records(chain((line,), lines))
     whole = head + text.read()
-    try:
+    try:  # past whitespace the text opens with "[", so it decodes to a list or not at all
         records = _json_loads(whole)
     except (json.JSONDecodeError, RecursionError) as exc:  # the latter: nesting too deep
         raise ValueError(f"invalid JSON input: {exc}") from None
-    if not isinstance(records, list):
-        raise ValueError("JSON input must be an array of objects")
     if "\\" in whole:
         for record in records:
             _mark_surrogates(record)

@@ -2,6 +2,7 @@
 
 import argparse
 import csv
+import dataclasses
 import hashlib
 import json
 import os
@@ -381,6 +382,23 @@ def test_ndjson_id_with_a_lone_surrogate_is_one_reject(tmp_path):
     ]
 
 
+def test_json_array_id_with_a_lone_surrogate_is_the_ndjson_reject(tmp_path):
+    records = [
+        '{"seller": "a\\ud800", "buyer": "b", "creator": "a\\ud800", "price_usd": 1, "timestamp": 1}',
+        '{"seller": "c", "buyer": "b", "creator": "c", "price_usd": 2, "timestamp": 2}',
+    ]
+    events = []
+    layouts = {"lines.json": "\n".join(records), "array.json": f"[{','.join(records)}]"}
+    for name, text in layouts.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+        out = tmp_path / f"out-{name}"
+        assert run_cli("ingest", tmp_path / name, "--format", "json", "--out", out) == 0
+        report = json.loads((out / "ingest_report.json").read_text(encoding="utf-8"))
+        assert report["rejects"] == [{"row": 1, "reason": "lone surrogate in field: seller"}]
+        events.append((out / "events.csv").read_bytes())
+    assert events[0] == events[1]
+
+
 @pytest.mark.parametrize("package", ["scipy", "multiprocessing", "concurrent"])
 def test_cli_import_loads_no_scipy(package):
     # numpy is the only runtime dependency; scipy would add about 0.25 s per
@@ -421,6 +439,16 @@ def test_lock_error_quotes_owner_of_existing_lock(fixture_dir, capsys):
     assert "locked by another run (pid=4242, host=otherbox, started=2026-01-02T03:04:05Z)" in err
     assert "if that process is gone, remove the file" in err
     assert (out / ".lock").read_text(encoding="utf-8") == owner  # left to its owner
+    assert not (out / "events.csv").exists()
+
+
+def test_a_lock_that_cannot_be_read_names_no_owner(fixture_dir, capsys):
+    out = fixture_dir / "out"
+    (out / ".lock").mkdir(parents=True)
+    assert run_cli("run", fixture_dir / "sales.csv", "--out", out) == 1
+    err = capsys.readouterr().err
+    assert f"locked by another run (owner not recorded): {out / '.lock'}" in err
+    assert (out / ".lock").is_dir()
     assert not (out / "events.csv").exists()
 
 
@@ -536,6 +564,85 @@ def resolved(argv, config_text=None, tmp_path=None) -> cli.RunConfig:
         config.write_text(config_text, encoding="utf-8")
         argv = [*argv, "--config", str(config)]
     return cli._resolve_config(cli._build_parser().parse_args(argv))
+
+
+# each subcommand's artifact arguments
+COMMAND_ARGS = {
+    "ingest": [], "rank": ["e.csv"], "concentration": ["e.csv"], "correlate": ["r.csv"],
+    "profile": ["r.csv"], "report": ["e.csv", "r.csv"], "run": [],
+}
+# per RunConfig field: its INI section and key, its flag (None: the positional INPUT),
+# the commands that take the flag, and three texts for the INI file, the environment
+# and the flag, each with the value it resolves to; the flag's is not the default
+SETTINGS = {
+    "input_path": ("input", "path", None, ("ingest", "run"),
+                   [("i.csv", Path("i.csv")), ("e.csv", Path("e.csv")), ("f.csv", Path("f.csv"))]),
+    "input_format": ("input", "format", "--format", ("ingest", "run"),
+                     [("xml", "xml"), ("yaml", "yaml"), ("json", "json")]),
+    "field_map": ("input", "map", "--map", ("ingest", "run"),
+                  [("a=seller", {"a": "seller"}), ("b=buyer", {"b": "buyer"}),
+                   ("c=creator", {"c": "creator"})]),
+    "rates_path": ("input", "rates", "--rates", ("ingest", "run"),
+                   [("i.csv", Path("i.csv")), ("e.csv", Path("e.csv")), ("f.csv", Path("f.csv"))]),
+    "tolerance": ("hits", "tolerance", "--tolerance", ("rank", "run"),
+                  [("1e-3", 1e-3), ("1e-4", 1e-4), ("1e-5", 1e-5)]),
+    "max_iterations": ("hits", "max_iterations", "--max-iterations", ("rank", "run"),
+                       [("7", 7), ("9", 9), ("11", 11)]),
+    "role_percentile": ("profiling", "role_percentile", "--role-percentile", ("profile", "run"),
+                        [("0.5", 0.5), ("0.6", 0.6), ("0.7", 0.7)]),
+    "tie_rank": ("profiling", "tie_rank", "--tie-rank", ("profile", "run"),
+                 [("mean", "mean"), ("dense", "dense"), ("min", "min")]),
+    # a store_true flag: its text is not passed, and the environment's value must
+    # differ from the other two for the precedence to show
+    "unweighted_multiplicity": ("graph", "unweighted_multiplicity", "--unweighted-multiplicity",
+                                ("rank", "run"), [("on", True), ("off", False), ("true", True)]),
+    "out_dir": ("output", "directory", "--out", tuple(COMMAND_ARGS),
+                [("i", Path("i")), ("e", Path("e")), ("f", Path("f"))]),
+    "sort_by": ("rankings", "sort_by", "--sort-by", ("rank", "run"),
+                [("hub", "hub"), ("w_hub", "w_hub"), ("user", "user")]),
+}
+
+
+def setting_sources(monkeypatch, tmp_path, setting, command, ini=None, env=None, flag=None):
+    """The config ``command`` resolves to with the setting's INI key, environment
+    variable and flag each set to its text, where one is given."""
+    section, key, option, _, values = SETTINGS[setting.name]
+    argv = [command, *COMMAND_ARGS[command]]
+    if flag is not None:
+        if option is None:
+            argv.append(flag)
+        elif isinstance(values[2][1], bool):  # a switch
+            argv.append(option)
+        else:
+            argv += [option, flag]
+    if env is not None:
+        monkeypatch.setenv(f"ARTRANK_{section}_{key}".upper(), env)
+    text = None if ini is None else f"[{section}]\n{key} = {ini}\n"
+    return resolved(argv, text, tmp_path)
+
+
+@pytest.mark.parametrize("setting", dataclasses.fields(cli.RunConfig), ids=lambda f: f.name)
+def test_every_setting_resolves_from_each_source(monkeypatch, tmp_path, setting):
+    *_, commands, values = SETTINGS[setting.name]
+    text, value = values[2]
+    expected = dataclasses.replace(cli.RunConfig(), **{setting.name: value})
+    assert expected != cli.RunConfig()
+    for source in ("ini", "env"):
+        with monkeypatch.context() as patch:
+            got = setting_sources(patch, tmp_path, setting, "run", **{source: text})
+        assert got == expected, source
+    for command in commands:
+        assert setting_sources(monkeypatch, tmp_path, setting, command, flag=text) == expected
+
+
+@pytest.mark.parametrize("setting", dataclasses.fields(cli.RunConfig), ids=lambda f: f.name)
+def test_every_setting_takes_the_flag_then_the_environment(monkeypatch, tmp_path, setting):
+    *_, commands, [(ini, _), (env, env_value), (flag, flag_value)] = SETTINGS[setting.name]
+    for command in commands:
+        both = setting_sources(monkeypatch, tmp_path, setting, command, ini=ini, env=env)
+        assert getattr(both, setting.name) == env_value
+        every = setting_sources(monkeypatch, tmp_path, setting, command, ini, env, flag)
+        assert getattr(every, setting.name) == flag_value
 
 
 @pytest.mark.parametrize(
@@ -890,6 +997,12 @@ def test_rankings_read_by_header_name(fixture_dir):
         load([row[:hub] + row[hub + 1 :] for row in rows])
     with pytest.raises(ValueError, match="rankings file line 3 is missing columns"):
         load([rows[0], rows[1], rows[2][:hub]])
+    # a blank row is skipped, and the line numbers count it
+    spaced = load([rows[0], [], *rows[1:], []])
+    assert spaced.users == expected.users
+    assert spaced.values.tobytes() == expected.values.tobytes()
+    with pytest.raises(ValueError, match="rankings file line 3 is missing columns"):
+        load([rows[0], [], rows[1][:hub]])
 
 
 def write_log(path: Path, *rows: str) -> Path:

@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import re
 import sys
 from dataclasses import replace
 from datetime import date, datetime, timezone
@@ -306,6 +307,22 @@ def test_rate_table_rejects_bad_rows():
         RateTable.from_csv(b"date,usd_per_eth\n2021-01-01,10\n2021-01-01,11\n")
     with pytest.raises(ValueError, match="non-positive"):
         RateTable.from_csv(b"date,usd_per_eth\n2021-01-01,0\n")
+
+
+@pytest.mark.parametrize(
+    "row, error",
+    [
+        ("2021-13-01,10", "rate table line 4: month must be in 1..12"),
+        ("2021-01-02,ten", "rate table line 4: "),
+        ("2021-01-02", "rate table line 4: list index out of range"),
+    ],
+)
+def test_rate_table_skips_blank_rows_and_names_a_bad_line(row, error):
+    # lines 2 and 3 are blank, the second of empty cells
+    rates = RateTable.from_csv(b"date,usd_per_eth\n\n,\n2021-01-01,10\n\n")
+    assert rates.rates == {date(2021, 1, 1): Decimal(10)}
+    with pytest.raises(ValueError, match=f"^{re.escape(error)}"):
+        RateTable.from_csv(f"date,usd_per_eth\n\n,\n{row}\n".encode())
 
 
 @pytest.mark.parametrize("rate", ["Infinity", "-Infinity", "NaN", "sNaN"])

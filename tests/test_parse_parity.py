@@ -15,7 +15,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from artrank import (
@@ -29,7 +29,7 @@ from artrank import (
 )
 from artrank.ingest import _MAX_EPOCH, _MIN_EPOCH, DecimalColumn, IdColumn, write_csv
 
-from helpers import edge_totals, sales
+from helpers import WriteLog, edge_totals, sales
 
 HEADER = b"seller,buyer,creator,price_usd,timestamp\n"
 
@@ -423,6 +423,12 @@ _typed_rows = st.lists(
 
 @settings(max_examples=100, deadline=None)
 @given(_typed_rows)
+# only the middle one of three chunks holds a delimiter
+@example(
+    [(0.5, 1, None, 0, "x", 0)] * 3
+    + [(0.5, 1, None, 0, "x,y", 0)]
+    + [(0.5, 1, None, 0, None, 0)] * 3
+)
 def test_typed_columns_written_as_the_csv_module_writes_their_text(rows):
     floats, ints, decimals, epochs, cells, codes = zip(*rows) if rows else ((),) * 6
     columns = (
@@ -434,16 +440,27 @@ def test_typed_columns_written_as_the_csv_module_writes_their_text(rows):
         IdColumn(_IDS, np.array(codes, dtype=np.int64)),
     )
     epoch = datetime(1970, 1, 1, tzinfo=timezone.utc)
-    expected = io.StringIO()
-    writer = csv.writer(expected, lineterminator="\n")
-    writer.writerow("abcdef")
+    lines = []
     for f, i, d, e, cell, code in rows:
         when = (epoch + timedelta(seconds=e)).isoformat()
-        writer.writerow([repr(f), repr(i), "" if d is None else str(d), when, cell, _IDS[code]])
-    got = io.StringIO()
+        line = io.StringIO()
+        csv.writer(line, lineterminator="\n").writerow(
+            [repr(f), repr(i), "" if d is None else str(d), when, cell, _IDS[code]]
+        )
+        lines.append(line.getvalue())
+    # a chunk of 3 rows is one write, or one write a row when the csv writer takes
+    # it, because one of its text cells holds a delimiter, quote or line break
+    expected = ["a,b,c,d,e,f\n"]
+    for start in range(0, len(rows), 3):
+        chunk = rows[start : start + 3]
+        if any(c in (cell or "") + _IDS[code] for *_, cell, code in chunk for c in ',"\r\n'):
+            expected += lines[start : start + 3]
+        else:
+            expected.append("".join(lines[start : start + 3]))
+    got = WriteLog()
     with mock.patch("artrank.columns.CSV_CHUNK_ROWS", 3):
         write_csv(got, "abcdef", columns)
-    assert got.getvalue() == expected.getvalue()
+    assert got.writes == expected
 
 
 def test_columns_of_unequal_length_are_refused():

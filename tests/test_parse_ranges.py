@@ -304,6 +304,31 @@ def test_invalid_utf8_in_a_later_range_raises_the_one_range_error(tmp_path):
     assert re.sub(r"position \d+", "", two[1]) == re.sub(r"position \d+", "", one[1])
 
 
+def test_a_header_that_is_not_utf8_raises_the_one_range_error(tmp_path):
+    lines = _sales(200)
+    lines[0] = lines[0].replace("buyer", "buyer\udcff")
+    path = tmp_path / "sales.csv"
+    path.write_bytes(("\n".join(lines) + "\n").encode("utf-8", "surrogateescape"))
+    one = parse_or_error(path, "csv", 1)
+    assert one[0] == "error"
+    assert one[1].startswith("input is not valid UTF-8: 'utf-8' codec can't decode byte 0xff")
+    assert parse_or_error(path, "csv", 4) == one
+
+
+def test_a_last_line_without_a_line_end_across_a_cut_is_not_split(tmp_path):
+    # the last line holds the later cuts, which find no line end after them
+    lines = _sales(100)
+    lines[-1] += "x" * 2 * len("\n".join(lines))
+    path = tmp_path / "sales.csv"
+    path.write_text("\n".join(lines))
+    (one, one_rejects), _ = parse_in_ranges(path, "csv", 1)
+    (four, four_rejects), forks = parse_in_ranges(path, "csv", 4)
+    assert_no_child_left()
+    assert forks == 1
+    assert (log_parts(four), four_rejects) == (log_parts(one), one_rejects)
+    assert four.artwork[-1].endswith("x")
+
+
 def test_invalid_json_in_a_later_range_keeps_its_record_number(tmp_path):
     lines = _sales(200, "json")
     lines[40:40] = ["", "  "]  # blank lines take no record number
