@@ -12,17 +12,13 @@ eigenvector of A^T A and the hub limit that of A A^T.
 
 Row sums inside the iteration accumulate their summands in ascending value
 order, so results are bitwise invariant under node relabeling and under
-permutations of the input events. Each row sum is a sequence of floating-point
-additions, and any ordering that sorts a row's products ascending presents the
-same values in the same sequence: entries that compare equal are the same
-float (or zeros of either sign, which add alike onto a +0.0 accumulator), so
-swapping them cannot change a bit. The kernel therefore keeps each row's order
-from the previous half step and re-sorts only the rows whose products moved
-out of order; the sums equal those of a full sort on every call.
-
-The kernel sums the adjacency matrix as (row, column, value) triplets
-expanded from its CSR arrays, and the transpose for the authority half step
-as the same triplets stably sorted by column, so it needs numpy only.
+permutations of the input events. The kernel stores the (row, column, value)
+triplets of the adjacency matrix, and of its transpose for the authority half
+step, with the rows grouped by length: each block of rows of one length L is
+an array of L-wide lines, and a call sorts every line in place before one
+``np.bincount`` adds them. Values that compare equal are the same float (or
+zeros of either sign, which add alike onto a +0.0 accumulator), so any
+ascending order gives the same bits. It needs numpy only.
 """
 
 from __future__ import annotations
@@ -105,6 +101,8 @@ def hits(view: AdjacencyView, cfg: HitsConfig | None = None) -> HitsScores:
         raise ValueError("adjacency weights must be finite")
     if data.size and data.min() < 0:
         raise ValueError("adjacency weights must be non-negative")
+    if matrix.indices.size and not 0 <= matrix.indices.min() <= matrix.indices.max() < n:
+        raise ValueError("adjacency column index out of range")
     rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(matrix.indptr))
     if np.any((rows == matrix.indices) & (data != 0)):
         raise ValueError("adjacency diagonal must be zero")
@@ -124,9 +122,8 @@ def hits(view: AdjacencyView, cfg: HitsConfig | None = None) -> HitsScores:
     scaled = data.astype(np.float64)
     scaled /= scaled.max()
     forward = _RowSums(n, rows, matrix.indices, scaled)  # y = A x
-    # A^T: entries grouped by column, each column's rows kept ascending
-    by_col = np.argsort(matrix.indices, kind="stable")
-    backward = _RowSums(n, matrix.indices[by_col], rows[by_col], scaled[by_col])  # x = A^T y
+    del rows, scaled  # forward holds its own copy, from which backward takes its own
+    backward = _RowSums(n, forward.cols, forward.rows, forward.data)  # x = A^T y
 
     x = np.full(n, 1.0 / math.sqrt(n))
     y = x.copy()
@@ -178,39 +175,40 @@ def trader_score(scores: HitsScores) -> np.ndarray:
 
 
 class _RowSums:
-    """Sparse matrix-vector product with value-ordered accumulation per row.
+    """Sparse matrix-vector product that sums each row's products in ascending order.
 
     The matrix has ``n`` rows and holds ``data[k]`` at (``rows[k]``,
-    ``cols[k]``), with ``rows`` non-decreasing. ``order`` permutes the
-    entries within each row's segment so that each row lists the previous
-    call's products in ascending order. A call re-sorts only the rows where
-    a new product precedes a smaller one, starting from ``arange(nnz)`` on
-    the first call, then sums every row in that order. ``np.bincount`` adds
-    its weights one at a time in index order, and any ascending order of a
-    row presents the same sequence of values, so each result is bitwise the
-    sum after a full sort of the row. The sortedness test needs products
-    that compare, which ``hits`` ensures by refusing non-finite weights.
+    ``cols[k]``), in any entry order. The constructor stores the entries
+    once, grouped by row and the rows grouped by length, so that the rows of
+    length L fill one block of L-wide lines. A call forms the products,
+    sorts each line of every block with L >= 3 in place, and adds them with
+    one ``np.bincount``, which adds its weights one at a time in index order
+    onto +0.0. Each result is thus bitwise the sum of the row after a full
+    ascending sort; a row of one or two products needs none, since
+    ``0 + a + b`` and ``0 + b + a`` are the same float.
     """
 
     def __init__(self, n: int, rows: np.ndarray, cols: np.ndarray, data: np.ndarray):
+        lengths = np.bincount(rows, minlength=n)
+        # rows kept whole, in order of length; the order within a row is free
+        layout = np.argsort(lengths[rows] * n + rows)
         self.n = n
-        self.rows = rows
-        self.cols = cols
-        self.data = data
-        self.order = np.arange(len(data))
-        # neighbouring positions in one row; a row boundary is never a descent
-        self.same_row = self.rows[1:] == self.rows[:-1]
+        self.rows = rows[layout]
+        self.cols = cols[layout]
+        self.data = data[layout]
+        # the (start, end, length) of each block of rows with 3 or more entries
+        counts = np.bincount(lengths)
+        sizes = (counts * np.arange(len(counts))).tolist()
+        ends = np.cumsum(sizes).tolist()
+        self.blocks = [
+            (ends[k] - sizes[k], ends[k], k) for k in np.flatnonzero(counts).tolist() if k >= 3
+        ]
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        order = self.order
-        prod = (self.data * x[self.cols])[order]
-        descents = (prod[1:] < prod[:-1]) & self.same_row
-        stale = np.zeros(self.n, dtype=bool)
-        stale[self.rows[1:][descents]] = True
-        pos = np.flatnonzero(stale[self.rows])
-        resorted = pos[np.lexsort((prod[pos], self.rows[pos]))]
-        order[pos] = order[resorted]
-        prod[pos] = prod[resorted]
+        prod = x[self.cols]
+        prod *= self.data
+        for start, end, length in self.blocks:
+            prod[start:end].reshape(-1, length).sort(axis=1)
         return np.bincount(self.rows, weights=prod, minlength=self.n)
 
 

@@ -1,8 +1,11 @@
 """Batch pipeline: raw sale log in, ranked network analytics out.
 
 One table, ``STAGES``, defines the pipeline: ``ingest``, ``rank``,
-``concentration``, ``correlate``, ``profile`` and ``report``. Each stage is
-also a subcommand, and the all-in-one ``run`` executes them all in order.
+``profile``, ``concentration``, ``correlate`` and ``report``. Each stage is
+also a subcommand, and the all-in-one ``run`` executes them all in that
+order. ``profile`` needs only ``rank``'s table, and it comes right after it
+because ``profiles.jsonl`` is ``run``'s costliest write: its background
+writer then overlaps three stages, not one.
 Every artifact is a plain CSV/JSON file, so stages can be re-run
 independently from each other's outputs. Every command writes through one
 ``artifacts.ArtifactWriter``, which owns the output directory; only ``run``
@@ -252,17 +255,40 @@ def _env_name(section: str, key: str) -> str:
     return f"{ENV_PREFIX}_{section}_{key}".upper()
 
 
+def _read_ini(path: str) -> dict[tuple[str, str], str]:
+    """The text of each key of a UTF-8 INI file by (section, key); a file that
+    cannot be read, decoded or parsed, or a key that no setting declares, is an error."""
+    ini = configparser.ConfigParser()
+    texts = {}
+    where = f"config file {path}"
+    try:
+        if not ini.read(path, encoding="utf-8"):
+            raise ValueError(f"cannot read config file: {Path(path)}")
+        # keys of the DEFAULT section would reach every section, so they too must be known
+        for section in (ini.default_section, *ini.sections()):
+            for key in ini[section]:
+                if (section, key) not in _CONFIG_KEYS:
+                    raise ValueError(f"config file {path}: unknown key [{section}] {key}")
+                where = f"config file {path} [{section}] {key}"
+                texts[section, key] = ini.get(section, key)
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        raise ValueError(f"{where}: {' '.join(str(exc).split())}") from None
+    return texts
+
+
 def _resolve_config(args: argparse.Namespace) -> RunConfig:
     """Each setting from its default, then its INI key, then its environment
     variable, then its flag; an error in a text names where the text came from."""
-    ini = configparser.ConfigParser()
-    if args.config is not None and not ini.read(args.config):
-        raise ValueError(f"cannot read config file: {Path(args.config)}")
+    ini = {} if args.config is None else _read_ini(args.config)
+    known = {_env_name(section, key) for section, key in _CONFIG_KEYS}
+    for name in sorted(os.environ):
+        if name.startswith(f"{ENV_PREFIX}_") and name not in known:
+            raise ValueError(f"environment {name}: no setting has this variable")
     cfg = RunConfig()
     for (section, key), setting in _CONFIG_KEYS.items():
         env = _env_name(section, key)
         for where, raw in (
-            (f"config [{section}] {key}", ini.get(section, key, fallback=None)),
+            (f"config [{section}] {key}", ini.get((section, key))),
             (f"environment {env}", os.environ.get(env)),
         ):
             if raw is not None:
@@ -578,18 +604,19 @@ class Stage:
     fn: Callable[[_Inputs, ArtifactWriter], str]  # writes its artifacts, returns a message
 
 
-# in pipeline order; `run` executes every stage, a subcommand its own
+# in pipeline order (`profile` early, see the module docstring); `run` executes
+# every stage, a subcommand its own
 STAGES = (
     Stage("ingest", "validate a raw log into the canonical event CSV",
           reads=(), fn=_ingest),
     Stage("rank", "build the network and write rankings and edge list",
           reads=("events",), fn=_rank),
+    Stage("profile", "role labels, level codes, and normalized vectors per user",
+          reads=("rankings",), fn=_profile),
     Stage("concentration", "Lorenz curves and Gini indexes for seller and buyer volumes",
           reads=("events",), fn=_concentration),
     Stage("correlate", "Kendall correlation matrix over the 8 metrics",
           reads=("rankings",), fn=_correlate),
-    Stage("profile", "role labels, level codes, and normalized vectors per user",
-          reads=("rankings",), fn=_profile),
     Stage("report", "summary statistics and figure data tables",
           reads=("events", "rankings"), fn=_report),
 )

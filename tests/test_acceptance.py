@@ -2,8 +2,8 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines. Criterion 5 needs the public marketplace snapshot; point
-``ARTRANK_SUPERRARE_CSV`` at it (optionally ``ARTRANK_SUPERRARE_RATES`` and
-``ARTRANK_SUPERRARE_MAP`` as ``src=dst,...``). Without the snapshot it is
+``SUPERRARE_CSV`` at it (optionally ``SUPERRARE_RATES`` and
+``SUPERRARE_MAP`` as ``src=dst,...``). Without the snapshot it is
 replaced by criterion 6, as specified.
 """
 
@@ -138,22 +138,22 @@ def test_criterion_4_kendall_oracle():
 
 
 def test_criterion_5_marketplace_snapshot_reproduction():
-    snapshot = os.environ.get("ARTRANK_SUPERRARE_CSV")
+    snapshot = os.environ.get("SUPERRARE_CSV")
     if not snapshot:
         print(
             "[SKIP] criterion 5: marketplace snapshot not available"
-            " (set ARTRANK_SUPERRARE_CSV); replaced by criterion 6"
+            " (set SUPERRARE_CSV); replaced by criterion 6"
         )
         pytest.skip("snapshot unavailable; criterion 6 applies instead")
     with criterion(5, "snapshot concentration and summary counts match the published figures"):
         field_map = {}
-        if os.environ.get("ARTRANK_SUPERRARE_MAP"):
-            for item in os.environ["ARTRANK_SUPERRARE_MAP"].split(","):
+        if os.environ.get("SUPERRARE_MAP"):
+            for item in os.environ["SUPERRARE_MAP"].split(","):
                 src, _, dst = item.partition("=")
                 field_map[src.strip()] = dst.strip()
         with open(snapshot, "rb") as handle:
             log, _ = parse_events(handle, fmt="csv", field_map=field_map)
-        rates_path = os.environ.get("ARTRANK_SUPERRARE_RATES")
+        rates_path = os.environ.get("SUPERRARE_RATES")
         if rates_path:
             with open(rates_path, "rb") as handle:
                 log = convert_currency(log, RateTable.from_csv(handle))

@@ -186,6 +186,9 @@ def test_hits_validates_input():
     bad[0, 1] = -1.0
     with pytest.raises(ValueError, match="non-negative"):
         hits(view_of(bad))
+    outside = sparse.csr_matrix((np.ones(1), np.array([2]), np.array([0, 1, 1])), shape=(2, 2))
+    with pytest.raises(ValueError, match="out of range"):
+        hits(AdjacencyView(Weighting.WEIGHTED_USD, outside))
     loop = np.eye(2)
     with pytest.raises(ValueError, match="diagonal"):
         hits(view_of(loop))
@@ -349,3 +352,41 @@ def test_row_sums_equal_full_sort_on_every_call(seed, data_kind, kinds):
     for kind in kinds:
         x = next_vector(rng, x, kind)
         np.testing.assert_array_equal(kernel(x), sorted_row_sums(matrix, x))
+
+
+def csr_of_lengths(rng: np.random.Generator, lengths: list[int], data: str) -> sparse.csr_matrix:
+    """Rows of the given lengths over 60 columns. ``hits`` admits weights of -0.0
+    (-0.0 < 0 is false): ``data`` makes about half of them -0.0, or all."""
+    n_cols = 60
+    indices = np.concatenate(
+        [np.sort(rng.choice(n_cols, size=k, replace=False)) for k in lengths]
+    ).astype(np.int64)
+    weights = rng.integers(1, 4, len(indices)) / 3.0
+    if data != "positive":
+        weights[(rng.random(len(indices)) < 0.5) | (data == "negative_zeros")] = -0.0
+    indptr = np.concatenate([[0], np.cumsum(lengths)])
+    return sparse.csr_matrix((weights, indices, indptr), shape=(len(lengths), n_cols))
+
+
+@pytest.mark.parametrize(
+    "lengths",
+    [
+        [3, 5, 3, 40, 7, 3, 60],  # every row needs a sort
+        [1, 2, 2, 1, 2],  # no row needs one
+        [4, 1, 9, 3, 17, 2, 60],  # one row per length, so each block is one line
+        [0, 5, 0, 0, 2, 3, 0],  # empty rows between the others
+    ],
+)
+@pytest.mark.parametrize("data", ["positive", "some_negative_zeros", "negative_zeros"])
+def test_row_sums_equal_full_sort_on_edge_layouts(lengths, data):
+    rng = np.random.default_rng(sum(lengths))
+    matrix = csr_of_lengths(rng, lengths, data)
+    rows = np.repeat(np.arange(matrix.shape[0]), np.diff(matrix.indptr))
+    kernel = _RowSums(matrix.shape[0], rows, matrix.indices, matrix.data)
+    x = rng.random(matrix.shape[1])
+    for kind in ["uniform", "zeros", "repeats", "reversed", "nearby"] * 4:
+        x = next_vector(rng, x, kind)
+        got, want = kernel(x), sorted_row_sums(matrix, x)
+        # compared as bit patterns, so that a -0.0 where +0.0 belongs fails
+        assert got.dtype == want.dtype == np.float64
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))

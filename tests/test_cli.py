@@ -703,6 +703,36 @@ def test_unreadable_config_file_is_an_error(fixture_dir, capsys):
 
 
 @pytest.mark.parametrize(
+    "text,message",
+    [
+        (b"tolerance = 1e-3\n", ": File contains no section headers."),
+        (b"[hits]\ntolerance = 5%\n", " [hits] tolerance: '%' must be followed by '%' or '('"),
+        (b"[hits]\ntolerance = \xff\n", ": 'utf-8' codec can't decode byte 0xff in position 19"),
+        (b"[hits]\nmax_iteration = 1\n", ": unknown key [hits] max_iteration"),
+        (b"[hit]\ntolerance = 1e-3\n", ": unknown key [hit] tolerance"),
+        (b"[DEFAULT]\nbase = data\n", ": unknown key [DEFAULT] base"),
+    ],
+)
+def test_malformed_config_or_unknown_key_is_an_error(fixture_dir, capsys, text, message):
+    config, out = fixture_dir / "bad.ini", fixture_dir / "out"
+    config.write_bytes(text)
+    assert run_cli("run", fixture_dir / "sales.csv", "--config", config, "--out", out) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: config file {config}{message}")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name", ["ARTRANK_HITS_MAX_ITERATION", "ARTRANK_HIT_TOLERANCE"])
+def test_unknown_artrank_variable_is_an_error(fixture_dir, monkeypatch, capsys, name):
+    monkeypatch.setenv(name, "1")
+    out = fixture_dir / "out"
+    assert run_cli("run", fixture_dir / "sales.csv", "--out", out) == 1
+    assert capsys.readouterr().err == f"error: environment {name}: no setting has this variable\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "argv,environ,message",
     [
         (["ingest"], {}, "no input path configured"),
