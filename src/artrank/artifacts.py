@@ -4,7 +4,9 @@ A command holds one ``ArtifactWriter`` as a context manager. Entering takes
 the directory's ``.lock``, whose ``pid=``, ``host=`` and ``started=`` lines the
 "locked" error quotes so that a lock left by a killed run can be recognised
 and removed, and only then deletes any ``manifest.json``, so no manifest
-outlives the files it hashes. ``manifest()`` writes a sha256 and size per
+outlives the files it hashes. A lock whose ``host=`` is this host and whose
+``pid=`` names no process is stale: entering takes it over, with a WARNING
+that quotes its holder. ``manifest()`` writes a sha256 and size per
 artifact, hashed as it was written. Leaving releases the lock.
 
 While ``background`` is set, an ``events``, ``csv`` or ``jsonl`` write of at
@@ -24,14 +26,14 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+import logging
 import os
-import platform
 from collections.abc import Callable, Iterable
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import TextIO
 
-from .children import Child, usable_cpus
+from .children import Child, process_gone, usable_cpus
 from .columns import CSV_CHUNK_ROWS
 from .ingest import EventLog, write_csv, write_events_csv
 
@@ -41,6 +43,8 @@ MANIFEST_JSON = "manifest.json"
 # chunk takes 5-30 ms to format and a fork of a 70 MB process about 0.7 ms
 # (2 vCPU, Python 3.11), so a smaller write leaves little to overlap
 _BACKGROUND_ROWS = CSV_CHUNK_ROWS
+
+logger = logging.getLogger(__name__)
 
 
 class ArtifactWriter:
@@ -57,20 +61,26 @@ class ArtifactWriter:
     def __enter__(self) -> ArtifactWriter:
         self.out_dir.mkdir(parents=True, exist_ok=True)
         lock = self.out_dir / LOCK_FILE
+        host = os.uname().nodename  # what platform.node() returns on POSIX
         try:
-            fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+            fd = _create(lock)
         except FileExistsError:
+            holder = _holder(lock)
+            if not _stale(holder, host):
+                raise _locked(lock, holder) from None
+            # unlinked and created once more: of two runs that both found it
+            # stale, only the one whose create comes first takes the lock
+            lock.unlink(missing_ok=True)
             try:
-                holder = ", ".join(lock.read_text(encoding="utf-8", errors="replace").split())
-            except OSError:
-                holder = ""
-            raise RuntimeError(
-                f"output directory is locked by another run ({holder or 'owner not recorded'}):"
-                f" {lock}; if that process is gone, remove the file and retry"
-            ) from None
+                fd = _create(lock)
+            except FileExistsError:
+                raise _locked(lock, _holder(lock)) from None
+            logger.warning(
+                "took over the lock of a run that is gone (%s): %s", ", ".join(holder), lock
+            )
         started = datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(f"pid={os.getpid()}\nhost={platform.node()}\nstarted={started}\n")
+            handle.write(f"pid={os.getpid()}\nhost={host}\nstarted={started}\n")
         try:
             # a manifest exists only once it matches every artifact beside it
             self.remove(MANIFEST_JSON)
@@ -158,6 +168,34 @@ class ArtifactWriter:
         payload = {"files": entries}
         self.json(MANIFEST_JSON, payload)
         return payload
+
+
+def _create(lock: Path) -> int:
+    """A descriptor of ``lock``, newly created for writing; FileExistsError if it exists."""
+    return os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+
+
+def _holder(lock: Path) -> list[str]:
+    """The ``key=value`` lines of the lock file ``lock``; none if it cannot be read."""
+    try:
+        return lock.read_text(encoding="utf-8", errors="replace").split()
+    except OSError:
+        return []
+
+
+def _stale(holder: list[str], host: str) -> bool:
+    """Whether a lock of ``holder``'s lines was taken on ``host`` by a process that is gone."""
+    fields = dict(line.partition("=")[::2] for line in holder)
+    pid = fields.get("pid", "")
+    live = not (pid.isascii() and pid.isdigit() and int(pid) > 0 and process_gone(int(pid)))
+    return fields.get("host") == host and not live
+
+
+def _locked(lock: Path, holder: list[str]) -> RuntimeError:
+    return RuntimeError(
+        f"output directory is locked by another run ({', '.join(holder) or 'owner not recorded'}):"
+        f" {lock}; if that process is gone, remove the file and retry"
+    )
 
 
 class _HashedFile(io.FileIO):

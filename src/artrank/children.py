@@ -28,6 +28,18 @@ def usable_cpus() -> int:
     return len(os.sched_getaffinity(0))
 
 
+def process_gone(pid: int) -> bool:
+    """Whether signal 0, which only probes, finds no process ``pid``. A process
+    that this one may not signal is not gone, nor is an id that cannot be probed."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return True
+    except (OSError, OverflowError):
+        return False
+    return False
+
+
 class Child:
     """A forked child that runs ``work(send)``: it pipes back, pickled, each item
     passed to ``send``, then, last, what ``work`` returned or raised.

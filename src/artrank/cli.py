@@ -49,7 +49,6 @@ INI key, which names its environment variable, and its flag. Example config::
 from __future__ import annotations
 
 import argparse
-import configparser
 import csv
 import json
 import logging
@@ -127,9 +126,17 @@ _ROLE_NAMES = np.array([role.value for role in profiling.ROLES])
 # Configuration
 # ---------------------------------------------------------------------------
 
+# the texts of configparser.ConfigParser.BOOLEAN_STATES, which is imported
+# only to read a config file
+_BOOLEANS = {
+    "1": True, "yes": True, "true": True, "on": True,
+    "0": False, "no": False, "false": False, "off": False,
+}
+
+
 def _parse_bool(raw: str) -> bool:
     try:
-        return configparser.ConfigParser.BOOLEAN_STATES[raw.strip().lower()]
+        return _BOOLEANS[raw.strip().lower()]
     except KeyError:
         raise ValueError(f"not a boolean: {raw!r}") from None
 
@@ -258,6 +265,8 @@ def _env_name(section: str, key: str) -> str:
 def _read_ini(path: str) -> dict[tuple[str, str], str]:
     """The text of each key of a UTF-8 INI file by (section, key); a file that
     cannot be read, decoded or parsed, or a key that no setting declares, is an error."""
+    import configparser  # here, not at start-up: most commands read no config file
+
     ini = configparser.ConfigParser()
     texts = {}
     where = f"config file {path}"

@@ -1,6 +1,6 @@
 """Sale-event ingestion: parsing, validation, and ETH to USD conversion.
 
-Raw rows (CSV or JSON) are validated record by record into a columnar
+Raw rows (CSV or JSON) are validated into a columnar
 ``EventLog``: user codes in user-id order, UTC epoch seconds, exact prices
 and artwork ids, one column per field. Bad rows never abort a run;
 they are returned as ``RejectReport`` entries with a row number and reason.
@@ -9,13 +9,18 @@ some Python versions writes it unquoted, so ``events.csv`` could not be
 read back. So is one that holds a lone surrogate (a JSON escape such as
 ``\\ud800``), which UTF-8 cannot encode; only JSON lines holding a ``\\``
 are searched for one.
-Input is decoded as it is read: CSV a buffer at a time, one-object-per-line
-JSON a line at a time, where a line ends at ``\\n``, ``\\r\\n`` or ``\\r`` only;
-only a JSON array is decoded whole. CSV rows and JSON records alike pass
-one validating loop, whose inline fast path keeps what the full validator
-would keep for the common record; every other record goes through the full
-validator. Logs come only from ``parse_events`` (and ``convert_currency``
-of one), so the validator alone decides what a log holds.
+Input is decoded as it is read: CSV a block of lines at a time,
+one-object-per-line JSON a line at a time, where a line ends at ``\\n``,
+``\\r\\n`` or ``\\r`` only; only a JSON array is decoded whole. A CSV block
+of at least ``_MIN_BLOCK_LINES`` lines that holds no ``"``, ``\\r`` or NUL
+and the header's cell count on every line is validated a column at a time
+(``_read_block``): ``str.split`` once, the ids through the memo, prices and
+timestamps by numpy from byte windows. Its records that fail a check, and every record of any other CSV block and of
+JSON, pass one validating loop (``_validate``), whose inline fast path keeps
+what the full validator would keep for the common record; every other
+record goes through the full validator, ``_Records.add``. Both fast paths
+keep exactly what it would keep. Logs come only from ``parse_events`` (and
+``convert_currency`` of one), so the validator alone decides what a log holds.
 
 ``write_csv`` writes every CSV artifact, ``events.csv`` among them, from
 equal-length columns a chunk of rows at a time. Each column type has one
@@ -59,10 +64,11 @@ from dataclasses import dataclass, replace
 from datetime import date, datetime, timedelta, timezone
 from decimal import Clamped, Context, Decimal, InvalidOperation, Rounded
 from functools import partial
-from itertools import chain
+from itertools import chain, compress, islice
 from typing import BinaryIO, Callable, Iterable, Iterator, Mapping, Sequence, TextIO, TypeVar
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .children import Child, usable_cpus
 from .columns import (
@@ -128,6 +134,33 @@ _LINE_END = re.compile(rb"[\r\n]")
 # a surrogate code point in a decoded str: only a JSON escape such as
 # ``\ud800`` can put one there, and UTF-8 cannot encode it
 _SURROGATE = re.compile("[\ud800-\udfff]")
+# CSV lines validated as one block: at most this many, and about as many as
+# hold this much text, so that the block's text, its bytes and its numpy
+# temporaries stay below glibc's 128 KiB mmap threshold, whose first crossing
+# raises it, and the heap that later allocations take, for the whole process
+_BLOCK_LINES = 1 << 11
+_BLOCK_CHARS = 96 << 10
+# a block of fewer lines takes the per-record loop: the column checks cost
+# about 0.2 ms a block whatever its length, the loop about 3 us a record
+_MIN_BLOCK_LINES = 1 << 6
+_COMMA, _LF, _DOT, _ZERO = b",\n.0"
+# the bytes the block reader reads a cell from: a plain number has at most 19
+# (18 digits and "."), read from 20 (an even count, for digit pairs); an
+# integer timestamp at most 12 digits; an ISO one 25
+# (``YYYY-MM-DDTHH:MM:SS+00:00``) or 20 (``...Z``). NUL bytes pad the block,
+# so that every cell has whole windows.
+_NUMBER_BYTES = 20
+_EPOCH_DIGITS = 12
+_ISO_LENGTH = 25
+_PADDING = bytes(_ISO_LENGTH)
+_PAD = len(_PADDING)
+_NUMBER_ROWS = np.arange(_NUMBER_BYTES, dtype=np.uint8)[:, None]
+_PLACES_AFTER = _NUMBER_ROWS[::-1].copy()  # the places after each row of a window
+_ISO = np.frombuffer(b"0000-00-00T00:00:00", dtype=np.uint8)[:, None]
+_ISO_DIGITS = _ISO == _ZERO
+_UTC = np.frombuffer(b"+00:00", dtype=np.uint8)[:, None]
+_MONTH_DAYS = np.array([31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31])
+_DAYS_BEFORE = np.cumsum(_MONTH_DAYS) - _MONTH_DAYS
 
 
 class MissingRateError(ValueError):
@@ -329,6 +362,16 @@ class EventLog:
             )
 
 
+class _Codes(dict):
+    """User codes by id cell, where a cell not yet seen reads as -1, so that a
+    column of cells is looked up with one ``map`` of ``__getitem__``."""
+
+    __slots__ = ()
+
+    def __missing__(self, cell: str) -> int:
+        return -1
+
+
 class _Records:
     """Validated records as columns in input order, plus the rejected ones.
 
@@ -343,7 +386,7 @@ class _Records:
     """
 
     def __init__(self) -> None:
-        self.memo: dict[str, int] = {}
+        self.memo = _Codes()
         self.users: list[str] = []
         self.codes = array("q")
         self.timestamp = array("q")
@@ -391,6 +434,32 @@ class _Records:
         self.price_usd.append(usd)
         self.new_timestamps.append(epoch)
         self.artwork.new.append(artwork)
+
+    def extend(
+        self,
+        codes: np.ndarray,
+        eth_coef: np.ndarray,
+        eth_exp: np.ndarray,
+        usd_coef: np.ndarray,
+        usd_exp: np.ndarray,
+        timestamp: np.ndarray,
+        artwork: list[str],
+    ) -> None:
+        """Keep records that passed every check, after the latest ones: their
+        user codes as int64 rows ``(seller, buyer, creator)``, their plain
+        prices and epoch seconds as int64 arrays, and their stripped artwork ids."""
+        self.flush()
+        buffers = (
+            self.codes,
+            self.price_eth.coef,
+            self.price_eth.exp,
+            self.price_usd.coef,
+            self.price_usd.exp,
+            self.timestamp,
+        )
+        for buffer, values in zip(buffers, (codes, eth_coef, eth_exp, usd_coef, usd_exp, timestamp)):
+            buffer.frombytes(values.tobytes())
+        self.artwork.new += artwork
 
     def user(self, user_id: str) -> int:
         """The code of a (stripped) user id, given here at its first sight."""
@@ -495,13 +564,13 @@ def parse_events(
         if dst not in CANONICAL_FIELDS:
             raise ValueError(f"field map target {dst!r} is not a canonical field")
     records = _Records()
-    cells = _cells_of(fmt, remap)
+    read = _reader_of(fmt, remap)
     split = _split(stream, fmt)
     if split is None:
-        total = read_text(stream, lambda text: _validate(cells(text), records))
+        total = read_text(stream, lambda text: read(text, records))
     else:
         fd, header, bounds = split
-        total = _parse_ranges(fd, bounds, cells, _cells_of(fmt, remap, header), records)
+        total = _parse_ranges(fd, bounds, read, _reader_of(fmt, remap, header), records)
         stream.seek(bounds[-1])
     return records.log(source, total), records.rejects
 
@@ -810,19 +879,19 @@ def _validate_range(
     start: int,
     end: int,
     encoding: str,
-    cells: Callable[[TextIO], Iterator[tuple]],
+    read: Callable[[TextIO, _Records], int],
     records: _Records,
 ) -> int:
     """Validate the records of bytes ``[start, end)`` of ``fd`` into ``records``; returns their count."""
     stream = io.BufferedReader(_FileRange(fd, start, end))
-    return read_text(stream, lambda text: _validate(cells(text), records), encoding)
+    return read_text(stream, lambda text: read(text, records), encoding)
 
 
 def _parse_ranges(
     fd: int,
     bounds: list[int],
-    first: Callable[[TextIO], Iterator[tuple]],
-    later: Callable[[TextIO], Iterator[tuple]],
+    first: Callable[[TextIO, _Records], int],
+    later: Callable[[TextIO, _Records], int],
     records: _Records,
 ) -> int:
     """Validate each byte range of ``fd`` into ``records`` as one input; returns the record count.
@@ -850,7 +919,7 @@ def _parse_ranges(
 
 
 def _send(
-    fd: int, start: int, end: int, cells: Callable[[TextIO], Iterator[tuple]], send: Callable
+    fd: int, start: int, end: int, cells: Callable[[TextIO, _Records], int], send: Callable
 ) -> int:
     """In a ``Child``: validate bytes ``[start, end)`` of ``fd`` and ``send`` what
     ``_merge`` reads back; returns the record count.
@@ -935,32 +1004,234 @@ def _merge(child: Child, records: _Records, rows_before: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _csv_cells(text: TextIO, remap: Mapping[str, str]) -> Iterator[tuple]:
-    """The seven canonical cells of each CSV record, in ``CANONICAL_FIELDS`` order.
+def _read_csv(
+    text: TextIO, remap: Mapping[str, str], records: _Records, head: str | None = None
+) -> int:
+    """Validate each CSV record of ``text`` into ``records``; returns the record count.
 
-    Blank lines are skipped and take no record number. A short row leaves
-    its trailing fields missing, extra cells are ignored, and of duplicate
-    header names the last column wins.
+    The header row is read from ``text``, or from ``head`` for a later byte
+    range. The rows are read in blocks of about ``_BLOCK_CHARS`` of text, at
+    most ``_BLOCK_LINES`` lines: a plain block of at least
+    ``_MIN_BLOCK_LINES`` lines (``_read_block``) is validated without
+    ``csv.reader``, and any other is read by it, with as many later lines as
+    a quoted field that the block leaves open takes, and validated by
+    ``_validate``. Blank lines
+    are skipped and take no record number. A short row leaves its trailing
+    fields missing, extra cells are ignored, and of duplicate header names
+    the last column wins.
     """
-    reader = csv.reader(text)
-    header = next(reader, None)
+    header = next(csv.reader(text if head is None else (head,)), None)
     if header is None:
         raise ValueError("CSV input has no header row")
     width = len(header)
     position = {name: i for i, name in enumerate(header)}
     # a field without a column reads the None appended at index ``width``
-    pick = operator.itemgetter(
-        *(width if key is None else position[key] for key in _field_keys(header, remap))
-    )
+    fields = [width if key is None else position[key] for key in _field_keys(header, remap)]
+    pick = operator.itemgetter(*fields)
     missing = [None] * (width + 1)
-    for row in reader:
-        if not row:
+    row_num = seen_lines = seen_chars = 0
+    size = 2 * _MIN_BLOCK_LINES  # until the length of a line is known
+    while lines := list(islice(text, size)):
+        block = "".join(lines)
+        seen_lines += len(lines)
+        seen_chars += len(block)
+        size = min(_BLOCK_LINES, max(_MIN_BLOCK_LINES, _BLOCK_CHARS * seen_lines // seen_chars))
+        if len(lines) >= _MIN_BLOCK_LINES and _read_block(
+            block, len(lines), width, fields, records, row_num
+        ):
+            row_num += len(lines)
             continue
-        if len(row) == width:
-            row.append(None)
-        else:
-            row = row[:width] + missing[min(len(row), width) :]
-        yield pick(row)
+        reader = csv.reader(chain(lines, text))
+        rows = []
+        for row in reader:
+            if row:
+                if len(row) == width:
+                    row.append(None)
+                else:
+                    row = row[:width] + missing[min(len(row), width) :]
+                rows.append(pick(row))
+            if reader.line_num >= len(lines):
+                break
+        row_num = _validate(rows, records, row_num)
+    return row_num
+
+
+def _read_block(
+    block: str, lines: int, width: int, fields: list[int], records: _Records, row_num: int
+) -> bool:
+    """Validate the records of ``block``, ``lines`` whole CSV lines that follow
+    record ``row_num``, into ``records`` when the block is plain; returns whether it was.
+
+    A plain block holds no ``"``, ``\\r`` or NUL, exactly ``width`` cells on
+    every line (so no blank line) and no cell longer than the csv module's
+    field limit, and the fields seller, buyer, creator and timestamp and at
+    least one price each have a column. Its lines are split once with
+    ``str.split`` and checked a column at a time by the rules of
+    ``_validate``'s fast path: the id cells through the memo (each new
+    distinct id is checked once, and coded only if a kept record names it),
+    the prices and timestamps by numpy on byte windows of the block's UTF-8
+    (``_plain_numbers``, ``_iso_stamps``).
+    A record that fails any check goes to ``_Records.add``, in input order.
+    """
+    seller, buyer, creator, eth, usd, when, artwork = fields
+    if (
+        width < 2
+        or width in (seller, buyer, creator, when)
+        or eth == usd == width
+        or '"' in block
+        or "\r" in block
+        or "\0" in block
+    ):
+        return False
+    if not block.endswith("\n"):
+        block += "\n"
+    raw = np.frombuffer(b"".join((_PADDING, block.encode(), _PADDING)), dtype=np.uint8)
+    ends = raw == _COMMA
+    ends |= raw == _LF
+    ends = np.flatnonzero(ends)
+    if ends.size != lines * width:
+        return False
+    starts = np.empty_like(ends)
+    starts[0] = _PAD
+    np.add(ends[:-1], 1, out=starts[1:])
+    starts, ends = starts.reshape(lines, width), ends.reshape(lines, width)
+    kinds = raw[ends]
+    if not ((kinds[:, :-1] == _COMMA).all() and (kinds[:, -1] == _LF).all()):
+        return False
+    if (ends - starts).max() > csv.field_size_limit():  # the csv module raises on such a cell
+        return False
+    cells = block[:-1].replace("\n", ",").split(",")
+    ids = [cells[field::width] for field in (seller, buyer, creator)]
+    code_of = records.memo.__getitem__
+    codes = np.stack([np.fromiter(map(code_of, column), np.int64, lines) for column in ids], axis=1)
+    new = codes < 0
+    fails = (codes[:, 0] == codes[:, 1]) & ~new[:, 0]
+    if new.any():
+        # an id cell not in the memo is a new user's id when it is its own strip
+        fresh = dict.fromkeys(compress(chain.from_iterable(ids), new.T.ravel().tolist()))
+        bad = {cell for cell in fresh if not cell or cell != cell.strip()}
+        if bad:
+            for column, k in zip(ids, range(3)):
+                fails |= new[:, k] & np.fromiter(map(bad.__contains__, column), bool, lines)
+        # a new id and a known one name different users; two new ones, unless equal
+        for i in np.flatnonzero(new[:, 0] & new[:, 1]).tolist():
+            fails[i] |= ids[0][i] == ids[1][i]
+    view = sliding_window_view(raw, _ISO_LENGTH)
+    numeric = [field for field in (eth, usd, when) if field < width]
+    coef, exp, plain, integer = (
+        part.reshape(len(numeric), lines)
+        for part in _plain_numbers(view, starts[:, numeric].T.ravel(), ends[:, numeric].T.ravel())
+    )
+    fails |= ~plain[:-1].all(axis=0)
+    prices = iter(zip(coef, exp))
+    absent = (np.zeros(lines, dtype=np.int64), np.full(lines, NO_VALUE))
+    (eth_coef, eth_exp), (usd_coef, usd_exp) = (
+        absent if field == width else next(prices) for field in (eth, usd)
+    )
+    fails |= (eth_exp == NO_VALUE) & (usd_exp == NO_VALUE)
+    epoch = coef[-1]
+    length = ends[:, when] - starts[:, when]
+    stamped = integer[-1] & (length <= _EPOCH_DIGITS) & (epoch <= _MAX_EPOCH)
+    iso = (length == _ISO_LENGTH) | (length == _ISO_LENGTH - len(_UTC) + 1)
+    if iso.any():
+        seconds, plain = _iso_stamps(view, starts[:, when], length == _ISO_LENGTH)
+        plain &= iso
+        epoch = np.where(plain, seconds, epoch)
+        stamped |= plain
+    fails |= ~stamped
+    keep_new = new & ~fails[:, None]
+    if keep_new.any():
+        # coded only now their records are kept, each at its first sight in input order
+        kept_new = compress(chain.from_iterable(zip(*ids)), keep_new.ravel().tolist())
+        for cell in dict.fromkeys(kept_new):
+            records.user(cell)
+        for column, k in zip(ids, range(3)):
+            rows = np.flatnonzero(keep_new[:, k])
+            codes[rows, k] = list(map(code_of, map(column.__getitem__, rows.tolist())))
+    art = [""] * lines if artwork == width else list(map(str.strip, cells[artwork::width]))
+    pick = operator.itemgetter(*fields)
+    kept = 0
+    for row in np.flatnonzero(fails).tolist() + [lines]:
+        if kept < row:
+            part = slice(kept, row)
+            records.extend(
+                codes[part],
+                eth_coef[part],
+                eth_exp[part],
+                usd_coef[part],
+                usd_exp[part],
+                epoch[part],
+                art[part],
+            )
+        if row < lines:
+            records.add(row_num + row + 1, *pick(cells[row * width : (row + 1) * width] + [None]))
+        kept = row + 1
+    return True
+
+
+def _plain_numbers(view: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> tuple:
+    """The coefficient and exponent of the number cell at bytes ``[starts[i],
+    ends[i])`` of each ``i``, whether it is plain, and whether it is a plain
+    integer; ``view`` holds the windows of the padded block.
+
+    A plain cell is empty (coefficient 0, exponent ``NO_VALUE``) or ASCII
+    decimal text: 1 to 18 digits and at most one ".", so at most
+    ``_NUMBER_BYTES - 1`` bytes. Each cell is read right-aligned, one row of
+    ``window`` per place, with the digits above the "." moved down onto it.
+    """
+    length = ends - starts
+    window = np.ascontiguousarray(view[ends - _NUMBER_BYTES, :_NUMBER_BYTES].T)
+    inside = _NUMBER_ROWS >= (_NUMBER_BYTES - np.minimum(length, _NUMBER_BYTES)).astype(np.uint8)
+    digit = window - _ZERO  # wraps below "0", so a digit is below 10
+    is_digit = digit < 10
+    is_digit &= inside
+    is_dot = window == _DOT
+    is_dot &= inside
+    digits = np.add.reduce(is_digit, axis=0, dtype=np.uint8)
+    dots = np.add.reduce(is_dot, axis=0, dtype=np.uint8)
+    plain = (digits + dots == length) & (dots <= 1) & (digits >= 1) & (digits <= 18)
+    digit *= is_digit
+    # the places below a "." keep their digits, and those above it move down one
+    after = np.add.reduce(is_dot * _PLACES_AFTER, axis=0, dtype=np.uint8)
+    stay = _PLACES_AFTER < np.where(dots == 0, _NUMBER_BYTES, after)
+    digit[1:] = np.where(stay[1:], digit[1:], digit[:-1])
+    # two digits to a byte, then four to a uint16: five base-10**4 places
+    pairs = digit[0::2] * np.uint8(10) + digit[1::2]
+    fours = pairs[0::2].astype(np.uint16) * 100 + pairs[1::2]
+    coef = np.zeros(len(length), dtype=np.int64)
+    for place in fours:
+        coef *= 10_000
+        coef += place
+    missing = length == 0
+    exp = np.where(missing, NO_VALUE, -after.astype(np.int64))
+    return coef, exp, plain | missing, plain & (dots == 0)
+
+
+def _iso_stamps(view: np.ndarray, starts: np.ndarray, long: np.ndarray) -> tuple:
+    """The UTC epoch seconds of the ISO timestamp cell at byte ``starts[i]`` of
+    each ``i``, ``long`` where it is 25 bytes long and else 20, and whether it is plain.
+
+    A plain cell is ``YYYY-MM-DDTHH:MM:SS``, then ``+00:00`` (long) or
+    ``Z``, naming a valid date and time.
+    """
+    window = np.ascontiguousarray(view[starts].T)
+    digit = window[: len(_ISO)] - _ZERO
+    form = np.where(_ISO_DIGITS, digit < 10, window[: len(_ISO)] == _ISO).all(axis=0)
+    utc = np.where(long, (window[len(_ISO) :] == _UTC).all(axis=0), window[len(_ISO)] == ord("Z"))
+    tens = digit[list(_STAMP_FIELDS)].astype(np.int64)
+    fields = tens * 10 + digit[[k + 1 for k in _STAMP_FIELDS]]
+    century, year, month, day, hour, minute, second = fields
+    year += century * 100
+    leap = (year % 4 == 0) & ((year % 100 != 0) | (year % 400 == 0))
+    known_month = (month >= 1) & (month <= 12)
+    month = np.where(known_month, month - 1, 0)  # from 0
+    month_days = _MONTH_DAYS[month] + (leap & (month == 1))
+    plain = form & utc & (year >= 1) & known_month & (day >= 1) & (day <= month_days)
+    plain &= (hour < 24) & (minute < 60) & (second < 60)
+    past = year - 1  # whole years since 0001-01-01
+    days = 365 * past + past // 4 - past // 100 + past // 400 + _DAYS_BEFORE[month]
+    days += (leap & (month >= 2)) + day - 1
+    return days * _DAY_S + hour * 3600 + minute * 60 + second + _MIN_EPOCH, plain
 
 
 def _json_cells(records: Iterable[object], remap: Mapping[str, str]) -> Iterator[tuple]:
@@ -1022,24 +1293,27 @@ def _ndjson_records(lines: Iterable[str]) -> Iterator[object]:
         yield record
 
 
-def _cells_of(
-    fmt: str, remap: Mapping[str, str], header: str | None = None
-) -> Callable[[TextIO], Iterator[tuple]]:
-    """The reader of the seven canonical cells of each record of a text.
+def _reader_of(
+    fmt: str, remap: Mapping[str, str], head: str | None = None
+) -> Callable[[TextIO, _Records], int]:
+    """The reader that validates each record of a text into ``records`` and
+    returns their count.
 
-    Without ``header`` the text is a whole input. With it, the text is a
-    later byte range of one: one-object-per-line JSON, or CSV rows read
-    under the header line ``header``.
+    Without ``head`` the text is a whole input. With it, the text is a
+    later byte range of one: CSV rows read under the header line ``head``,
+    or one-object-per-line JSON.
     """
     if fmt == "csv":
-        return lambda text: _csv_cells(text if header is None else chain((header,), text), remap)
-    return lambda text: _json_cells(
-        _json_records(text) if header is None else _ndjson_records(text), remap
+        return lambda text, records: _read_csv(text, remap, records, head)
+    return lambda text, records: _validate(
+        _json_cells(_json_records(text) if head is None else _ndjson_records(text), remap),
+        records,
     )
 
 
-def _validate(rows: Iterable[tuple], records: _Records) -> int:
-    """Validate each record's seven cells into ``records``; returns the record count.
+def _validate(rows: Iterable[tuple], records: _Records, row_num: int = 0) -> int:
+    """Validate each record's seven cells, records ``row_num + 1`` on, into
+    ``records``; returns the number of the last.
 
     The common record takes a fast path inline: its three id cells are
     ``str`` cells, each in the memo or a non-empty id without a ``\\r`` that
@@ -1066,7 +1340,6 @@ def _validate(rows: Iterable[tuple], records: _Records) -> int:
     keep_timestamp = records.new_timestamps.append
     keep_artwork = records.artwork.new.append
     fromisoformat = datetime.fromisoformat
-    row_num = 0
     for cells in rows:
         row_num += 1
         if not row_num % BLOCK_RECORDS:

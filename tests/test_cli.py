@@ -399,7 +399,7 @@ def test_json_array_id_with_a_lone_surrogate_is_the_ndjson_reject(tmp_path):
     assert events[0] == events[1]
 
 
-@pytest.mark.parametrize("package", ["scipy", "multiprocessing", "concurrent"])
+@pytest.mark.parametrize("package", ["scipy", "multiprocessing", "concurrent", "configparser"])
 def test_cli_import_loads_no_scipy(package):
     # numpy is the only runtime dependency; scipy would add about 0.25 s per
     # start-up, and ranged parsing forks with os.fork and pickle, both loaded
@@ -449,6 +449,45 @@ def test_a_lock_that_cannot_be_read_names_no_owner(fixture_dir, capsys):
     err = capsys.readouterr().err
     assert f"locked by another run (owner not recorded): {out / '.lock'}" in err
     assert (out / ".lock").is_dir()
+    assert not (out / "events.csv").exists()
+
+
+def _reaped_pid() -> int:
+    """The pid of a child that has exited and been reaped: no process has it until
+    the system gives it out again."""
+    child = subprocess.Popen([sys.executable, "-c", ""])
+    child.wait()
+    return child.pid
+
+
+def test_a_stale_lock_of_this_host_is_taken_over(fixture_dir, caplog):
+    out = fixture_dir / "out"
+    out.mkdir()
+    holder = f"pid={_reaped_pid()}\nhost={os.uname().nodename}\nstarted=2026-01-02T03:04:05Z\n"
+    (out / ".lock").write_text(holder, encoding="utf-8")
+    with caplog.at_level("WARNING", logger="artrank.artifacts"):
+        status = run_cli(
+            "run", fixture_dir / "sales.csv", "--rates", fixture_dir / "rates.csv", "--out", out
+        )
+    assert status == 0
+    warnings = [r.getMessage() for r in caplog.records if r.name == "artrank.artifacts"]
+    quoted = ", ".join(holder.split())
+    assert warnings == [f"took over the lock of a run that is gone ({quoted}): {out / '.lock'}"]
+    assert json.loads((out / "manifest.json").read_text(encoding="utf-8"))["files"]
+    assert not (out / ".lock").exists()
+
+
+@pytest.mark.parametrize(
+    "pid", [os.getpid(), 1, 0, "", "x1"], ids=["this process", "init", "zero", "empty", "not a number"]
+)
+def test_a_lock_of_this_host_is_kept_unless_its_process_is_gone(fixture_dir, capsys, pid):
+    out = fixture_dir / "out"
+    out.mkdir()
+    holder = f"pid={pid}\nhost={os.uname().nodename}\n"
+    (out / ".lock").write_text(holder, encoding="utf-8")
+    assert run_cli("run", fixture_dir / "sales.csv", "--out", out) == 1
+    assert "locked by another run" in capsys.readouterr().err
+    assert (out / ".lock").read_text(encoding="utf-8") == holder
     assert not (out / "events.csv").exists()
 
 
@@ -655,6 +694,13 @@ def test_unweighted_multiplicity_from_config_and_environment(tmp_path, monkeypat
     assert resolved(["rank", "events.csv"]).unweighted_multiplicity is value
     # the flag can only switch it on
     assert resolved(["rank", "events.csv", "--unweighted-multiplicity"]).unweighted_multiplicity
+
+
+def test_booleans_are_the_words_configparser_reads():
+    # cli imports configparser only to read a config file, so it keeps its own table
+    import configparser
+
+    assert cli._BOOLEANS == configparser.ConfigParser.BOOLEAN_STATES
 
 
 def test_a_word_that_is_not_a_boolean_is_an_error(fixture_dir, monkeypatch, capsys):

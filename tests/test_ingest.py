@@ -3,8 +3,10 @@
 import csv
 import io
 import json
+import os
 import re
 import sys
+import tempfile
 from dataclasses import replace
 from datetime import date, datetime, timezone
 from decimal import Decimal
@@ -547,6 +549,120 @@ def test_a_rejected_record_codes_none_of_its_new_ids(rejected):
     assert [r.row for r in rejects] == [2]
     assert log.users == ("a", "b", "c", "z")
     _check_against_full_validator(log, rejects, rows)
+
+
+# ---------------------------------------------------------------------------
+# The CSV block reader at its edges
+# ---------------------------------------------------------------------------
+
+_plain = (
+    _clean_id,
+    _clean_id,
+    _clean_id,
+    st.sampled_from(["", "1.5", "20"]),
+    st.sampled_from(["", "3", "2300.10"]),
+    st.sampled_from(["1619000000", "2021-04-21T10:00:00Z", "2021-04-21T11:00:00+00:00"]),
+    st.sampled_from(["", "art1"]),
+)
+# cells at the edges of the block reader's checks
+_EDGE_IDS = ["é", "", "\ta", "a\t", "\x1cb", "b\x1c", "\xa0c", "c\xa0", "\u3000a", "a\u3000"]
+_EDGE_PRICES = [
+    "5.", ".5", ".", "1.2.3", "-0", "٣", "1٣.5", "007.10", "0.000", "999999999999999999",
+    "99999999999999999.9", ".999999999999999999", "9999999999999999999", "999999999999999999.9",
+]
+_EDGE_STAMPS = [
+    "0", "000000000007", "0000000000007", "253402300799", "253402300800", "999999999999",
+    "2021-04-21 10:00:00+00:00", "2021-04-21t10:00:00Z", "2021-W16-3T10:00:00+00:00",
+    "2021-04-21T24:00:00+00:00", "2021-04-21T23:59:60Z", "0000-01-01T00:00:00+00:00",
+    "0001-01-01T00:00:00Z", "9999-12-31T23:59:59+00:00", "1900-02-29T12:00:00Z",
+    "2000-02-29T12:00:00+00:00", "2023-02-29T12:00:00Z", "2024-02-29T23:59:59Z",
+    "2021-04-31T10:00:00Z", "2021-00-10T10:00:00Z", "2021-12-31T10:00:00-00:00",
+    "2021-04-21T10:00:00+01:00", "2021-04-21T10:00:00.5Z",
+]
+_EDGE_ARTWORKS = ["\tart", "art\t", "\x1cart", "art\x1c", "\xa0art", "art\u3000", "é"]
+_edge = tuple(
+    map(st.sampled_from, [_EDGE_IDS] * 3 + [_EDGE_PRICES] * 2 + [_EDGE_STAMPS, _EDGE_ARTWORKS])
+)
+
+
+def _plain_row_with(column, cell):
+    row = ["a", "b", "c", "", "3", "1619000000", "art1"]
+    row[column] = cell
+    return tuple(row)
+
+
+# each edge cell once, in a row that is otherwise kept; ids in turn as seller,
+# buyer and creator
+_EDGE_ROWS = [
+    *(_plain_row_with(k % 3, cell) for k, cell in enumerate(_EDGE_IDS)),
+    *(_plain_row_with(column, cell) for column in (3, 4) for cell in _EDGE_PRICES),
+    *(_plain_row_with(5, cell) for cell in _EDGE_STAMPS),
+    *(_plain_row_with(6, cell) for cell in _EDGE_ARTWORKS),
+]
+
+
+@st.composite
+def _edge_row(draw):
+    # a plain row, one with an edge cell (most often the timestamp, whose
+    # checks are the most), or one that mixes edge cells freely
+    kind = draw(st.sampled_from(["plain", 0, 1, 2, 3, 4, 5, 5, 5, 6, "mix"]))
+    return tuple(
+        draw(st.one_of(plain, edge) if kind == "mix" else edge if kind == i else plain)
+        for i, (plain, edge) in enumerate(zip(_plain, _edge))
+    )
+
+
+# a line that sends its block through csv.reader
+_odd_line = st.sampled_from(
+    ['"a",b,a,,1,0,x', 'a,"b\nc",a,,1,0,x', "a,b,a,,1,0,x\rb,c,b,,2,0,y", "a\x00,b,a,,1,0,x", "",
+     "a,b,a,,1", "a,b,a,,1,0,x,extra"]
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(_edge_row(), max_size=20).flatmap(lambda rows: st.permutations(rows + _EDGE_ROWS)),
+    st.none() | st.tuples(st.integers(0, 100), _odd_line),
+    st.integers(1, 3),
+)
+def test_csv_block_reader_keeps_what_the_full_validator_keeps(rows, odd, ranges):
+    # blocks of 3 lines put every edge cell in a block of its own kind
+    lines = [",".join(row) for row in rows]
+    if odd is not None:
+        lines.insert(odd[0], odd[1])
+    text = "\n".join([",".join(CANONICAL_FIELDS), *lines]) + "\n"
+    records = [row for row in csv.reader(io.StringIO(text, newline=""))][1:]
+    expected = [tuple(row[:7]) + (None,) * (7 - len(row)) for row in records if row]
+    with pytest.MonkeyPatch.context() as patch, tempfile.TemporaryDirectory() as tmp:
+        patch.setattr(ingest, "_BLOCK_LINES", 3)
+        patch.setattr(ingest, "_MIN_BLOCK_LINES", 1)
+        log, rejects = parse_events(text.encode(), "csv")
+        _check_against_full_validator(log, rejects, expected)
+        path = os.path.join(tmp, "sales.csv")
+        with open(path, "wb") as stream:
+            stream.write(text.encode())
+        patch.setattr(ingest, "_MIN_RANGE_BYTES", 1)
+        patch.setattr(os, "sched_getaffinity", lambda pid: set(range(ranges)))
+        with open(path, "rb") as stream:
+            log, rejects = parse_events(stream, "csv")
+    _check_against_full_validator(log, rejects, expected)
+
+
+def test_only_a_block_that_is_not_plain_goes_through_csv_reader(monkeypatch):
+    validated = []
+    validate = ingest._validate
+    monkeypatch.setattr(
+        ingest, "_validate", lambda rows, *args: validated.append(len(rows)) or validate(rows, *args)
+    )
+    # blocks of records 1-2, 3-5, 6-8 and 9-10, the first of twice the least length
+    monkeypatch.setattr(ingest, "_BLOCK_LINES", 3)
+    monkeypatch.setattr(ingest, "_MIN_BLOCK_LINES", 1)
+    lines = [f"s{i},b{i},s{i},,{i}.5,{1619000000 + i},art{i}" for i in range(10)]
+    lines[4] = '"s4",b4,s4,,4.5,1619000004,art4'
+    text = "\n".join([",".join(CANONICAL_FIELDS), *lines]) + "\n"
+    log, rejects = parse_events(text.encode(), "csv")
+    assert (log.accepted_count, rejects) == (10, [])
+    assert validated == [3]  # records 3 to 5
 
 
 @settings(max_examples=150, deadline=None)
