@@ -68,8 +68,9 @@ class ArtifactWriter:
             holder = _holder(lock)
             if not _stale(holder, host):
                 raise _locked(lock, holder) from None
-            # unlinked and created once more: of two runs that both found it
-            # stale, only the one whose create comes first takes the lock
+            # created once more with O_EXCL, so a run whose create came first
+            # keeps it; a takeover whose unlink follows another's create can
+            # still remove that run's lock
             lock.unlink(missing_ok=True)
             try:
                 fd = _create(lock)
@@ -187,8 +188,13 @@ def _stale(holder: list[str], host: str) -> bool:
     """Whether a lock of ``holder``'s lines was taken on ``host`` by a process that is gone."""
     fields = dict(line.partition("=")[::2] for line in holder)
     pid = fields.get("pid", "")
-    live = not (pid.isascii() and pid.isdigit() and int(pid) > 0 and process_gone(int(pid)))
-    return fields.get("host") == host and not live
+    return (
+        fields.get("host") == host
+        and pid.isascii()
+        and pid.isdigit()
+        and int(pid) > 0
+        and process_gone(int(pid))
+    )
 
 
 def _locked(lock: Path, holder: list[str]) -> RuntimeError:
