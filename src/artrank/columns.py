@@ -11,9 +11,9 @@ numeric analysis needs it. Indexing a price column, iterating it or
 
 Artwork ids are a ``TextColumn``: the UTF-8 bytes of every id in one uint8
 array plus int64 offsets, a zero-length id being None, so a log holds no
-``str`` object per sale. Ids are encoded a block of ``BLOCK_RECORDS``
-records at a time as they are read, decoded a ``write_csv`` chunk at a
-time, and counted distinct on their bytes.
+``str`` object per sale. Ids are encoded a block of records at a time as
+they are read, decoded a ``write_csv`` chunk at a time, and counted
+distinct on their bytes.
 
 While records are read, a ``DecimalBuffer`` and a ``TextBuffer`` hold the
 values of each column. This module imports nothing from ``artrank``.
@@ -41,8 +41,7 @@ _INT64_SAFE = 2.0**62
 _INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
 # the buffer exponent of a missing value, outside Decimal's exponent range
 NO_VALUE = _INT64_MIN
-# records whose integers are appended to lists before they move into int64
-# buffers; a list append is cheaper than an array append
+# rows gathered per step of a text column's ``_byte``
 BLOCK_RECORDS = 1 << 13
 # rows per ``chunks`` slice: one ``write_csv`` chunk, and one step of ``DecimalColumn.total``
 CSV_CHUNK_ROWS = 1 << 13
@@ -284,51 +283,39 @@ class DecimalBuffer:
     """A ``DecimalColumn`` while records are read: coefficients and exponents in
     int64 buffers.
 
-    The latest values are appended to the lists ``new_coef`` and
-    ``new_exp``, which ``flush`` moves into the buffers. A missing value is
-    kept as coefficient 0 and the exponent ``NO_VALUE``, which lies outside
-    ``Decimal``'s exponent range. A coefficient beyond int64 is kept in
-    ``big`` by position, with 0 in its slot, and the position of each
-    negative zero in ``neg_zero``.
+    A missing value is kept as coefficient 0 and the exponent ``NO_VALUE``,
+    which lies outside ``Decimal``'s exponent range. A coefficient beyond
+    int64 is kept in ``big`` by position, with 0 in its slot, and the
+    position of each negative zero in ``neg_zero``.
     """
 
     def __init__(self) -> None:
         self.coef = array("q")
         self.exp = array("q")
-        self.new_coef: list[int] = []
-        self.new_exp: list[int] = []
         self.big: dict[int, int] = {}
         self.neg_zero: list[int] = []
 
     def append(self, value: Decimal | None) -> None:
         if value is None:
-            self.new_coef.append(0)
-            self.new_exp.append(NO_VALUE)
+            self.coef.append(0)
+            self.exp.append(NO_VALUE)
             return
         if not value.is_finite():
             raise ValueError(f"decimal column values must be finite, not {value}")
         sign, _, exp = value.as_tuple()
         coef = int(value.scaleb(-exp, _EXACT))
-        position = len(self.coef) + len(self.new_coef)
         if sign and not coef:
-            self.neg_zero.append(position)
+            self.neg_zero.append(len(self.coef))
         if not _INT64_MIN <= coef <= _INT64_MAX:
-            self.big[position] = coef
+            self.big[len(self.coef)] = coef
             coef = 0
-        self.new_coef.append(coef)
-        self.new_exp.append(exp)
-
-    def flush(self) -> None:
-        """Move the latest values into the int64 buffers."""
-        for buffer, new in ((self.coef, self.new_coef), (self.exp, self.new_exp)):
-            buffer.fromlist(new)
-            new.clear()
+        self.coef.append(coef)
+        self.exp.append(exp)
 
     @cached_property
     def column(self) -> DecimalColumn:
         """The values as a column whose int64 parts are views of the buffers,
         which then take no more values."""
-        self.flush()
         coef = np.frombuffer(self.coef, dtype=np.int64)
         exp = np.frombuffer(self.exp, dtype=np.int64)
         missing = exp == NO_VALUE

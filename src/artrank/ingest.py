@@ -7,19 +7,21 @@ they are returned as ``RejectReport`` entries with a row number and reason.
 An id or artwork id that holds a ``\\r`` is one of them: the csv module of
 some Python versions writes it unquoted, so ``events.csv`` could not be
 read back. So is one that holds a lone surrogate (a JSON escape such as
-``\\ud800``), which UTF-8 cannot encode; only JSON lines holding a ``\\``
-are searched for one.
+``\\ud800``), which UTF-8 cannot encode.
 Input is decoded as it is read: CSV a block of lines at a time,
 one-object-per-line JSON a line at a time, where a line ends at ``\\n``,
-``\\r\\n`` or ``\\r`` only; only a JSON array is decoded whole. A CSV block
-of at least ``_MIN_BLOCK_LINES`` lines that holds no ``"``, ``\\r`` or NUL
-and the header's cell count on every line is validated a column at a time
-(``_read_block``): ``str.split`` once, the ids through the memo, prices and
-timestamps by numpy from byte windows. Its records that fail a check, and every record of any other CSV block and of
-JSON, pass one validating loop (``_validate``), whose inline fast path keeps
-what the full validator would keep for the common record; every other
-record goes through the full validator, ``_Records.add``. Both fast paths
-keep exactly what it would keep. Logs come only from ``parse_events`` (and
+``\\r\\n`` or ``\\r`` only; only a JSON array is decoded whole. One block
+reader, ``_read_block``, validates every record a column at a time:
+``str.split`` once, the ids through the memo, prices and timestamps by
+numpy from byte windows. A CSV block that holds no ``"``, ``\\r`` or NUL and
+the header's cell count on every line is read as it is; the rows that
+``csv.reader`` reads from any other, and JSON records, are joined into
+seven-column lines first (``_validate``). The full validator,
+``_Records.add``, the one source of reject reasons, reads the original cells
+of each record that fails a check, of each JSON record with a cell that is
+not text there, and of every record of a block holding a ``,``, ``\\n``,
+``"``, ``\\r``, NUL or lone surrogate in a cell; the block reader keeps
+exactly what it would keep. Logs come only from ``parse_events`` (and
 ``convert_currency`` of one), so the validator alone decides what a log holds.
 
 ``write_csv`` writes every CSV artifact, ``events.csv`` among them, from
@@ -72,7 +74,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .children import Child, usable_cpus
 from .columns import (
-    BLOCK_RECORDS,
     NO_VALUE,
     DecimalBuffer,
     DecimalColumn,
@@ -140,9 +141,6 @@ _SURROGATE = re.compile("[\ud800-\udfff]")
 # raises it, and the heap that later allocations take, for the whole process
 _BLOCK_LINES = 1 << 11
 _BLOCK_CHARS = 96 << 10
-# a block of fewer lines takes the per-record loop: the column checks cost
-# about 0.2 ms a block whatever its length, the loop about 3 us a record
-_MIN_BLOCK_LINES = 1 << 6
 _COMMA, _LF, _DOT, _ZERO = b",\n.0"
 # the bytes the block reader reads a cell from: a plain number has at most 19
 # (18 digits and "."), read from 20 (an even count, for digit pairs); an
@@ -238,26 +236,10 @@ def _rate_rows(text: TextIO) -> dict[date, Decimal]:
 
 class _JsonNumber(str):
     """The text of a JSON number with a fraction or an exponent, as ``json``
-    hands it to ``parse_float``: the fast path reads it as price text, and
+    hands it to ``parse_float``: the block reader reads it as price text, and
     ``_Records.add`` reads the ``Decimal`` it names."""
 
     __slots__ = ()
-
-
-class _SurrogateText(str):
-    """A JSON string that holds a lone surrogate: its type sends its record past
-    the fast path to ``_Records.add``, which rejects it as an id or artwork id."""
-
-    __slots__ = ()
-
-
-def _mark_surrogates(record: object) -> None:
-    """Make each top-level string of a JSON object that holds a lone surrogate a
-    ``_SurrogateText``. Only JSON text holding a ``\\`` (a ``\\u`` escape) can hold one."""
-    if type(record) is dict:
-        for key, value in record.items():
-            if type(value) is str and _SURROGATE.search(value):
-                record[key] = _SurrogateText(value)
 
 
 def _json_int(text: str) -> int | _JsonNumber:
@@ -379,10 +361,9 @@ class _Records:
     at first sight; ``log`` renumbers the codes into id order. ``memo`` maps
     each user id, and each raw ``str`` id cell seen so far, to the code of
     the id it names. The user codes (seller, buyer and creator of each
-    record) and epoch seconds of the latest records are appended to the
-    lists ``new_codes`` and ``new_timestamps``, which ``flush`` moves into
-    the int64 buffers ``codes`` and ``timestamp``, as it encodes the latest
-    artwork ids (``artwork.new``) into the text buffer ``artwork``.
+    record) and epoch seconds go into the int64 buffers ``codes`` and
+    ``timestamp``; ``flush`` encodes the latest artwork ids
+    (``artwork.new``) into the text buffer ``artwork``.
     """
 
     def __init__(self) -> None:
@@ -390,8 +371,6 @@ class _Records:
         self.users: list[str] = []
         self.codes = array("q")
         self.timestamp = array("q")
-        self.new_codes: list[int] = []
-        self.new_timestamps: list[int] = []
         self.price_eth = DecimalBuffer()
         self.price_usd = DecimalBuffer()
         self.artwork = TextBuffer()
@@ -429,10 +408,10 @@ class _Records:
             # only str cells: True == 1 as a key, and a JSON list is unhashable
             if type(cell) is str:
                 self.memo[cell] = code
-        self.new_codes += codes
+        self.codes.extend(codes)
         self.price_eth.append(eth)
         self.price_usd.append(usd)
-        self.new_timestamps.append(epoch)
+        self.timestamp.append(epoch)
         self.artwork.new.append(artwork)
 
     def extend(
@@ -448,7 +427,6 @@ class _Records:
         """Keep records that passed every check, after the latest ones: their
         user codes as int64 rows ``(seller, buyer, creator)``, their plain
         prices and epoch seconds as int64 arrays, and their stripped artwork ids."""
-        self.flush()
         buffers = (
             self.codes,
             self.price_eth.coef,
@@ -470,12 +448,7 @@ class _Records:
         return code
 
     def flush(self) -> None:
-        """Move the latest records into the buffers."""
-        for buffer, new in ((self.codes, self.new_codes), (self.timestamp, self.new_timestamps)):
-            buffer.fromlist(new)
-            new.clear()
-        self.price_eth.flush()
-        self.price_usd.flush()
+        """Encode the latest artwork ids into their buffer."""
         self.artwork.flush()
 
     def log(self, source: str, total: int) -> EventLog:
@@ -484,7 +457,6 @@ class _Records:
         The timestamps, prices and artwork ids of input already in time order
         are views of the record buffers, which then take no more records.
         """
-        self.flush()
         timestamp = np.frombuffer(self.timestamp, dtype=np.int64)
         by_id = id_order(self.users)
         renumber = np.empty_like(by_id)
@@ -1000,7 +972,7 @@ def _merge(child: Child, records: _Records, rows_before: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Record readers and the validating loop
+# Record readers and the block reader
 # ---------------------------------------------------------------------------
 
 
@@ -1011,34 +983,30 @@ def _read_csv(
 
     The header row is read from ``text``, or from ``head`` for a later byte
     range. The rows are read in blocks of about ``_BLOCK_CHARS`` of text, at
-    most ``_BLOCK_LINES`` lines: a plain block of at least
-    ``_MIN_BLOCK_LINES`` lines (``_read_block``) is validated without
-    ``csv.reader``, and any other is read by it, with as many later lines as
-    a quoted field that the block leaves open takes, and validated by
-    ``_validate``. Blank lines
-    are skipped and take no record number. A short row leaves its trailing
-    fields missing, extra cells are ignored, and of duplicate header names
-    the last column wins.
+    most ``_BLOCK_LINES`` lines: a plain block is validated as it is
+    (``_read_block``), and any other is read by ``csv.reader``, with as many
+    later lines as a quoted field that the block leaves open takes, and
+    validated by ``_validate``. Blank lines are skipped and take no record
+    number. A short row leaves its trailing fields empty, extra cells are
+    ignored, and of duplicate header names the last column wins.
     """
     header = next(csv.reader(text if head is None else (head,)), None)
     if header is None:
         raise ValueError("CSV input has no header row")
     width = len(header)
     position = {name: i for i, name in enumerate(header)}
-    # a field without a column reads the None appended at index ``width``
+    # a field without a column reads the "" appended at index ``width``
     fields = [width if key is None else position[key] for key in _field_keys(header, remap)]
     pick = operator.itemgetter(*fields)
-    missing = [None] * (width + 1)
+    missing = [""] * (width + 1)
     row_num = seen_lines = seen_chars = 0
-    size = 2 * _MIN_BLOCK_LINES  # until the length of a line is known
+    size = 2  # until the length of a line is known
     while lines := list(islice(text, size)):
         block = "".join(lines)
         seen_lines += len(lines)
         seen_chars += len(block)
-        size = min(_BLOCK_LINES, max(_MIN_BLOCK_LINES, _BLOCK_CHARS * seen_lines // seen_chars))
-        if len(lines) >= _MIN_BLOCK_LINES and _read_block(
-            block, len(lines), width, fields, records, row_num
-        ):
+        size = min(_BLOCK_LINES, max(1, _BLOCK_CHARS * seen_lines // seen_chars))
+        if _read_block(block, len(lines), width, fields, records, row_num):
             row_num += len(lines)
             continue
         reader = csv.reader(chain(lines, text))
@@ -1046,7 +1014,7 @@ def _read_csv(
         for row in reader:
             if row:
                 if len(row) == width:
-                    row.append(None)
+                    row.append("")
                 else:
                     row = row[:width] + missing[min(len(row), width) :]
                 rows.append(pick(row))
@@ -1057,21 +1025,35 @@ def _read_csv(
 
 
 def _read_block(
-    block: str, lines: int, width: int, fields: list[int], records: _Records, row_num: int
+    block: str,
+    lines: int,
+    width: int,
+    fields: list[int],
+    records: _Records,
+    row_num: int,
+    originals: Sequence[tuple] | None = None,
 ) -> bool:
     """Validate the records of ``block``, ``lines`` whole CSV lines that follow
     record ``row_num``, into ``records`` when the block is plain; returns whether it was.
 
-    A plain block holds no ``"``, ``\\r`` or NUL, exactly ``width`` cells on
-    every line (so no blank line) and no cell longer than the csv module's
-    field limit, and the fields seller, buyer, creator and timestamp and at
-    least one price each have a column. Its lines are split once with
-    ``str.split`` and checked a column at a time by the rules of
-    ``_validate``'s fast path: the id cells through the memo (each new
-    distinct id is checked once, and coded only if a kept record names it),
-    the prices and timestamps by numpy on byte windows of the block's UTF-8
-    (``_plain_numbers``, ``_iso_stamps``).
-    A record that fails any check goes to ``_Records.add``, in input order.
+    A plain block holds no ``"``, ``\\r``, NUL or lone surrogate, exactly
+    ``width`` cells on every line (so no blank line) and no cell longer than
+    the csv module's field limit, and seller, buyer, creator, timestamp and a
+    price each have a column. Its lines are split once with ``str.split`` and
+    checked a column at a time. A record is kept, with the values
+    ``_Records.add`` would keep, when:
+
+    - each id cell is in the memo or a non-empty id that is its own
+      ``.strip()`` (a new id is checked once per block, and coded only if a
+      kept record names it), and seller and buyer differ;
+    - each price is empty or 1 to 18 ASCII digits with at most one ".", and
+      one is not empty (``_plain_numbers``);
+    - the timestamp is at most 12 ASCII digits naming at most ``_MAX_EPOCH``,
+      or a valid ``YYYY-MM-DDTHH:MM:SS`` then ``+00:00`` or ``Z`` (``_iso_stamps``).
+
+    Numbers are read by numpy from byte windows of the block's UTF-8. Any
+    other record goes to ``add``, in input order, with its cells in
+    ``originals`` if given, else in the block.
     """
     seller, buyer, creator, eth, usd, when, artwork = fields
     if (
@@ -1085,7 +1067,11 @@ def _read_block(
         return False
     if not block.endswith("\n"):
         block += "\n"
-    raw = np.frombuffer(b"".join((_PADDING, block.encode(), _PADDING)), dtype=np.uint8)
+    try:
+        data = block.encode()
+    except UnicodeEncodeError:  # a lone surrogate, which only a JSON escape gives
+        return False
+    raw = np.frombuffer(b"".join((_PADDING, data, _PADDING)), dtype=np.uint8)
     ends = raw == _COMMA
     ends |= raw == _LF
     ends = np.flatnonzero(ends)
@@ -1106,16 +1092,17 @@ def _read_block(
     codes = np.stack([np.fromiter(map(code_of, column), np.int64, lines) for column in ids], axis=1)
     new = codes < 0
     fails = (codes[:, 0] == codes[:, 1]) & ~new[:, 0]
-    if new.any():
-        # an id cell not in the memo is a new user's id when it is its own strip
-        fresh = dict.fromkeys(compress(chain.from_iterable(ids), new.T.ravel().tolist()))
-        bad = {cell for cell in fresh if not cell or cell != cell.strip()}
-        if bad:
-            for column, k in zip(ids, range(3)):
-                fails |= new[:, k] & np.fromiter(map(bad.__contains__, column), bool, lines)
-        # a new id and a known one name different users; two new ones, unless equal
-        for i in np.flatnonzero(new[:, 0] & new[:, 1]).tolist():
-            fails[i] |= ids[0][i] == ids[1][i]
+    # the id cells not in the memo, in input order; such a cell is a new
+    # user's id when it is its own strip
+    new_rows, new_ids = np.divmod(np.flatnonzero(new), 3)
+    at = new_rows * width + np.array((seller, buyer, creator))[new_ids]
+    new_cells = list(map(cells.__getitem__, at.tolist()))
+    bad = {cell for cell in dict.fromkeys(new_cells) if not cell or cell != cell.strip()}
+    if bad:
+        fails[new_rows[list(map(bad.__contains__, new_cells))]] = True
+    # a new id and a known one name different users; two new ones, unless equal
+    for i in np.flatnonzero(new[:, 0] & new[:, 1]).tolist():
+        fails[i] |= ids[0][i] == ids[1][i]
     view = sliding_window_view(raw, _ISO_LENGTH)
     numeric = [field for field in (eth, usd, when) if field < width]
     coef, exp, plain, integer = (
@@ -1139,15 +1126,12 @@ def _read_block(
         epoch = np.where(plain, seconds, epoch)
         stamped |= plain
     fails |= ~stamped
-    keep_new = new & ~fails[:, None]
-    if keep_new.any():
-        # coded only now their records are kept, each at its first sight in input order
-        kept_new = compress(chain.from_iterable(zip(*ids)), keep_new.ravel().tolist())
-        for cell in dict.fromkeys(kept_new):
-            records.user(cell)
-        for column, k in zip(ids, range(3)):
-            rows = np.flatnonzero(keep_new[:, k])
-            codes[rows, k] = list(map(code_of, map(column.__getitem__, rows.tolist())))
+    # new ids are coded only now their records are kept, each at its first sight
+    keep = ~fails[new_rows]
+    kept_cells = list(compress(new_cells, keep.tolist()))
+    for cell in dict.fromkeys(kept_cells):
+        records.user(cell)
+    codes[new_rows[keep], new_ids[keep]] = list(map(code_of, kept_cells))
     art = [""] * lines if artwork == width else list(map(str.strip, cells[artwork::width]))
     pick = operator.itemgetter(*fields)
     kept = 0
@@ -1164,8 +1148,10 @@ def _read_block(
                 art[part],
             )
         if row < lines:
-            records.add(row_num + row + 1, *pick(cells[row * width : (row + 1) * width] + [None]))
+            line = cells[row * width : (row + 1) * width]
+            records.add(row_num + row + 1, *(originals[row] if originals else pick(line + [""])))
         kept = row + 1
+    records.flush()
     return True
 
 
@@ -1234,8 +1220,19 @@ def _iso_stamps(view: np.ndarray, starts: np.ndarray, long: np.ndarray) -> tuple
     return days * _DAY_S + hour * 3600 + minute * 60 + second + _MIN_EPOCH, plain
 
 
+# the fields of the lines ``_validate`` joins, the cells of an absent JSON
+# field, the cell types each column is joined from as they are, and the
+# columns where a JSON number, which joins as the str it subclasses, is not text
+_FIELDS = list(range(len(CANONICAL_FIELDS)))
+_EMPTY = ("",) * len(_FIELDS)
+_JOINED = [{str}] * 3 + [{str, _JsonNumber}] * 2 + [{str}] * 2
+_TEXT_CELLS = [
+    operator.itemgetter(k) for k, types in enumerate(_JOINED) if _JsonNumber not in types
+]
+
+
 def _json_cells(records: Iterable[object], remap: Mapping[str, str]) -> Iterator[tuple]:
-    """The seven canonical cells of each JSON record, None for an absent field.
+    """The seven canonical cells of each JSON record, "" for an absent field.
 
     A record that is not an object has none of the fields.
     """
@@ -1247,7 +1244,7 @@ def _json_cells(records: Iterable[object], remap: Mapping[str, str]) -> Iterator
         keys = keys_by_layout.get(layout)
         if keys is None:
             keys = keys_by_layout[layout] = _field_keys(layout, remap)
-        yield tuple(map(record.get, keys))
+        yield tuple(map(record.get, keys, _EMPTY))
 
 
 def _json_records(text: TextIO) -> Iterable[object]:
@@ -1268,13 +1265,9 @@ def _json_records(text: TextIO) -> Iterable[object]:
         return _ndjson_records(chain((line,), lines))
     whole = head + text.read()
     try:  # past whitespace the text opens with "[", so it decodes to a list or not at all
-        records = _json_loads(whole)
+        return _json_loads(whole)
     except (json.JSONDecodeError, RecursionError) as exc:  # the latter: nesting too deep
         raise ValueError(f"invalid JSON input: {exc}") from None
-    if "\\" in whole:
-        for record in records:
-            _mark_surrogates(record)
-    return records
 
 
 def _ndjson_records(lines: Iterable[str]) -> Iterator[object]:
@@ -1288,8 +1281,6 @@ def _ndjson_records(lines: Iterable[str]) -> Iterator[object]:
             record = _json_loads(line.rstrip("\r\n"))
         except (json.JSONDecodeError, RecursionError) as exc:  # the latter: nesting too deep
             raise _JsonLineError(row_num, str(exc)) from None
-        if "\\" in line:  # a one-character search; finding "\\u" took 3% of a parse
-            _mark_surrogates(record)
         yield record
 
 
@@ -1315,119 +1306,48 @@ def _validate(rows: Iterable[tuple], records: _Records, row_num: int = 0) -> int
     """Validate each record's seven cells, records ``row_num + 1`` on, into
     ``records``; returns the number of the last.
 
-    The common record takes a fast path inline: its three id cells are
-    ``str`` cells, each in the memo or a non-empty id without a ``\\r`` that
-    is its own ``.strip()``, seller and buyer differ, each price is
-    absent or plain ASCII text (a ``str`` or JSON number of digits with at
-    most one ".", at most 18 digits, so within ``[0, _MAX_FLOAT]``) read
-    straight into coefficient and exponent, its timestamp is a ``str`` of
-    ASCII digits or one of the UTC forms ``...+00:00`` (25 characters, as
-    ``events.csv`` writes it) or ``...Z`` (20 characters) with no other
-    "Z", and its artwork is absent or a ``str`` without a ``\\r``. Its new
-    ids are coded once every other check has passed, so a rejected record
-    codes no user. It keeps exactly what ``_Records.add`` would keep. Any
-    other record goes to ``add``, the one source of reject reasons; no
-    unhashable cell reaches the memo.
+    A block of at most ``_BLOCK_LINES`` records at a time is joined into
+    seven-column lines (``_block_text``) for ``_read_block``, which sends
+    each record that fails a check to ``_Records.add`` with its original
+    cells; every record of a block that it refuses goes there too.
     """
-    add = records.add
-    user = records.user
-    code_of = records.memo.get
-    codes = records.new_codes
-    keep_eth_coef = records.price_eth.new_coef.append
-    keep_eth_exp = records.price_eth.new_exp.append
-    keep_usd_coef = records.price_usd.new_coef.append
-    keep_usd_exp = records.price_usd.new_exp.append
-    keep_timestamp = records.new_timestamps.append
-    keep_artwork = records.artwork.new.append
-    fromisoformat = datetime.fromisoformat
-    for cells in rows:
-        row_num += 1
-        if not row_num % BLOCK_RECORDS:
+    rows = iter(rows)
+    while block := list(islice(rows, _BLOCK_LINES)):
+        text = _block_text(block)
+        if not _read_block(text, len(block), len(_FIELDS), _FIELDS, records, row_num, block):
+            for row, cells in enumerate(block, start=row_num + 1):
+                records.add(row, *cells)
             records.flush()
-        seller, buyer, creator, eth, usd, when, artwork = cells
-        if (
-            type(seller) is not str
-            or type(buyer) is not str
-            or type(creator) is not str
-            or type(when) is not str
-            or not (artwork is None or (type(artwork) is str and "\r" not in artwork))
-        ):
-            add(row_num, *cells)
-            continue
-        s = code_of(seller)
-        b = code_of(buyer)
-        c = code_of(creator)
-        # an id cell not in the memo is a new user's id when it is its own strip
-        new = s is None or b is None or c is None
-        if new and (
-            (s is None and (not seller or seller != seller.strip() or "\r" in seller))
-            or (b is None and (not buyer or buyer != buyer.strip() or "\r" in buyer))
-            or (c is None and (not creator or creator != creator.strip() or "\r" in creator))
-        ):
-            add(row_num, *cells)
-            continue
-        # a new id and a known one name different users
-        if (s == b and (s is not None or seller == buyer)) or not when or not when.isascii():
-            add(row_num, *cells)
-            continue
-        if eth is None or eth == "":
-            eth_coef, eth_exp = 0, NO_VALUE
-        elif (type(eth) is str or type(eth) is _JsonNumber) and eth.isascii():
-            head, _, tail = eth.partition(".")
-            digits = head + tail
-            if not (digits.isdigit() and len(digits) <= 18):
-                add(row_num, *cells)
-                continue
-            eth_coef, eth_exp = int(digits), -len(tail)
-        else:
-            add(row_num, *cells)
-            continue
-        if usd is None or usd == "":
-            if eth_exp == NO_VALUE:
-                add(row_num, *cells)
-                continue
-            usd_coef, usd_exp = 0, NO_VALUE
-        elif (type(usd) is str or type(usd) is _JsonNumber) and usd.isascii():
-            head, _, tail = usd.partition(".")
-            digits = head + tail
-            if not (digits.isdigit() and len(digits) <= 18):
-                add(row_num, *cells)
-                continue
-            usd_coef, usd_exp = int(digits), -len(tail)
-        else:
-            add(row_num, *cells)
-            continue
-        if when.isdigit() and len(when) <= 12:
-            epoch = int(when)
-            fast = epoch <= _MAX_EPOCH
-        elif (len(when) == 25 and when.endswith("+00:00") and "Z" not in when) or (
-            len(when) == 20 and when.find("Z") == 19
-        ):
-            # ``add`` reads every "Z" as "+00:00", so a "Z" elsewhere (a
-            # date-time separator to fromisoformat) takes ``add``
-            try:
-                since_epoch = fromisoformat(when) - _EPOCH
-            except ValueError:
-                add(row_num, *cells)
-                continue
-            epoch = since_epoch.days * _DAY_S + since_epoch.seconds
-            fast = True
-        else:
-            fast = False
-        if not fast:
-            add(row_num, *cells)
-            continue
-        if new:
-            # coded only now the record is kept, in the order ``add`` codes them
-            s, b, c = user(seller), user(buyer), user(creator)
-        codes += (s, b, c)
-        keep_eth_coef(eth_coef)
-        keep_eth_exp(eth_exp)
-        keep_usd_coef(usd_coef)
-        keep_usd_exp(usd_exp)
-        keep_timestamp(epoch)
-        keep_artwork(artwork.strip() if artwork else "")
+        row_num += len(block)
     return row_num
+
+
+def _block_text(block: list[tuple]) -> str:
+    """The records of ``block`` as seven-column CSV lines, for ``_read_block``.
+
+    A null cell (None) is joined as "", which ``_Records.add`` reads alike.
+    Any other cell that is not text there (an id, timestamp or artwork that
+    is not a ``str``, a price that is neither a ``str`` nor a JSON number)
+    is joined as "" with an empty seller, which fails the id check, so that
+    ``add`` reads the record's cells as they are: a JSON number id, for one,
+    names the id of its ``Decimal``'s text.
+    """
+    try:
+        text = "\n".join(map(",".join, block))
+    except TypeError:  # a cell that is not a str, most often null
+        pass
+    else:
+        if all(set(map(type, map(cell, block))) == {str} for cell in _TEXT_CELLS):
+            return text
+    columns = list(map(list, zip(*block)))
+    for column, joined in zip(columns, _JOINED):
+        if not set(map(type, column)) <= joined:
+            for i, cell in enumerate(column):
+                if cell is None:
+                    column[i] = ""
+                elif type(cell) not in joined:
+                    column[i] = columns[0][i] = ""
+    return "\n".join(map(",".join, zip(*columns)))
 
 
 def _field_keys(present: Iterable[str], remap: Mapping[str, str]) -> list[str | None]:

@@ -635,7 +635,6 @@ def test_csv_block_reader_keeps_what_the_full_validator_keeps(rows, odd, ranges)
     expected = [tuple(row[:7]) + (None,) * (7 - len(row)) for row in records if row]
     with pytest.MonkeyPatch.context() as patch, tempfile.TemporaryDirectory() as tmp:
         patch.setattr(ingest, "_BLOCK_LINES", 3)
-        patch.setattr(ingest, "_MIN_BLOCK_LINES", 1)
         log, rejects = parse_events(text.encode(), "csv")
         _check_against_full_validator(log, rejects, expected)
         path = os.path.join(tmp, "sales.csv")
@@ -656,7 +655,6 @@ def test_only_a_block_that_is_not_plain_goes_through_csv_reader(monkeypatch):
     )
     # blocks of records 1-2, 3-5, 6-8 and 9-10, the first of twice the least length
     monkeypatch.setattr(ingest, "_BLOCK_LINES", 3)
-    monkeypatch.setattr(ingest, "_MIN_BLOCK_LINES", 1)
     lines = [f"s{i},b{i},s{i},,{i}.5,{1619000000 + i},art{i}" for i in range(10)]
     lines[4] = '"s4",b4,s4,,4.5,1619000004,art4'
     text = "\n".join([",".join(CANONICAL_FIELDS), *lines]) + "\n"
@@ -960,13 +958,64 @@ def _json_record(draw):
     return "{" + ",".join(f'"{key}":{value}' for key, value in items) + "}"
 
 
+_JSON_PLAIN = {
+    "seller": '"a"',
+    "buyer": '"b"',
+    "creator": '"c"',
+    "price_eth": "1.5",
+    "price_usd": '"3"',
+    "timestamp": '"2021-04-21T10:00:00Z"',
+    "artwork_id": '"art1"',
+}
+_JSON_NUMBERS = ["1.5", "1e400", "1e-7", "1E+3"]
+_NOT_TEXT = ["null", "7", "true", "[1]"]
+_SURROGATE = '"\\ud800"'
+# cells the block reader must not read as joined text, or that make it refuse
+# their block: each once per example, in a record that is otherwise kept
+_JSON_EDGES = [
+    *((name, cell) for name in ("seller", "buyer", "creator", "artwork_id")
+      for cell in [*_JSON_NUMBERS, *_NOT_TEXT, _SURROGATE]),
+    *((name, cell) for name in ("price_eth", "price_usd") for cell in [*_NOT_TEXT, '"1\\udc00"']),
+    *(("timestamp", cell) for cell in [*_NOT_TEXT, "1619000000", "1619000000.0"]),
+    *((name, cell) for name, cell in zip(
+        ["seller", "buyer", "creator"] * 2,
+        ['"a\\"b"', '"a,b"', '"a\\nb"', '"a\\rb"', '"a\\u0000b"', '"a\\r\\nb"'],
+    )),
+]
+_JSON_EDGE_RECORDS = [
+    "{" + ",".join(f'"{key}":{value}' for key, value in {**_JSON_PLAIN, name: edge}.items()) + "}"
+    for name, edge in _JSON_EDGES
+]
+
+
 @settings(max_examples=300, deadline=None)
-@given(st.lists(_json_record(), max_size=30), st.booleans())
-def test_json_fast_path_keeps_what_the_full_validator_keeps(records, as_array):
+@given(
+    st.lists(_json_record(), max_size=30).flatmap(
+        lambda records: st.permutations(records + _JSON_EDGE_RECORDS)
+    ),
+    st.booleans(),
+    st.integers(1, 3),
+)
+def test_json_fast_path_keeps_what_the_full_validator_keeps(records, as_array, ranges):
+    # blocks of 3 records put the edge records in blocks of every kind
     text = "[" + ",".join(records) + "]" if as_array else "\n".join(records)
     data = text.encode()
-    got = _parse_or_error(data, lambda raw: parse_events(raw, "json", field_map=_JSON_FIELD_MAP))
-    assert got == _parse_or_error(data, lambda raw: parse_json_whole(raw, _JSON_FIELD_MAP))
+    expected = _parse_or_error(data, lambda raw: parse_json_whole(raw, _JSON_FIELD_MAP))
+
+    def parse(raw):
+        return parse_events(raw, "json", field_map=_JSON_FIELD_MAP)
+
+    with pytest.MonkeyPatch.context() as patch, tempfile.TemporaryDirectory() as tmp:
+        patch.setattr(ingest, "_BLOCK_LINES", 3)
+        assert _parse_or_error(data, parse) == expected
+        path = os.path.join(tmp, "sales.ndjson")
+        with open(path, "wb") as stream:
+            stream.write(data)
+        patch.setattr(ingest, "_MIN_RANGE_BYTES", 1)
+        patch.setattr(os, "sched_getaffinity", lambda pid: set(range(ranges)))
+        with open(path, "rb") as stream:
+            got = _parse_or_error(stream, parse)
+    assert got == expected
 
 
 @pytest.mark.parametrize("when", ["2021-04-21Z10:00:00Z", "2021-04-21Z10:00:00+00:00"])
