@@ -13,14 +13,15 @@ one-object-per-line JSON a line at a time, where a line ends at ``\\n``,
 ``\\r\\n`` or ``\\r`` only; only a JSON array is decoded whole. One block
 reader, ``_read_block``, validates every record a column at a time:
 ``str.split`` once, the ids through the memo, prices and timestamps by
-numpy from byte windows. A CSV block that holds no ``"``, ``\\r`` or NUL and
-the header's cell count on every line is read as it is; the rows that
-``csv.reader`` reads from any other, and JSON records, are joined into
-seven-column lines first (``_validate``). The full validator,
-``_Records.add``, the one source of reject reasons, reads the original cells
-of each record that fails a check, of each JSON record with a cell that is
-not text there, and of every record of a block holding a ``,``, ``\\n``,
-``"``, ``\\r``, NUL or lone surrogate in a cell; the block reader keeps
+numpy from byte windows. A CSV block that, with ``\\r\\n`` line ends read as
+``\\n``, holds no ``"``, ``\\r`` or NUL and the header's cell count on every
+line is read as it is; the rows that ``csv.reader`` reads from any other,
+and JSON records, are joined into seven-column lines first (``_validate``).
+The full validator, ``_Records.add``, the one source of reject reasons,
+reads the original cells of each record that fails a check, of each JSON
+record with a cell that is not text there, and of each record with a cell
+holding a ``,``, ``\\n``, ``"``, ``\\r``, NUL or lone surrogate, which the
+second joining of a refused block leaves blank; the block reader keeps
 exactly what it would keep. Logs come only from ``parse_events`` (and
 ``convert_currency`` of one), so the validator alone decides what a log holds.
 
@@ -66,7 +67,7 @@ from dataclasses import dataclass, replace
 from datetime import date, datetime, timedelta, timezone
 from decimal import Clamped, Context, Decimal, InvalidOperation, Rounded
 from functools import partial
-from itertools import chain, compress, islice
+from itertools import chain, islice, repeat
 from typing import BinaryIO, Callable, Iterable, Iterator, Mapping, Sequence, TextIO, TypeVar
 
 import numpy as np
@@ -135,6 +136,8 @@ _LINE_END = re.compile(rb"[\r\n]")
 # a surrogate code point in a decoded str: only a JSON escape such as
 # ``\ud800`` can put one there, and UTF-8 cannot encode it
 _SURROGATE = re.compile("[\ud800-\udfff]")
+# a cell that the block reader cannot read from joined text
+_ODD = re.compile('[,\n"\r\0\ud800-\udfff]')
 # CSV lines validated as one block: at most this many, and about as many as
 # hold this much text, so that the block's text, its bytes and its numpy
 # temporaries stay below glibc's 128 KiB mmap threshold, whose first crossing
@@ -344,21 +347,12 @@ class EventLog:
             )
 
 
-class _Codes(dict):
-    """User codes by id cell, where a cell not yet seen reads as -1, so that a
-    column of cells is looked up with one ``map`` of ``__getitem__``."""
-
-    __slots__ = ()
-
-    def __missing__(self, cell: str) -> int:
-        return -1
-
-
 class _Records:
     """Validated records as columns in input order, plus the rejected ones.
 
     While records are read, a user's code is its index in ``users``, given
-    at first sight; ``log`` renumbers the codes into id order. ``memo`` maps
+    at first sight, even in a record that is then rejected; ``log`` keeps
+    the users a kept record names, renumbered into id order. ``memo`` maps
     each user id, and each raw ``str`` id cell seen so far, to the code of
     the id it names. The user codes (seller, buyer and creator of each
     record) and epoch seconds go into the int64 buffers ``codes`` and
@@ -367,7 +361,7 @@ class _Records:
     """
 
     def __init__(self) -> None:
-        self.memo = _Codes()
+        self.memo: dict[str, int] = {}
         self.users: list[str] = []
         self.codes = array("q")
         self.timestamp = array("q")
@@ -452,16 +446,17 @@ class _Records:
         self.artwork.flush()
 
     def log(self, source: str, total: int) -> EventLog:
-        """The kept records as a log, stably sorted by timestamp, users coded in id order.
+        """The kept records as a log, stably sorted by timestamp, their users coded in id order.
 
         The timestamps, prices and artwork ids of input already in time order
         are views of the record buffers, which then take no more records.
         """
         timestamp = np.frombuffer(self.timestamp, dtype=np.int64)
-        by_id = id_order(self.users)
-        renumber = np.empty_like(by_id)
-        renumber[by_id] = np.arange(by_id.size)
         codes = np.frombuffer(self.codes, dtype=np.int64).reshape(-1, 3)
+        named = np.flatnonzero(np.bincount(codes.ravel(), minlength=len(self.users)))
+        by_id = named[id_order([self.users[k] for k in named.tolist()])]
+        renumber = np.empty(len(self.users), dtype=np.int64)
+        renumber[by_id] = np.arange(by_id.size)
         seller, buyer, creator = (renumber[codes[:, k]] for k in range(3))
         columns = [
             seller,
@@ -1036,16 +1031,17 @@ def _read_block(
     """Validate the records of ``block``, ``lines`` whole CSV lines that follow
     record ``row_num``, into ``records`` when the block is plain; returns whether it was.
 
-    A plain block holds no ``"``, ``\\r``, NUL or lone surrogate, exactly
-    ``width`` cells on every line (so no blank line) and no cell longer than
-    the csv module's field limit, and seller, buyer, creator, timestamp and a
-    price each have a column. Its lines are split once with ``str.split`` and
-    checked a column at a time. A record is kept, with the values
-    ``_Records.add`` would keep, when:
+    A ``\\r\\n`` line end is read as ``\\n``. A plain block then holds no ``"``,
+    ``\\r``, NUL or lone surrogate and exactly ``width`` cells on every line
+    (so no blank line), and seller, buyer, creator, timestamp and a price
+    each have a column; CSV text (no ``originals``) also holds no cell longer
+    than the csv module's field limit. Its lines are split once with
+    ``str.split`` and checked a column at a time. A record is kept, with the
+    values ``_Records.add`` would keep, when:
 
     - each id cell is in the memo or a non-empty id that is its own
-      ``.strip()`` (a new id is checked once per block, and coded only if a
-      kept record names it), and seller and buyer differ;
+      ``.strip()`` (coded here at its first sight, whether or not its record
+      is kept), and seller and buyer differ;
     - each price is empty or 1 to 18 ASCII digits with at most one ".", and
       one is not empty (``_plain_numbers``);
     - the timestamp is at most 12 ASCII digits naming at most ``_MAX_EPOCH``,
@@ -1056,6 +1052,8 @@ def _read_block(
     ``originals`` if given, else in the block.
     """
     seller, buyer, creator, eth, usd, when, artwork = fields
+    if "\r" in block:
+        block = block.replace("\r\n", "\n")
     if (
         width < 2
         or width in (seller, buyer, creator, when)
@@ -1084,25 +1082,23 @@ def _read_block(
     kinds = raw[ends]
     if not ((kinds[:, :-1] == _COMMA).all() and (kinds[:, -1] == _LF).all()):
         return False
-    if (ends - starts).max() > csv.field_size_limit():  # the csv module raises on such a cell
+    if originals is None and (ends - starts).max() > csv.field_size_limit():  # csv would raise
         return False
     cells = block[:-1].replace("\n", ",").split(",")
     ids = [cells[field::width] for field in (seller, buyer, creator)]
-    code_of = records.memo.__getitem__
-    codes = np.stack([np.fromiter(map(code_of, column), np.int64, lines) for column in ids], axis=1)
-    new = codes < 0
-    fails = (codes[:, 0] == codes[:, 1]) & ~new[:, 0]
-    # the id cells not in the memo, in input order; such a cell is a new
-    # user's id when it is its own strip
-    new_rows, new_ids = np.divmod(np.flatnonzero(new), 3)
+    memo = records.memo
+    codes = np.stack(
+        [np.fromiter(map(memo.get, column, repeat(-1)), np.int64, lines) for column in ids], axis=1
+    )
+    # the id cells not in the memo, in input order: a new user's id when it is its own strip
+    new = np.flatnonzero(codes < 0)
+    new_rows, new_ids = np.divmod(new, 3)
     at = new_rows * width + np.array((seller, buyer, creator))[new_ids]
-    new_cells = list(map(cells.__getitem__, at.tolist()))
-    bad = {cell for cell in dict.fromkeys(new_cells) if not cell or cell != cell.strip()}
-    if bad:
-        fails[new_rows[list(map(bad.__contains__, new_cells))]] = True
-    # a new id and a known one name different users; two new ones, unless equal
-    for i in np.flatnonzero(new[:, 0] & new[:, 1]).tolist():
-        fails[i] |= ids[0][i] == ids[1][i]
+    codes.flat[new] = [
+        records.user(cell) if cell and cell == cell.strip() else -1
+        for cell in map(cells.__getitem__, at.tolist())
+    ]
+    fails = (codes < 0).any(axis=1) | (codes[:, 0] == codes[:, 1])
     view = sliding_window_view(raw, _ISO_LENGTH)
     numeric = [field for field in (eth, usd, when) if field < width]
     coef, exp, plain, integer = (
@@ -1126,12 +1122,6 @@ def _read_block(
         epoch = np.where(plain, seconds, epoch)
         stamped |= plain
     fails |= ~stamped
-    # new ids are coded only now their records are kept, each at its first sight
-    keep = ~fails[new_rows]
-    kept_cells = list(compress(new_cells, keep.tolist()))
-    for cell in dict.fromkeys(kept_cells):
-        records.user(cell)
-    codes[new_rows[keep], new_ids[keep]] = list(map(code_of, kept_cells))
     art = [""] * lines if artwork == width else list(map(str.strip, cells[artwork::width]))
     pick = operator.itemgetter(*fields)
     kept = 0
@@ -1309,20 +1299,22 @@ def _validate(rows: Iterable[tuple], records: _Records, row_num: int = 0) -> int
     A block of at most ``_BLOCK_LINES`` records at a time is joined into
     seven-column lines (``_block_text``) for ``_read_block``, which sends
     each record that fails a check to ``_Records.add`` with its original
-    cells; every record of a block that it refuses goes there too.
+    cells. A block it refuses is joined and read once more with each cell it
+    cannot read blank, and that record's seller, so only those records go to ``add``.
     """
     rows = iter(rows)
     while block := list(islice(rows, _BLOCK_LINES)):
-        text = _block_text(block)
-        if not _read_block(text, len(block), len(_FIELDS), _FIELDS, records, row_num, block):
-            for row, cells in enumerate(block, start=row_num + 1):
-                records.add(row, *cells)
-            records.flush()
+        for blank in (False, True):
+            text = _block_text(block, blank)
+            if _read_block(text, len(block), len(_FIELDS), _FIELDS, records, row_num, block):
+                break
+        else:
+            raise RuntimeError("the block reader refused a block whose odd cells are blank")
         row_num += len(block)
     return row_num
 
 
-def _block_text(block: list[tuple]) -> str:
+def _block_text(block: list[tuple], blank: bool = False) -> str:
     """The records of ``block`` as seven-column CSV lines, for ``_read_block``.
 
     A null cell (None) is joined as "", which ``_Records.add`` reads alike.
@@ -1330,22 +1322,25 @@ def _block_text(block: list[tuple]) -> str:
     is not a ``str``, a price that is neither a ``str`` nor a JSON number)
     is joined as "" with an empty seller, which fails the id check, so that
     ``add`` reads the record's cells as they are: a JSON number id, for one,
-    names the id of its ``Decimal``'s text.
+    names the id of its ``Decimal``'s text. With ``blank``, so is a cell
+    that holds a ``,``, ``\\n``, ``"``, ``\\r``, NUL or lone surrogate, which
+    ``_read_block`` refuses; without it, text cells are joined as they are.
     """
-    try:
-        text = "\n".join(map(",".join, block))
-    except TypeError:  # a cell that is not a str, most often null
-        pass
-    else:
-        if all(set(map(type, map(cell, block))) == {str} for cell in _TEXT_CELLS):
-            return text
+    if not blank:
+        try:
+            text = "\n".join(map(",".join, block))
+        except TypeError:  # a cell that is not a str, most often null
+            pass
+        else:
+            if all(set(map(type, map(cell, block))) == {str} for cell in _TEXT_CELLS):
+                return text
     columns = list(map(list, zip(*block)))
     for column, joined in zip(columns, _JOINED):
-        if not set(map(type, column)) <= joined:
+        if not set(map(type, column)) <= joined or blank and _ODD.search("".join(column)):
             for i, cell in enumerate(column):
                 if cell is None:
                     column[i] = ""
-                elif type(cell) not in joined:
+                elif type(cell) not in joined or blank and _ODD.search(cell):
                     column[i] = columns[0][i] = ""
     return "\n".join(map(",".join, zip(*columns)))
 

@@ -26,7 +26,7 @@ from artrank import (
     volume_by_buyer,
     volume_by_seller,
 )
-from helpers import count_forks, count_range_forks, market_csv
+from helpers import count_forks, count_range_forks, market_csv, market_rows
 
 FIXTURE_CSV = """seller,buyer,creator,price_eth,price_usd,timestamp,artwork_id
 ann,bob,ann,1.0,2300,2021-04-20T10:00:00Z,a1
@@ -244,6 +244,52 @@ def test_inputs_parsed_in_byte_ranges_give_the_same_artifacts(tmp_path, monkeypa
     forks = count_range_forks(monkeypatch)
     assert artifacts(tmp_path / "ranges", 1) == one
     assert len(forks) == 3 * 3  # input.csv twice and events.csv once, in four ranges each
+
+
+def test_the_same_records_as_csv_quoted_csv_crlf_csv_or_ndjson_give_the_same_artifacts(
+    tmp_path, monkeypatch
+):
+    rows = market_rows(5, 600)
+    for row in rows[3::150]:
+        row[6] += ", edition 1"
+    inputs = tmp_path / "inputs"
+    inputs.mkdir()
+    for name, options in [
+        ("plain.csv", {}),
+        ("quoted.csv", {"quoting": csv.QUOTE_ALL}),
+        ("crlf.csv", {"lineterminator": "\r\n"}),
+    ]:
+        with open(inputs / name, "w", encoding="utf-8", newline="") as stream:
+            writer = csv.writer(stream, **{"lineterminator": "\n", **options})
+            writer.writerow(ingest.CANONICAL_FIELDS)
+            writer.writerows(rows)
+    (inputs / "records.ndjson").write_text(
+        "".join(json.dumps(dict(zip(ingest.CANONICAL_FIELDS, row))) + "\n" for row in rows),
+        encoding="utf-8",
+    )
+
+    def artifacts(out):
+        trees = {}
+        for path in sorted(inputs.iterdir()):
+            fmt = "json" if path.suffix == ".ndjson" else "csv"
+            assert run_cli("run", path, "--format", fmt, "--out", out / path.name) == 0
+            tree = read_tree(out / path.name)
+            del tree["manifest.json"]
+            report = json.loads(tree["ingest_report.json"])
+            assert (report.pop("source"), report.pop("format")) == (path.name, fmt)
+            tree["ingest_report.json"] = report
+            trees[path.name] = tree
+        return trees
+
+    one = artifacts(tmp_path / "one")
+    assert one["plain.csv"]["ingest_report.json"]["accepted"] == len(rows)
+    for name, tree in one.items():
+        assert tree == one["plain.csv"], name
+    monkeypatch.setattr(ingest, "_MIN_RANGE_BYTES", 1)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    forks = count_range_forks(monkeypatch)
+    assert artifacts(tmp_path / "ranges") == one
+    assert forks  # the NDJSON input, at least, holds no quote and is read in ranges
 
 
 def background_writes(patch) -> list[int]:

@@ -624,13 +624,14 @@ _odd_line = st.sampled_from(
     st.lists(_edge_row(), max_size=20).flatmap(lambda rows: st.permutations(rows + _EDGE_ROWS)),
     st.none() | st.tuples(st.integers(0, 100), _odd_line),
     st.integers(1, 3),
+    st.sampled_from(["\n", "\r\n"]),
 )
-def test_csv_block_reader_keeps_what_the_full_validator_keeps(rows, odd, ranges):
+def test_csv_block_reader_keeps_what_the_full_validator_keeps(rows, odd, ranges, end):
     # blocks of 3 lines put every edge cell in a block of its own kind
     lines = [",".join(row) for row in rows]
     if odd is not None:
         lines.insert(odd[0], odd[1])
-    text = "\n".join([",".join(CANONICAL_FIELDS), *lines]) + "\n"
+    text = end.join([",".join(CANONICAL_FIELDS), *lines]) + end
     records = [row for row in csv.reader(io.StringIO(text, newline=""))][1:]
     expected = [tuple(row[:7]) + (None,) * (7 - len(row)) for row in records if row]
     with pytest.MonkeyPatch.context() as patch, tempfile.TemporaryDirectory() as tmp:
@@ -661,6 +662,41 @@ def test_only_a_block_that_is_not_plain_goes_through_csv_reader(monkeypatch):
     log, rejects = parse_events(text.encode(), "csv")
     assert (log.accepted_count, rejects) == (10, [])
     assert validated == [3]  # records 3 to 5
+
+
+@pytest.mark.parametrize(
+    "fmt, field, cell",
+    [
+        ("json", "artwork_id", "art, edition 1"),
+        ("csv", "artwork_id", "art, edition 1"),
+        *(("json", "seller", cell) for cell in ['s"4', "s\r4", "s\x004", "s\ud8004"]),
+    ],
+    ids=["json-comma", "quoted-csv-comma", "json-quote", "json-cr", "json-nul", "json-surrogate"],
+)
+def test_only_the_record_with_an_odd_cell_goes_to_the_full_validator(monkeypatch, fmt, field, cell):
+    # one block of 8 records, or a CSV block of 2 then one of 6; the odd cell is record 5's
+    monkeypatch.setattr(ingest, "_BLOCK_LINES", 8)
+    added = []
+    add = ingest._Records.add
+    monkeypatch.setattr(
+        ingest._Records, "add", lambda self, row, *cells: added.append(row) or add(self, row, *cells)
+    )
+    records = [
+        dict(zip(CANONICAL_FIELDS, (f"s{i}", f"b{i}", f"s{i}", "", f"{i}.5", f"{T0 + i}", f"art{i}")))
+        for i in range(8)
+    ]
+    records[4][field] = cell
+    if fmt == "json":
+        text = "".join(json.dumps(record) + "\n" for record in records)
+    else:
+        buffer = io.StringIO()
+        writer = csv.writer(buffer, quoting=csv.QUOTE_ALL, lineterminator="\n")
+        writer.writerow(CANONICAL_FIELDS)
+        writer.writerows(record.values() for record in records)
+        text = buffer.getvalue()
+    log, rejects = parse_events(text.encode(), fmt)
+    assert added == [5]
+    _check_against_full_validator(log, rejects, [tuple(record.values()) for record in records])
 
 
 @settings(max_examples=150, deadline=None)
