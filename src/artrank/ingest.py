@@ -13,15 +13,14 @@ one-object-per-line JSON a line at a time, where a line ends at ``\\n``,
 ``\\r\\n`` or ``\\r`` only; only a JSON array is decoded whole. One block
 reader, ``_read_block``, validates every record a column at a time:
 ``str.split`` once, the ids through the memo, prices and timestamps by
-numpy from byte windows. A CSV block that, with ``\\r\\n`` line ends read as
-``\\n``, holds no ``"``, ``\\r`` or NUL and the header's cell count on every
-line is read as it is; the rows that ``csv.reader`` reads from any other,
-and JSON records, are joined into seven-column lines first (``_validate``).
-The full validator, ``_Records.add``, the one source of reject reasons,
-reads the original cells of each record that fails a check, of each JSON
-record with a cell that is not text there, and of each record with a cell
-holding a ``,``, ``\\n``, ``"``, ``\\r``, NUL or lone surrogate, which the
-second joining of a refused block leaves blank; the block reader keeps
+numpy from byte windows. A CSV block that holds no ``"``, ``\\r`` or NUL and
+the header's cell count on every line is read as it is; the rows that
+``csv.reader`` reads from any other, and JSON records, are joined into
+seven-column lines first (``_validate``). The full validator,
+``_Records.add``, the one source of reject reasons, reads the original cells
+of each record that fails a check, of each JSON record with a cell that is
+not text there, and of every record of a block holding a ``,``, ``\\n``,
+``"``, ``\\r``, NUL or lone surrogate in a cell; the block reader keeps
 exactly what it would keep. Logs come only from ``parse_events`` (and
 ``convert_currency`` of one), so the validator alone decides what a log holds.
 
@@ -136,8 +135,6 @@ _LINE_END = re.compile(rb"[\r\n]")
 # a surrogate code point in a decoded str: only a JSON escape such as
 # ``\ud800`` can put one there, and UTF-8 cannot encode it
 _SURROGATE = re.compile("[\ud800-\udfff]")
-# a cell that the block reader cannot read from joined text
-_ODD = re.compile('[,\n"\r\0\ud800-\udfff]')
 # CSV lines validated as one block: at most this many, and about as many as
 # hold this much text, so that the block's text, its bytes and its numpy
 # temporaries stay below glibc's 128 KiB mmap threshold, whose first crossing
@@ -1031,13 +1028,12 @@ def _read_block(
     """Validate the records of ``block``, ``lines`` whole CSV lines that follow
     record ``row_num``, into ``records`` when the block is plain; returns whether it was.
 
-    A ``\\r\\n`` line end is read as ``\\n``. A plain block then holds no ``"``,
-    ``\\r``, NUL or lone surrogate and exactly ``width`` cells on every line
-    (so no blank line), and seller, buyer, creator, timestamp and a price
-    each have a column; CSV text (no ``originals``) also holds no cell longer
-    than the csv module's field limit. Its lines are split once with
-    ``str.split`` and checked a column at a time. A record is kept, with the
-    values ``_Records.add`` would keep, when:
+    A plain block holds no ``"``, ``\\r``, NUL or lone surrogate, exactly
+    ``width`` cells on every line (so no blank line) and no cell longer than
+    the csv module's field limit, and seller, buyer, creator, timestamp and a
+    price each have a column. Its lines are split once with ``str.split`` and
+    checked a column at a time. A record is kept, with the values
+    ``_Records.add`` would keep, when:
 
     - each id cell is in the memo or a non-empty id that is its own
       ``.strip()`` (coded here at its first sight, whether or not its record
@@ -1052,8 +1048,6 @@ def _read_block(
     ``originals`` if given, else in the block.
     """
     seller, buyer, creator, eth, usd, when, artwork = fields
-    if "\r" in block:
-        block = block.replace("\r\n", "\n")
     if (
         width < 2
         or width in (seller, buyer, creator, when)
@@ -1082,7 +1076,7 @@ def _read_block(
     kinds = raw[ends]
     if not ((kinds[:, :-1] == _COMMA).all() and (kinds[:, -1] == _LF).all()):
         return False
-    if originals is None and (ends - starts).max() > csv.field_size_limit():  # csv would raise
+    if (ends - starts).max() > csv.field_size_limit():  # the csv module raises on such a cell
         return False
     cells = block[:-1].replace("\n", ",").split(",")
     ids = [cells[field::width] for field in (seller, buyer, creator)]
@@ -1299,22 +1293,20 @@ def _validate(rows: Iterable[tuple], records: _Records, row_num: int = 0) -> int
     A block of at most ``_BLOCK_LINES`` records at a time is joined into
     seven-column lines (``_block_text``) for ``_read_block``, which sends
     each record that fails a check to ``_Records.add`` with its original
-    cells. A block it refuses is joined and read once more with each cell it
-    cannot read blank, and that record's seller, so only those records go to ``add``.
+    cells; every record of a block that it refuses goes there too.
     """
     rows = iter(rows)
     while block := list(islice(rows, _BLOCK_LINES)):
-        for blank in (False, True):
-            text = _block_text(block, blank)
-            if _read_block(text, len(block), len(_FIELDS), _FIELDS, records, row_num, block):
-                break
-        else:
-            raise RuntimeError("the block reader refused a block whose odd cells are blank")
+        text = _block_text(block)
+        if not _read_block(text, len(block), len(_FIELDS), _FIELDS, records, row_num, block):
+            for row, cells in enumerate(block, start=row_num + 1):
+                records.add(row, *cells)
+            records.flush()
         row_num += len(block)
     return row_num
 
 
-def _block_text(block: list[tuple], blank: bool = False) -> str:
+def _block_text(block: list[tuple]) -> str:
     """The records of ``block`` as seven-column CSV lines, for ``_read_block``.
 
     A null cell (None) is joined as "", which ``_Records.add`` reads alike.
@@ -1322,25 +1314,22 @@ def _block_text(block: list[tuple], blank: bool = False) -> str:
     is not a ``str``, a price that is neither a ``str`` nor a JSON number)
     is joined as "" with an empty seller, which fails the id check, so that
     ``add`` reads the record's cells as they are: a JSON number id, for one,
-    names the id of its ``Decimal``'s text. With ``blank``, so is a cell
-    that holds a ``,``, ``\\n``, ``"``, ``\\r``, NUL or lone surrogate, which
-    ``_read_block`` refuses; without it, text cells are joined as they are.
+    names the id of its ``Decimal``'s text.
     """
-    if not blank:
-        try:
-            text = "\n".join(map(",".join, block))
-        except TypeError:  # a cell that is not a str, most often null
-            pass
-        else:
-            if all(set(map(type, map(cell, block))) == {str} for cell in _TEXT_CELLS):
-                return text
+    try:
+        text = "\n".join(map(",".join, block))
+    except TypeError:  # a cell that is not a str, most often null
+        pass
+    else:
+        if all(set(map(type, map(cell, block))) == {str} for cell in _TEXT_CELLS):
+            return text
     columns = list(map(list, zip(*block)))
     for column, joined in zip(columns, _JOINED):
-        if not set(map(type, column)) <= joined or blank and _ODD.search("".join(column)):
+        if not set(map(type, column)) <= joined:
             for i, cell in enumerate(column):
                 if cell is None:
                     column[i] = ""
-                elif type(cell) not in joined or blank and _ODD.search(cell):
+                elif type(cell) not in joined:
                     column[i] = columns[0][i] = ""
     return "\n".join(map(",".join, zip(*columns)))
 

@@ -664,41 +664,6 @@ def test_only_a_block_that_is_not_plain_goes_through_csv_reader(monkeypatch):
     assert validated == [3]  # records 3 to 5
 
 
-@pytest.mark.parametrize(
-    "fmt, field, cell",
-    [
-        ("json", "artwork_id", "art, edition 1"),
-        ("csv", "artwork_id", "art, edition 1"),
-        *(("json", "seller", cell) for cell in ['s"4', "s\r4", "s\x004", "s\ud8004"]),
-    ],
-    ids=["json-comma", "quoted-csv-comma", "json-quote", "json-cr", "json-nul", "json-surrogate"],
-)
-def test_only_the_record_with_an_odd_cell_goes_to_the_full_validator(monkeypatch, fmt, field, cell):
-    # one block of 8 records, or a CSV block of 2 then one of 6; the odd cell is record 5's
-    monkeypatch.setattr(ingest, "_BLOCK_LINES", 8)
-    added = []
-    add = ingest._Records.add
-    monkeypatch.setattr(
-        ingest._Records, "add", lambda self, row, *cells: added.append(row) or add(self, row, *cells)
-    )
-    records = [
-        dict(zip(CANONICAL_FIELDS, (f"s{i}", f"b{i}", f"s{i}", "", f"{i}.5", f"{T0 + i}", f"art{i}")))
-        for i in range(8)
-    ]
-    records[4][field] = cell
-    if fmt == "json":
-        text = "".join(json.dumps(record) + "\n" for record in records)
-    else:
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, quoting=csv.QUOTE_ALL, lineterminator="\n")
-        writer.writerow(CANONICAL_FIELDS)
-        writer.writerows(record.values() for record in records)
-        text = buffer.getvalue()
-    log, rejects = parse_events(text.encode(), fmt)
-    assert added == [5]
-    _check_against_full_validator(log, rejects, [tuple(record.values()) for record in records])
-
-
 @settings(max_examples=150, deadline=None)
 @given(_json_rows)
 def test_json_records_keep_what_the_full_validator_keeps(rows):
